@@ -245,15 +245,28 @@ def cmd_evaluate(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
     return EXIT_OK
 
 
+def _method_names(candidate_paths: list[str]) -> list[str]:
+    """Each candidate file's method name: its stem, or ``<parent>/<stem>``
+    when another file has the same stem (two ``candidates.jsonl``)."""
+    stems = [Path(path).stem for path in candidate_paths]
+    return [
+        f"{Path(path).parent.name}/{stem}" if stems.count(stem) > 1 else stem
+        for path, stem in zip(candidate_paths, stems)
+    ]
+
+
 def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> int:
     if len(candidate_paths) < 2:
         _err("usage error: compare needs at least two candidate files")
         return EXIT_FATAL
+    names = _method_names(candidate_paths)
+    if len(set(names)) < len(names):
+        _err("usage error: compare needs candidate files that name distinct methods")
+        return EXIT_FATAL
     try:
         gold = goldstore.load_gold(gold_path)
         methods: dict[str, list[evaluation.AlignmentResult]] = {}
-        for path in candidate_paths:
-            name = Path(path).stem
+        for name, path in zip(names, candidate_paths):
             candidates = extractor.load_candidates_jsonl(path)
             methods[name] = _align_all(gold, candidates, cfg)
         report = evaluation.comparison_table(gold, methods)

@@ -113,42 +113,34 @@ def extract_candidates(
         if profile.conjunctive:
             if quotes and keywords:
                 picked = quotes if one_candidate_per_quote else quotes[:1]
-                for span in picked:
-                    candidates.append(
-                        _make(document, para.index, text, span.text, Trigger.QUOTE_AND_KEYWORD)
-                    )
+                hits = [(span.text, Trigger.QUOTE_AND_KEYWORD) for span in picked]
             elif citation_at_end(text, profile):
-                candidates.append(
-                    _make(document, para.index, text, "", Trigger.CITATION_AT_END)
-                )
+                hits = [("", Trigger.CITATION_AT_END)]
+            else:
+                continue
+        elif quotes:
+            hits = [(quotes[0].text, Trigger.QUOTE_ONLY)]
+        elif citation_at_end(text, profile):
+            hits = [("", Trigger.CITATION_ANYWHERE)]
+        elif keywords:
+            hits = [("", Trigger.KEYWORD_ONLY)]
         else:
-            if quotes:
-                candidates.append(
-                    _make(document, para.index, text, quotes[0].text, Trigger.QUOTE_ONLY)
+            continue
+        citations = tuple(find_citations(text))
+        for quote, trigger in hits:
+            candidates.append(
+                PoLCandidate(
+                    doc_id=document.doc_id,
+                    paragraph_index=para.index,
+                    text=text,
+                    quote=quote,
+                    trigger=trigger,
+                    pol_type=classify(quote, citations),
+                    citations=citations,
+                    source=Source.RULES,
                 )
-            elif citation_at_end(text, profile):
-                candidates.append(
-                    _make(document, para.index, text, "", Trigger.CITATION_ANYWHERE)
-                )
-            elif keywords:
-                candidates.append(
-                    _make(document, para.index, text, "", Trigger.KEYWORD_ONLY)
-                )
+            )
     return candidates
-
-
-def _make(document: Document, index: int, text: str, quote: str, trigger: Trigger) -> PoLCandidate:
-    citations = tuple(find_citations(text))
-    return PoLCandidate(
-        doc_id=document.doc_id,
-        paragraph_index=index,
-        text=text,
-        quote=quote,
-        trigger=trigger,
-        pol_type=classify(quote, citations),
-        citations=citations,
-        source=Source.RULES,
-    )
 
 
 CSV_HEADER = ("Paragraph", "Quote")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -230,19 +231,23 @@ def split_passages(response: str) -> list[str]:
     return [p for p in passages if p]
 
 
-def resolve_paragraph(passage: str, document: Document, threshold: float = 0.6) -> int:
+def resolve_paragraph(
+    passage: str, paragraphs: list[tuple[int, Counter[str]]], threshold: float = 0.6
+) -> int:
     """Index of the paragraph best containing the passage, or -1.
 
-    Containment is the fraction of passage tokens (as written) present in
-    the paragraph; below the threshold the passage is unresolved and flagged
+    ``paragraphs`` holds each paragraph's index and ``raw_token_counts``,
+    built once per document. Containment is the fraction of passage tokens
+    (as written) present in the paragraph; the first paragraph with the top
+    score wins. Below the threshold the passage is unresolved and flagged
     for hallucination triage downstream.
     """
     passage_counts = raw_token_counts(passage)
     best_index, best_score = -1, 0.0
-    for para in document.paragraphs:
-        score = containment(passage_counts, raw_token_counts(para.text))
+    for index, counts in paragraphs:
+        score = containment(passage_counts, counts)
         if score > best_score:
-            best_index, best_score = para.index, score
+            best_index, best_score = index, score
     return best_index if best_score >= threshold else -1
 
 
@@ -272,6 +277,7 @@ def run_extraction(
     if not response or not response.strip():
         raise EmptyResponse(f"empty response for {document.doc_id}")
 
+    paragraphs = [(para.index, raw_token_counts(para.text)) for para in document.paragraphs]
     candidates: list[PoLCandidate] = []
     for passage in split_passages(response):
         quotes = find_quotes(passage, V2_REFINED)
@@ -280,7 +286,7 @@ def run_extraction(
         candidates.append(
             PoLCandidate(
                 doc_id=document.doc_id,
-                paragraph_index=resolve_paragraph(passage, document, resolution_threshold),
+                paragraph_index=resolve_paragraph(passage, paragraphs, resolution_threshold),
                 text=passage,
                 quote=quote,
                 trigger=None,

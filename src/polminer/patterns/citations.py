@@ -9,17 +9,19 @@ Handles the formats that actually occur in judgment prose, e.g.::
     sent. 22.06.2016 n. 12962
     Corte Cost. 217/2019
 
-A hand-rolled tokenizer feeds a small descent parser; on failure the error
-names the first token that could not be consumed. ``find_citations`` scans a
-whole paragraph, trying parenthesized groups first and then inline spans
-anchored on court keywords.
+A tokenizer, read on demand, feeds a small descent parser; on failure the
+error names the first token that could not be consumed. ``find_citations``
+scans a whole paragraph in linear time, trying parenthesized groups first
+and then inline spans anchored on court keywords.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass
+import re
+from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from ..errors import UnparseableCitation
 
@@ -121,18 +123,62 @@ class CitationRef:
         )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # WORD | NUM | PUNCT | OTHER
     raw: str
     norm: str
     pos: int
 
 
-def _tokenize(text: str) -> list[_Token]:
+# One token after optional whitespace (regex \s is str.isspace, \d is
+# str.isdecimal): a run of letters, with at most one trailing period or
+# apostrophe; a run of decimal digits; or any other single character.
+# [^\W\d_] is alphanumeric but not a decimal digit, which also admits
+# non-letters such as "²"; such runs go through _tokenize_chars.
+_TOKEN_RE = re.compile(r"\s*(?:([^\W\d_]+)([.'’]?)|(\d+)|(\S))")
+
+
+class _Tokens:
+    """The tokens of ``text`` from offset ``start`` on, read on demand.
+
+    A parse reads only the tokens it consumes, plus a few of look-ahead, so
+    an attempt on a long paragraph costs what it reads, not the paragraph.
+    """
+
+    __slots__ = ("text", "read", "items")
+
+    def __init__(self, text: str, start: int = 0):
+        self.text = text
+        self.read = start  # offset after the last token read
+        self.items: list[_Token] = []
+
+    def get(self, j: int) -> _Token | None:
+        """Token ``j``, or None past the end of the text."""
+        items = self.items
+        while j >= len(items):
+            m = _TOKEN_RE.match(self.text, self.read)
+            if m is None:
+                return None
+            self.read = m.end()
+            letters, trail, digits, other = m.groups()
+            if letters is not None:
+                if letters.isalpha():
+                    items.append(_Token("WORD", letters + trail, letters.casefold(), m.start(1)))
+                else:
+                    items.extend(_tokenize_chars(self.text, m.start(1), m.end(2)))
+            elif digits is not None:
+                items.append(_Token("NUM", digits, digits, m.start(3)))
+            else:
+                kind = "PUNCT" if other in ",/.;()-" else "OTHER"
+                items.append(_Token(kind, other, other, m.start(4)))
+        return items[j]
+
+
+def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
+    """Tokens of ``text[start:stop]`` read a character at a time."""
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
+    i = start
+    n = stop
     while i < n:
         ch = text[i]
         if ch.isspace():
@@ -176,11 +222,28 @@ def _normalize_year(raw: str, at: _Token, full_raw: str) -> int:
 
 
 class _Parser:
-    """One pass over the token stream, accumulating citation fields."""
+    """One pass over the token stream, accumulating citation fields.
 
-    def __init__(self, raw: str, tokens: list[_Token]):
+    ``dead`` memoizes failures for the locator, whose parses all read one
+    paragraph. Until a number, year or date is read, the parse's course
+    depends only on the current token's offset, whether a court word was
+    seen and the unknown-word budget; from the token that starts the
+    reference on, only on the tokens. So a parse that reaches a state
+    (offset, court seen, budget) that a failed parse passed through fails
+    too, and stops there. ``visited`` lists this parse's states, for the
+    caller to add to ``dead`` when the parse fails.
+    """
+
+    def __init__(
+        self,
+        raw: str,
+        tokens: _Tokens,
+        dead: set[tuple[int, bool, int]] | None = None,
+    ):
         self.raw = raw
         self.toks = tokens
+        self.dead = dead
+        self.visited: list[tuple[int, bool, int]] = []
         self.i = 0
         self.marker: str | None = None
         self.court_keys: set[str] = set()
@@ -195,10 +258,10 @@ class _Parser:
 
     def _peek(self, ahead: int = 0) -> _Token | None:
         j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
+        return self.toks.get(j)
 
     def _advance(self) -> _Token:
-        t = self.toks[self.i]
+        t = self.toks.get(self.i)
         self.i += 1
         self.consumed_end = t.pos + len(t.raw)
         return t
@@ -213,6 +276,11 @@ class _Parser:
 
     def parse(self, require_full: bool) -> CitationRef:
         while (t := self._peek()) is not None:
+            if self.dead is not None and not self._has_ref():
+                state = (t.pos, bool(self.court_keys), self.unknown_budget)
+                if state in self.dead:
+                    self._fail(t, "known dead end")
+                self.visited.append(state)
             if t.kind == "PUNCT" and t.norm == ",":
                 self._advance()
                 continue
@@ -228,7 +296,7 @@ class _Parser:
                 self._ref()
                 continue
             break
-        if require_full and self.i < len(self.toks):
+        if require_full and self._peek() is not None:
             self._fail(self._peek(), "unexpected trailing token")
         if not self._has_ref():
             self._fail(self._peek(), "no number, year, or date")
@@ -367,7 +435,7 @@ class _Parser:
         year = _normalize_year(ytok.raw, ytok, self.raw)
         try:
             date = dt.date(year, month, day)
-        except ValueError:
+        except (ValueError, OverflowError):  # Overflow: beyond a C long
             self._fail(at, "invalid calendar date")
         self.date = date
         self._set_year(year, ytok)
@@ -414,31 +482,41 @@ def parse_citation(raw: str) -> CitationRef:
     if not raw or not raw.strip():
         raise UnparseableCitation(raw, "", 0, "empty citation")
     inner = _strip_outer_parens(raw)
-    parser = _Parser(raw, _tokenize(inner))
+    parser = _Parser(raw, _Tokens(inner))
     ref = parser.parse(require_full=True)
     return ref
 
 
-def _parse_prefix(text: str) -> tuple[CitationRef, int] | None:
-    """Parse the longest citation prefix of ``text``.
+def _parse_inline(
+    text: str, start: int, dead: set[tuple[int, bool, int]]
+) -> tuple[CitationRef, int] | None:
+    """Parse the longest citation prefix of ``text[start:]``.
 
-    Returns (ref, consumed_char_count) or None. Used by the inline locator;
-    requires number plus year-or-date so that stray prose numbers are not
-    mistaken for citations.
+    Returns (ref, end offset) or None, and adds a failed parse's states to
+    ``dead``. The ref needs a number plus a year or date, so that stray
+    prose numbers are not mistaken for citations. Its ``raw`` is left empty
+    for the caller to fill in from the text.
     """
-    parser = _Parser(text, _tokenize(text))
+    parser = _Parser("", _Tokens(text, start), dead)
     try:
         ref = parser.parse(require_full=False)
     except UnparseableCitation:
-        if not parser._has_ref():
-            return None
-        try:
-            ref = parser._build()
-        except UnparseableCitation:
-            return None
-    if ref.number is None or (ref.year is None and ref.date is None):
+        ref = None
+        if parser._has_ref():
+            try:
+                ref = parser._build()
+            except UnparseableCitation:
+                pass
+    if ref is None or ref.number is None or (ref.year is None and ref.date is None):
+        dead.update(parser.visited)
         return None
     return ref, parser.consumed_end
+
+
+_PAREN_RE = re.compile(r"[()]")
+_DIGIT_RE = re.compile(r"\d")
+# a run of letters (and other non-digit alphanumerics) at a word start
+_WORD_START_RE = re.compile(r"(?<!\w)[^\W\d_]+")
 
 
 def find_citations(paragraph_text: str) -> list[CitationRef]:
@@ -446,59 +524,66 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
 
     Parenthesized digit-bearing groups are tried first; the remaining text is
     scanned for inline citations anchored on court keywords.
+
+    The scan is linear in the paragraph length. A group reaching past
+    another "(" cannot parse, since no rule consumes a "(", so only
+    innermost groups, which never share a character, go to
+    ``parse_citation``. An inline attempt reads tokens from its head on
+    only as far as it parses, and failed attempts are memoized (see
+    ``_Parser``).
     """
     text = paragraph_text
-    found: list[tuple[int, int, CitationRef]] = []
+    opens: list[int] = []
+    closes: list[int] = []
+    for m in _PAREN_RE.finditer(text):
+        (opens if m.group() == "(" else closes).append(m.start())
+    groups: list[tuple[int, int, CitationRef]] = []
 
-    i = 0
-    while (i := text.find("(", i)) >= 0:
-        j = text.find(")", i + 1)
-        if j < 0:
+    # each "(" up to the first ")" after it; a parsed group resumes after
+    # its ")", a failed one at the next "("
+    c = 0
+    resume = 0
+    for o, i in enumerate(opens):
+        if i < resume:
+            continue
+        while c < len(closes) and closes[c] < i:
+            c += 1
+        if c == len(closes):
             break
-        inner = text[i + 1 : j].strip()
-        parsed_ok = False
-        if inner and any(ch.isdecimal() for ch in inner):
-            try:
-                found.append((i, j + 1, parse_citation(inner)))
-                parsed_ok = True
-            except UnparseableCitation:
-                pass
-        i = j + 1 if parsed_ok else i + 1
+        j = closes[c]
+        if (o + 1 < len(opens) and opens[o + 1] < j) or _DIGIT_RE.search(text, i, j) is None:
+            continue
+        try:
+            groups.append((i, j + 1, parse_citation(text[i + 1 : j].strip())))
+            resume = j + 1
+        except UnparseableCitation:
+            pass
 
-    def _inside(pos: int) -> bool:
-        return any(start <= pos < end for start, end, _ in found)
-
-    n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch.isalpha() and (i == 0 or not (text[i - 1].isalnum() or text[i - 1] == "_")):
-            j = i + 1
-            while j < n and text[j].isalpha():
-                j += 1
-            word = text[i:j].casefold()
-            if word in _INLINE_HEAD_WORDS and not _inside(i):
-                parsed = _parse_prefix(text[i:])
-                if parsed is not None:
-                    ref, consumed = parsed
-                    end = i + consumed
-                    if not any(s < end and i < e for s, e, _ in found):
-                        ref = CitationRef(
-                            raw=text[i:end].rstrip(" ,;."),
-                            court=ref.court,
-                            court_label=ref.court_label,
-                            section=ref.section,
-                            number=ref.number,
-                            year=ref.year,
-                            date=ref.date,
-                            marker=ref.marker,
-                        )
-                        found.append((i, end, ref))
-                        i = end
-                        continue
-            i = j
-        else:
-            i += 1
+    found = list(groups)
+    dead: set[tuple[int, bool, int]] = set()
+    g = 0  # first group ending after the current head
+    resume = 0
+    for m in _WORD_START_RE.finditer(text):
+        i = m.start()
+        if i < resume:
+            continue
+        word = m.group()
+        if not word.isalpha():
+            # a head is a run of letters; the run ends at the first non-letter
+            word = word[: next(k for k, ch in enumerate(word) if not ch.isalpha())]
+        if word.casefold() not in _INLINE_HEAD_WORDS:
+            continue
+        while g < len(groups) and groups[g][1] <= i:
+            g += 1
+        if g < len(groups) and groups[g][0] <= i:
+            continue  # inside a parenthesized group
+        parsed = _parse_inline(text, i, dead)
+        if parsed is None:
+            continue
+        # no rule consumes a "(", so the citation ends before the next group
+        ref, end = parsed
+        found.append((i, end, replace(ref, raw=text[i:end].rstrip(" ,;."))))
+        resume = end
 
     found.sort(key=lambda item: item[0])
     return [ref for _, _, ref in found]

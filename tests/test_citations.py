@@ -80,6 +80,13 @@ def test_invalid_date_rejected():
         parse_citation("Cass. 31/02/2016 n. 5")
 
 
+def test_oversized_date_field_rejected_not_crashing():
+    # a day or month past the C long range once escaped as OverflowError
+    with pytest.raises(UnparseableCitation):
+        parse_citation("Cass. 1/99999999999999999999/2019")
+    assert find_citations("la Corte (Cass. 99999999999999999999/06/2019) osserva") == []
+
+
 def test_year_range_enforced():
     with pytest.raises(UnparseableCitation):
         parse_citation("Cass. n. 1/3019")

@@ -221,3 +221,29 @@ def test_llm_extract_requires_transport_choice(tmp_path):
     corpus = tmp_path / "S"
     corpus.mkdir()
     assert main(["llm-extract", "--input", str(corpus)]) == 1
+
+
+def test_compare_names_same_stem_files_by_parent(repro_files, tmp_path, capsys):
+    base, corpus, gold_path, paths = repro_files
+    v1, v2 = tmp_path / "v1" / "candidates.jsonl", tmp_path / "v2" / "candidates.jsonl"
+    for source, target in ((paths["chat"], v1), (paths["regex"], v2)):
+        target.parent.mkdir()
+        target.write_bytes(source.read_bytes())
+    code = main([
+        "compare", str(gold_path), str(v1), str(v2),
+        "--input", str(corpus), "--out", str(base / "cmp_stems"),
+    ])
+    assert code == 0
+    out = capsys.readouterr().out
+    rows = [line for line in out.splitlines() if line.startswith("| ")]
+    methods = {row.split("|")[1].strip() for row in rows}
+    assert {"v1/candidates", "v2/candidates"} <= methods
+    assert "53.2" in out and "23.5" in out
+
+
+def test_compare_same_file_twice_is_usage_error(repro_files, capsys):
+    base, corpus, gold_path, paths = repro_files
+    assert main([
+        "compare", str(gold_path), str(paths["chat"]), str(paths["chat"]), "--input", str(corpus),
+    ]) == 1
+    assert "usage error" in capsys.readouterr().err

@@ -8,6 +8,7 @@ import pytest
 import oracles
 import synth
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
+from polminer import extractor
 from polminer.corpus import Document, Paragraph, load_document
 from polminer.extractor import (
     PoLCandidate,
@@ -20,7 +21,7 @@ from polminer.extractor import (
     load_candidates_jsonl,
     save_candidates_jsonl,
 )
-from polminer.patterns import PROFILES
+from polminer.patterns import PROFILES, find_citations
 
 V1 = PROFILES["v1_broad"]
 V2 = PROFILES["v2_refined"]
@@ -188,3 +189,19 @@ def test_jsonl_schema_error(tmp_path):
 def test_candidate_source_enum():
     doc = _doc(["il Tribunale decide"], doc_id="s.docx")
     assert extract_candidates(doc, V1)[0].source == Source.RULES
+
+
+def test_find_citations_runs_once_per_kept_paragraph(monkeypatch):
+    calls = []
+
+    def counting_find_citations(text):
+        calls.append(text)
+        return find_citations(text)
+
+    monkeypatch.setattr(extractor, "find_citations", counting_find_citations)
+    text = "La Corte richiama “a”, “b” e “c” (Cass. n. 26972/2008)."
+    doc = Document("d.txt", (Paragraph(0, text, 0),), 1, "d.txt")
+    candidates = extract_candidates(doc, V2, one_candidate_per_quote=True)
+    assert [c.quote for c in candidates] == ["“a”", "“b”", "“c”"]
+    assert all(len(c.citations) == 1 for c in candidates)
+    assert calls == [text]

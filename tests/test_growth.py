@@ -1,0 +1,90 @@
+"""Each detector and the citation locator take linear time on adversarial lines.
+
+Every test times one line at n and at 4n characters, n about 2,000 (the
+length of a long plaintext paragraph) unless the test says otherwise. A
+timed run calls the function enough times for the run at n to take at least
+5 ms, and the best of five runs counts. The line length is fixed rather
+than grown until one call takes 5 ms, because a linear check such as the
+anchored end-citation test costs almost nothing at any length. Linear code
+gives a ratio near 4, or less where a call's fixed cost dominates, and
+quadratic code near 16; the bound of 8 sits between.
+"""
+
+from __future__ import annotations
+
+import gc
+import time
+
+import pytest
+
+from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
+
+V1 = PROFILES["v1_broad"]
+V2 = PROFILES["v2_refined"]
+EXT = PROFILES["extended"]
+
+LINE_CHARS = 2_000
+MIN_SECONDS = 0.005
+MAX_RATIO = 8.0
+
+
+def _best_of_5(fn, text: str, calls: int) -> float:
+    """Best time of five runs, with the collector off: a collection's cost
+    grows with everything alive in the process, not with this call."""
+    best = float("inf")
+    gc.disable()
+    try:
+        for _ in range(5):
+            start = time.perf_counter()
+            for _ in range(calls):
+                fn(text)
+            best = min(best, time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return best
+
+
+def _growth(fn, unit: str, tail: str = "", chars: int = LINE_CHARS) -> float:
+    """Time ratio of the line at 4n characters over the line at n = chars."""
+    repeats = chars // len(unit)
+    line, long_line = unit * repeats + tail, unit * 4 * repeats + tail
+    calls = 1
+    while _best_of_5(fn, line, calls) < MIN_SECONDS and calls < 1 << 16:
+        calls *= 2
+    return _best_of_5(fn, long_line, calls) / _best_of_5(fn, line, calls)
+
+
+@pytest.mark.parametrize("profile", [V2, EXT], ids=lambda p: p.name)
+def test_find_quotes_linear_on_unclosed_openers(profile):
+    # every opener waits for a closer that never comes on this line
+    assert _growth(lambda t: find_quotes(t, profile), "“ab «cd ") < MAX_RATIO
+
+
+def test_unanchored_citation_linear_on_open_parentheses():
+    # the only "dddd)" is on the next line, out of every "(" line's reach
+    assert _growth(lambda t: citation_at_end(t, V1), "(ab ", "\n(x 2019)") < MAX_RATIO
+
+
+def test_anchored_citation_linear_when_every_parenthesis_precedes_a_newline():
+    # a quadratic scan here copies the rest of the line once per "(", and
+    # that copy outweighs the per-character work only past about 10^4
+    # characters
+    assert _growth(lambda t: citation_at_end(t, V2), "(\n", "x 2019)", chars=32_000) < MAX_RATIO
+
+
+def test_match_keywords_linear():
+    assert _growth(lambda t: match_keywords(t, V2), "Cass. sez. la Corte TRIB. ") < MAX_RATIO
+
+
+@pytest.mark.parametrize(
+    "unit, tail",
+    [
+        # groups that all reach one far ")" and inline heads without a number
+        ("(nota Cass. sez. ", "(Cass. 1234/2019)"),
+        # inline heads whose parses would each run to the end of the line
+        ("Cass. ", ""),
+    ],
+    ids=["groups_and_heads", "repeated_heads"],
+)
+def test_find_citations_linear(unit, tail):
+    assert _growth(find_citations, unit, tail) < MAX_RATIO

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from polminer import llm
 from polminer.corpus import Document, Paragraph
 from polminer.errors import BudgetExceeded, EmptyResponse, TransportError
 from polminer.evaluation import FpKind, align, confusion
@@ -18,6 +19,7 @@ from polminer.llm import (
     run_extraction,
     split_passages,
 )
+from polminer.textnorm import raw_token_counts
 
 PARAGRAPHS = [
     "Premessa in fatto senza alcun rilievo di principio.",
@@ -183,3 +185,25 @@ def test_llm_candidates_are_typed_from_passage_evidence():
     candidates = run_extraction(doc, LlmSession(), transport)
     assert candidates[0].pol_type == PoLType.EXPLICIT_DIRECT
     assert candidates[0].quote == "“regola chiara”"
+
+
+def test_paragraph_counters_built_once_per_document(monkeypatch):
+    calls = []
+
+    def counting_raw_token_counts(text):
+        calls.append(text)
+        return raw_token_counts(text)
+
+    monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
+    paragraphs = (PARAGRAPHS[0], PARAGRAPHS[1], PARAGRAPHS[1])
+    doc = Document(
+        doc_id="j01.txt",
+        paragraphs=tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(paragraphs)),
+        page_count=1,
+        source_path="j01.txt",
+    )
+    transport = ScriptedTransport(responses={doc.doc_id: f"{PARAGRAPHS[1]}\n\n{PARAGRAPHS[0]}"})
+    candidates = run_extraction(doc, LlmSession(), transport)
+    # two equally good paragraphs: the first one wins
+    assert [c.paragraph_index for c in candidates] == [1, 0]
+    assert len(calls) == len(paragraphs) + len(candidates)

@@ -59,6 +59,21 @@ def test_keyword_exact_token():
     assert match_keywords("CASSAZIONE", V2) == [("CASSAZIONE", 0)]
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("GİURISPRUDENZA", [("GIURISPRUDENZA", 0)]),
+        ("gıurisprudenza", [("GIURISPRUDENZA", 0)]),
+        ("la CORTE e il TRİBUNALE", [("CORTE", 3), ("TRIBUNALE", 14)]),
+    ],
+)
+def test_keywords_with_dotted_and_dotless_i_match_the_published_pattern(text, expected):
+    # the oracle reports the matched text upper-cased, which keeps the İ, so
+    # compare offsets with it and lexicon tokens with the expected hits
+    assert match_keywords(text, V2) == expected
+    assert [offset for _, offset in expected] == [offset for _, offset in oracles.oracle_keywords(text)]
+
+
 def test_citation_at_end_basic():
     text = "...va posta a carico dell'Erario (Corte Cost. 217/2019)"
     assert citation_at_end(text, V2) == "(Corte Cost. 217/2019)"
