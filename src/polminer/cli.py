@@ -12,19 +12,12 @@ import json
 import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import evaluation, extractor, goldstore, llm
-from .corpus import Document, load_corpus, load_document
-from .errors import (
-    DirectoryNotFound,
-    DocMismatch,
-    GoldMismatch,
-    PolminerError,
-    SchemaError,
-)
+from .corpus import load_corpus, load_document
+from .errors import DocMismatch, PolminerError
 from .patterns import PROFILES, get_profile
 
 EXIT_OK = 0
@@ -37,11 +30,9 @@ class RunConfig:
     input_dir: str = "."
     output_dir: str = "Principi"
     profile: str = "v2_refined"
-    metrics_mode: str = "paper"
     overlap_threshold: float = 0.8
     hallucination_threshold: float = 0.6
     report_formats: tuple[str, ...] = ("csv", "md", "json")
-    jobs: int = 0  # 0 = auto
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -63,10 +54,8 @@ class RunConfig:
             "input_dir": "input",
             "output_dir": "out",
             "profile": "profile",
-            "metrics_mode": "mode",
             "overlap_threshold": "overlap",
             "hallucination_threshold": "hallucination_threshold",
-            "jobs": "jobs",
         }
         for attr, flag in mapping.items():
             value = getattr(args, flag, None)
@@ -87,45 +76,30 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _workers(jobs: int) -> int:
-    if jobs and jobs > 0:
-        return jobs
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_extract(cfg: RunConfig) -> int:
-    try:
-        loaded = load_corpus(cfg.input_dir)
-    except DirectoryNotFound as exc:
-        _err(f"fatal: {exc}")
-        return EXIT_FATAL
+    loaded = load_corpus(cfg.input_dir)
     profile = get_profile(cfg.profile)
     out_dir = Path(cfg.output_dir)
     all_candidates: list[extractor.PoLCandidate] = []
     failures = [(w.path, w.reason) for w in loaded.warnings]
-
-    def _one(doc: Document) -> list[extractor.PoLCandidate] | Exception:
+    # CSVs are named by stem: the first document to claim one keeps it
+    claimed: dict[str, str] = {}
+    ok = 0
+    for doc in loaded.documents:
+        stem = Path(doc.doc_id).stem
+        if stem in claimed:
+            failures.append((doc.doc_id, f"{stem}.csv is already written for {claimed[stem]}"))
+            continue
+        claimed[stem] = doc.doc_id
         try:
             candidates = extractor.extract_candidates(doc, profile)
             extractor.emit_csv(candidates, doc.doc_id, out_dir)
-            return candidates
         except (OSError, PolminerError) as exc:
-            return exc
-
-    if _workers(cfg.jobs) == 1 or len(loaded.documents) <= 1:
-        results = [_one(doc) for doc in loaded.documents]
-    else:
-        with ThreadPoolExecutor(max_workers=_workers(cfg.jobs)) as pool:
-            results = list(pool.map(_one, loaded.documents))
-    ok = 0
-    for doc, result in zip(loaded.documents, results):
-        if isinstance(result, Exception):
-            failures.append((doc.doc_id, str(result)))
-        else:
-            all_candidates.extend(result)
-            ok += 1
-    if ok:
-        extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl")
+            failures.append((doc.doc_id, str(exc)))
+            continue
+        all_candidates.extend(candidates)
+        ok += 1
+    extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl")
 
     for path, reason in failures:
         _err(f"warning: {path}: {reason}")
@@ -165,30 +139,37 @@ def cmd_import_gold(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_documents_for(doc_ids: set[str], input_dir: str) -> dict[str, Document]:
-    directory = Path(input_dir)
-    documents: dict[str, Document] = {}
-    for doc_id in sorted(doc_ids):
+def _load_and_align(
+    cfg: RunConfig, gold_path: str, candidate_paths: list[str]
+) -> tuple[goldstore.GoldSet, list[list[evaluation.AlignmentResult]]]:
+    """Gold, and each candidate file's alignments with it, one per judgment
+    that the file or gold names.
+
+    Every ``doc_id`` is checked to be a plain file name before any judgment
+    is read, and each judgment is read from ``cfg.input_dir`` once for all
+    candidate files.
+    """
+    gold = goldstore.load_gold(gold_path)
+    gold_ids = set(gold.doc_ids())
+    by_doc_sets: list[dict[str, list[extractor.PoLCandidate]]] = []
+    for path in candidate_paths:
+        by_doc: dict[str, list[extractor.PoLCandidate]] = {}
+        for cand in extractor.load_candidates_jsonl(path):
+            by_doc.setdefault(cand.doc_id, []).append(cand)
+        by_doc_sets.append(by_doc)
+    doc_ids = sorted(gold_ids.union(*by_doc_sets))
+    for doc_id in doc_ids:
+        if doc_id in ("", ".", "..") or "/" in doc_id or "\\" in doc_id:
+            raise DocMismatch(f"doc_id {doc_id!r} is not a plain file name")
+    directory = Path(cfg.input_dir)
+    documents = {}
+    for doc_id in doc_ids:
         path = directory / doc_id
         if not path.is_file():
             raise DocMismatch(f"document {doc_id!r} not found under {directory}")
         documents[doc_id] = load_document(path)
-    return documents
-
-
-def _align_all(
-    gold: goldstore.GoldSet,
-    candidates: list[extractor.PoLCandidate],
-    cfg: RunConfig,
-) -> list[evaluation.AlignmentResult]:
-    by_doc: dict[str, list[extractor.PoLCandidate]] = {}
-    for cand in candidates:
-        by_doc.setdefault(cand.doc_id, []).append(cand)
-    doc_ids = set(by_doc) | set(gold.doc_ids())
-    documents = _load_documents_for(doc_ids, cfg.input_dir)
-    alignments = []
-    for doc_id in sorted(doc_ids):
-        alignments.append(
+    return gold, [
+        [
             evaluation.align(
                 by_doc.get(doc_id, []),
                 gold.for_doc(doc_id),
@@ -196,8 +177,10 @@ def _align_all(
                 overlap_threshold=cfg.overlap_threshold,
                 hallucination_threshold=cfg.hallucination_threshold,
             )
-        )
-    return alignments
+            for doc_id in sorted(gold_ids.union(by_doc))
+        ]
+        for by_doc in by_doc_sets
+    ]
 
 
 def _write_report(out_dir: Path, basename: str, table: evaluation.Table, formats: tuple[str, ...]) -> None:
@@ -225,15 +208,8 @@ def _print_metrics(summary: dict) -> None:
 
 
 def cmd_evaluate(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
-    try:
-        gold = goldstore.load_gold(gold_path)
-        candidates = extractor.load_candidates_jsonl(candidates_path)
-        alignments = _align_all(gold, candidates, cfg)
-    except (SchemaError, DocMismatch, DirectoryNotFound, OSError) as exc:
-        _err(f"fatal: {exc}")
-        return EXIT_FATAL
+    _, (alignments,) = _load_and_align(cfg, gold_path, [candidates_path])
     summary = evaluation.summarize(alignments)
-    summary["default_mode"] = cfg.metrics_mode
     _print_metrics(summary)
     out_dir = Path(cfg.output_dir)
     if "json" in cfg.report_formats:
@@ -263,16 +239,8 @@ def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> i
     if len(set(names)) < len(names):
         _err("usage error: compare needs candidate files that name distinct methods")
         return EXIT_FATAL
-    try:
-        gold = goldstore.load_gold(gold_path)
-        methods: dict[str, list[evaluation.AlignmentResult]] = {}
-        for name, path in zip(names, candidate_paths):
-            candidates = extractor.load_candidates_jsonl(path)
-            methods[name] = _align_all(gold, candidates, cfg)
-        report = evaluation.comparison_table(gold, methods)
-    except (SchemaError, DocMismatch, GoldMismatch, DirectoryNotFound, OSError) as exc:
-        _err(f"fatal: {exc}")
-        return EXIT_FATAL
+    gold, alignments = _load_and_align(cfg, gold_path, candidate_paths)
+    report = evaluation.comparison_table(gold, dict(zip(names, alignments)))
     print(report.comparison.to_markdown())
     print(report.error_share.to_markdown())
     out_dir = Path(cfg.output_dir)
@@ -282,13 +250,7 @@ def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> i
 
 
 def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
-    try:
-        gold = goldstore.load_gold(gold_path)
-        candidates = extractor.load_candidates_jsonl(candidates_path)
-        alignments = _align_all(gold, candidates, cfg)
-    except (SchemaError, DocMismatch, DirectoryNotFound, OSError) as exc:
-        _err(f"fatal: {exc}")
-        return EXIT_FATAL
+    _, (alignments,) = _load_and_align(cfg, gold_path, [candidates_path])
     table = evaluation.tracking_table(alignments)
     print(table.to_markdown())
     _write_report(Path(cfg.output_dir), "tracking", table, cfg.report_formats)
@@ -296,11 +258,7 @@ def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
 
 
 def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    try:
-        loaded = load_corpus(cfg.input_dir)
-    except DirectoryNotFound as exc:
-        _err(f"fatal: {exc}")
-        return EXIT_FATAL
+    loaded = load_corpus(cfg.input_dir)
     if args.mock:
         try:
             responses = json.loads(Path(args.mock).read_text(encoding="utf-8"))
@@ -352,21 +310,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def _common(p: argparse.ArgumentParser, with_profile: bool = True) -> None:
+    def _corpus_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its fields")
         p.add_argument("--input", help="input corpus directory")
-        p.add_argument("--out", help="output directory")
-        if with_profile:
-            p.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
-        p.add_argument("--mode", choices=["paper", "standard"], help="metrics mode")
+
+    def _report_flags(p: argparse.ArgumentParser) -> None:
+        _corpus_flags(p)
+        p.add_argument("--out", help="report directory")
         p.add_argument("--format", help="comma-separated report formats (csv,md,json)")
-        p.add_argument("--jobs", type=int, help="parallel workers; 1 forces sequential")
         p.add_argument("--overlap", type=float, help="match threshold in (0,1]")
         p.add_argument("--hallucination-threshold", dest="hallucination_threshold", type=float,
                        help="triage threshold in (0,1]")
 
     p_extract = sub.add_parser("extract", help="run the rule extractor over a corpus directory")
-    _common(p_extract)
+    _corpus_flags(p_extract)
+    p_extract.add_argument("--out", help="output directory")
+    p_extract.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
 
     p_gold = sub.add_parser("import-gold", help="import highlight annotations from .docx files")
     p_gold.add_argument("input", help=".docx file or directory of .docx files")
@@ -376,20 +335,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("evaluate", help="align candidates with gold and print metrics")
     p_eval.add_argument("gold", help="gold JSON file")
     p_eval.add_argument("candidates", help="candidates JSONL file")
-    _common(p_eval)
+    _report_flags(p_eval)
 
     p_cmp = sub.add_parser("compare", help="compare two or more candidate sets against one gold")
     p_cmp.add_argument("gold", help="gold JSON file")
     p_cmp.add_argument("candidates", nargs="+", help="two or more candidates JSONL files")
-    _common(p_cmp)
+    _report_flags(p_cmp)
 
     p_rep = sub.add_parser("report", help="emit the per-judgment tracking table")
     p_rep.add_argument("gold", help="gold JSON file")
     p_rep.add_argument("candidates", help="candidates JSONL file")
-    _common(p_rep)
+    _report_flags(p_rep)
 
     p_llm = sub.add_parser("llm-extract", help="extract via an LLM endpoint or offline mock")
-    _common(p_llm, with_profile=False)
+    _corpus_flags(p_llm)
     p_llm.add_argument("--mock", help="JSON file mapping doc_id to canned response")
     p_llm.add_argument("--endpoint", help="chat-completions endpoint URL")
     p_llm.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
@@ -406,21 +365,21 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
-    except PolminerError as exc:
+        if args.command == "extract":
+            return cmd_extract(cfg)
+        if args.command == "import-gold":
+            return cmd_import_gold(args)
+        if args.command == "evaluate":
+            return cmd_evaluate(cfg, args.gold, args.candidates)
+        if args.command == "compare":
+            return cmd_compare(cfg, args.gold, args.candidates)
+        if args.command == "report":
+            return cmd_report(cfg, args.gold, args.candidates)
+        if args.command == "llm-extract":
+            return cmd_llm_extract(cfg, args)
+    except (PolminerError, OSError) as exc:
         _err(f"fatal: {exc}")
         return EXIT_FATAL
-    if args.command == "extract":
-        return cmd_extract(cfg)
-    if args.command == "import-gold":
-        return cmd_import_gold(args)
-    if args.command == "evaluate":
-        return cmd_evaluate(cfg, args.gold, args.candidates)
-    if args.command == "compare":
-        return cmd_compare(cfg, args.gold, args.candidates)
-    if args.command == "report":
-        return cmd_report(cfg, args.gold, args.candidates)
-    if args.command == "llm-extract":
-        return cmd_llm_extract(cfg, args)
     raise AssertionError(f"unhandled command {args.command}")
 
 

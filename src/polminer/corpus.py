@@ -80,10 +80,14 @@ def docx_paragraph_elements(path: Path) -> list[ET.Element]:
     return [child for child in body if child.tag == W + "p"]
 
 
-def paragraph_element_text(p_elem: ET.Element) -> str:
-    """Concatenated run text of a paragraph; tabs and breaks map to \\t and \\n."""
+def run_text(run: ET.Element) -> str:
+    """Text of one w:r from its direct w:t, w:tab, w:br and w:cr children.
+
+    Only direct children count: a text box inside the run holds runs of its
+    own, which the paragraph reads in turn.
+    """
     parts: list[str] = []
-    for node in p_elem.iter():
+    for node in run:
         tag = node.tag
         if tag == W + "t":
             parts.append(node.text or "")
@@ -92,6 +96,15 @@ def paragraph_element_text(p_elem: ET.Element) -> str:
         elif tag in (W + "br", W + "cr"):
             parts.append("\n")
     return "".join(parts)
+
+
+def paragraph_element_text(p_elem: ET.Element) -> str:
+    """Concatenated text of every run in a paragraph, nested runs included.
+
+    The tab stops a w:pPr defines are not text; gold import reads the same
+    runs, so highlight spans line up with this text.
+    """
+    return "".join(run_text(r) for r in p_elem.iter(W + "r"))
 
 
 def _docx_page_count(path: Path) -> int | None:
@@ -115,8 +128,8 @@ def _docx_page_count(path: Path) -> int | None:
 def docx_paragraph_texts(path: Path) -> list[str]:
     """Raw body paragraph texts, whitespace-only ones dropped.
 
-    Shared with the gold-annotation importer so paragraph indices agree
-    between loaded documents and imported highlights.
+    Gold import drops the same paragraphs, with the same run text, so
+    paragraph indices agree between loaded documents and imported highlights.
     """
     texts = [paragraph_element_text(p) for p in docx_paragraph_elements(path)]
     return [t for t in texts if t.strip()]

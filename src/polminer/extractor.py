@@ -94,17 +94,9 @@ def classify_candidate(candidate: PoLCandidate) -> PoLType:
     return classify(candidate.quote, candidate.citations)
 
 
-def extract_candidates(
-    document: Document,
-    profile: RuleProfile,
-    one_candidate_per_quote: bool = False,
-) -> list[PoLCandidate]:
-    """Run the profile over every paragraph and return typed candidates.
-
-    ``one_candidate_per_quote`` splits a conjunctive hit into one candidate
-    per quote span instead of capturing only the first; it has no effect on
-    disjunctive profiles.
-    """
+def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCandidate]:
+    """Run the profile over every paragraph and return typed candidates,
+    at most one per paragraph."""
     candidates: list[PoLCandidate] = []
     for para in document.paragraphs:
         text = para.text
@@ -112,34 +104,32 @@ def extract_candidates(
         keywords = match_keywords(text, profile)
         if profile.conjunctive:
             if quotes and keywords:
-                picked = quotes if one_candidate_per_quote else quotes[:1]
-                hits = [(span.text, Trigger.QUOTE_AND_KEYWORD) for span in picked]
+                quote, trigger = quotes[0].text, Trigger.QUOTE_AND_KEYWORD
             elif citation_at_end(text, profile):
-                hits = [("", Trigger.CITATION_AT_END)]
+                quote, trigger = "", Trigger.CITATION_AT_END
             else:
                 continue
         elif quotes:
-            hits = [(quotes[0].text, Trigger.QUOTE_ONLY)]
+            quote, trigger = quotes[0].text, Trigger.QUOTE_ONLY
         elif citation_at_end(text, profile):
-            hits = [("", Trigger.CITATION_ANYWHERE)]
+            quote, trigger = "", Trigger.CITATION_ANYWHERE
         elif keywords:
-            hits = [("", Trigger.KEYWORD_ONLY)]
+            quote, trigger = "", Trigger.KEYWORD_ONLY
         else:
             continue
         citations = tuple(find_citations(text))
-        for quote, trigger in hits:
-            candidates.append(
-                PoLCandidate(
-                    doc_id=document.doc_id,
-                    paragraph_index=para.index,
-                    text=text,
-                    quote=quote,
-                    trigger=trigger,
-                    pol_type=classify(quote, citations),
-                    citations=citations,
-                    source=Source.RULES,
-                )
+        candidates.append(
+            PoLCandidate(
+                doc_id=document.doc_id,
+                paragraph_index=para.index,
+                text=text,
+                quote=quote,
+                trigger=trigger,
+                pol_type=classify(quote, citations),
+                citations=citations,
+                source=Source.RULES,
             )
+        )
     return candidates
 
 

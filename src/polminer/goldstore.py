@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .corpus import W, docx_paragraph_elements
+from .corpus import W, docx_paragraph_elements, run_text
 from .errors import (
     DuplicateAnnotation,
     OverlappingHighlights,
@@ -130,18 +130,6 @@ def _run_highlight(run: ET.Element) -> str | None:
     return hl.get(W + "val")
 
 
-def _run_text(run: ET.Element) -> str:
-    parts = []
-    for node in run.iter():
-        if node.tag == W + "t":
-            parts.append(node.text or "")
-        elif node.tag == W + "tab":
-            parts.append("\t")
-        elif node.tag in (W + "br", W + "cr"):
-            parts.append("\n")
-    return "".join(parts)
-
-
 def import_docx_highlights(path: str | Path, annotator_id: str | None = None) -> list[GoldAnnotation]:
     """Extract highlight-run annotations from a .docx file.
 
@@ -155,15 +143,14 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
     index = -1
     for p_elem in docx_paragraph_elements(p):
         runs = list(p_elem.iter(W + "r"))
-        para_text = "".join(_run_text(r) for r in runs)
-        if not para_text.strip():
+        texts = [run_text(r) for r in runs]
+        if not "".join(texts).strip():
             continue
         index += 1
         spans: list[tuple[str, str, int]] = []  # (color, text, start_offset)
         offset = 0
         current_color: str | None = None
-        for run in runs:
-            text = _run_text(run)
+        for run, text in zip(runs, texts):
             color = _run_highlight(run)
             if color in (None, "none"):
                 current_color = None

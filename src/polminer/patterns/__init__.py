@@ -8,9 +8,7 @@ from .rules import (
     citation_at_end,
     find_quotes,
     get_profile,
-    load_profile,
     match_keywords,
-    save_profile,
 )
 
 __all__ = [
@@ -23,8 +21,6 @@ __all__ = [
     "find_citations",
     "find_quotes",
     "get_profile",
-    "load_profile",
     "match_keywords",
     "parse_citation",
-    "save_profile",
 ]

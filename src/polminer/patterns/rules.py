@@ -29,12 +29,8 @@ character scanners.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, replace
-from pathlib import Path
-
-from ..errors import SchemaError
 
 # Opening and closing character classes of the original quote pattern.
 PUBLISHED_QUOTE_OPEN = frozenset("“\"«‘")  # “ " « ‘
@@ -81,38 +77,6 @@ class RuleProfile:
     match_quote_styles: bool = False
     conjunctive: bool = True
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "quote_open_set": sorted(self.quote_open_set),
-            "quote_close_set": sorted(self.quote_close_set),
-            "keyword_lexicon": list(self.keyword_lexicon),
-            "citation_anchored": self.citation_anchored,
-            "fix_abbrev_boundaries": self.fix_abbrev_boundaries,
-            "allow_trailing_punct_after_citation": self.allow_trailing_punct_after_citation,
-            "match_quote_styles": self.match_quote_styles,
-            "conjunctive": self.conjunctive,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RuleProfile":
-        try:
-            return cls(
-                name=str(data["name"]),
-                quote_open_set=frozenset(data["quote_open_set"]),
-                quote_close_set=frozenset(data["quote_close_set"]),
-                keyword_lexicon=tuple(data["keyword_lexicon"]),
-                citation_anchored=bool(data["citation_anchored"]),
-                fix_abbrev_boundaries=bool(data["fix_abbrev_boundaries"]),
-                allow_trailing_punct_after_citation=bool(
-                    data["allow_trailing_punct_after_citation"]
-                ),
-                match_quote_styles=bool(data.get("match_quote_styles", False)),
-                conjunctive=bool(data.get("conjunctive", True)),
-            )
-        except KeyError as exc:
-            raise SchemaError(f"/{exc.args[0]}", "missing profile field") from exc
-
 
 V1_BROAD = RuleProfile(name="v1_broad", citation_anchored=False, conjunctive=False)
 V2_REFINED = RuleProfile(name="v2_refined")
@@ -134,22 +98,6 @@ def get_profile(name: str) -> RuleProfile:
         raise KeyError(f"unknown profile {name!r}; expected one of {sorted(PROFILES)}") from None
 
 
-def save_profile(profile: RuleProfile, path: str | Path) -> Path:
-    p = Path(path)
-    p.write_text(json.dumps(profile.to_dict(), ensure_ascii=False, indent=2) + "\n", "utf-8")
-    return p
-
-
-def load_profile(path: str | Path) -> RuleProfile:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise SchemaError("/", f"invalid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise SchemaError("/", "profile file must hold a JSON object")
-    return RuleProfile.from_dict(data)
-
-
 @dataclass(frozen=True)
 class QuoteSpan:
     start: int
@@ -157,8 +105,6 @@ class QuoteSpan:
     text: str
     open_char: str
     close_char: str
-
-
 
 
 @functools.lru_cache(maxsize=64)

@@ -8,9 +8,10 @@ import pytest
 from docxbuild import make_docx, truncate_file
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from repro import ReproFixture
+from polminer import cli
 from polminer.cli import main
-from polminer.extractor import save_candidates_jsonl
-from polminer.goldstore import save_gold
+from polminer.extractor import PoLCandidate, PoLType, save_candidates_jsonl
+from polminer.goldstore import GoldAnnotation, GoldSet, save_gold
 
 
 def test_extract_fixture_corpus_matches_golden_files(tmp_path, capsys):
@@ -48,11 +49,32 @@ def test_extract_reruns_identically(tmp_path):
     assert first == second
 
 
-def test_extract_sequential_jobs_flag(tmp_path):
-    corpus = build_fixture_corpus(tmp_path / "S")
+def test_extract_same_stem_keeps_first_and_fails_the_rest(tmp_path, capsys):
+    corpus = tmp_path / "S"
+    make_docx(corpus / "s01.docx", ["La Corte afferma “primo principio” (Cass. 1/2019)"])
+    (corpus / "s01.txt").write_text("Il Tribunale ritiene “altro principio” decisivo.\n", encoding="utf-8")
     out = tmp_path / "P"
-    assert main(["extract", "--input", str(corpus), "--out", str(out), "--jobs", "1"]) == 0
-    assert sorted(p.name for p in out.glob("*.csv")) == ["s01.csv", "s02.csv", "s03.csv"]
+    assert main(["extract", "--input", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    warning = next(line for line in err.splitlines() if line.startswith("warning:"))
+    assert "s01.txt" in warning and "s01.docx" in warning
+    assert "1 ok, 1 failed" in err
+    assert sorted(p.name for p in out.glob("*.csv")) == ["s01.csv"]
+    assert "primo principio" in (out / "s01.csv").read_text(encoding="utf-8")
+    assert "altro principio" not in (out / "s01.csv").read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [row["doc_id"] for row in rows] == ["s01.docx"]
+
+
+def test_extract_total_failure_empties_candidates(tmp_path):
+    out = tmp_path / "P"
+    assert main(["extract", "--input", str(build_fixture_corpus(tmp_path / "S")), "--out", str(out)]) == 0
+    assert (out / "candidates.jsonl").read_text(encoding="utf-8")
+    broken = tmp_path / "Rotti"
+    truncate_file(make_docx(broken / "r1.docx", ["Testo."]))
+    truncate_file(make_docx(broken / "r2.docx", ["Testo."]))
+    assert main(["extract", "--input", str(broken), "--out", str(out)]) == 1
+    assert (out / "candidates.jsonl").read_text(encoding="utf-8") == ""
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -247,3 +269,114 @@ def test_compare_same_file_twice_is_usage_error(repro_files, capsys):
         "compare", str(gold_path), str(paths["chat"]), str(paths["chat"]), "--input", str(corpus),
     ]) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def _one_doc_inputs(tmp_path, gold_doc_id: str, candidate_doc_id: str):
+    gold = save_gold(GoldSet(annotations=(GoldAnnotation(
+        doc_id=gold_doc_id, paragraph_index=0, span_text="principio", pol_type=PoLType.IMPLICIT,
+    ),)), tmp_path / "gold.json")
+    candidates = save_candidates_jsonl([PoLCandidate(
+        doc_id=candidate_doc_id, paragraph_index=0, text="principio", quote="",
+        trigger=None, pol_type=PoLType.IMPLICIT,
+    )], tmp_path / "cand.jsonl")
+    return str(gold), str(candidates)
+
+
+@pytest.mark.parametrize("where", ["gold", "candidates"])
+@pytest.mark.parametrize("escape", ["absolute", "../fuori.txt", "sotto/../../fuori.txt", "..\\fuori.txt"])
+def test_align_rejects_doc_ids_that_are_not_plain_file_names(tmp_path, monkeypatch, capsys, where, escape):
+    corpus = tmp_path / "S"
+    (corpus / "sotto").mkdir(parents=True)
+    (corpus / "s01.txt").write_text("principio\n", encoding="utf-8")
+    (tmp_path / "fuori.txt").write_text("principio\n", encoding="utf-8")
+    doc_id = str(tmp_path / "fuori.txt") if escape == "absolute" else escape
+    gold, candidates = _one_doc_inputs(
+        tmp_path, doc_id if where == "gold" else "s01.txt", doc_id if where == "candidates" else "s01.txt",
+    )
+    opened = []
+    real_load_document = cli.load_document
+
+    def spy(path, *args, **kwargs):
+        opened.append(Path(path))
+        return real_load_document(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_document", spy)
+    assert main(["evaluate", gold, candidates, "--input", str(corpus), "--out", str(tmp_path / "R")]) == 1
+    assert opened == []
+    err = capsys.readouterr().err
+    assert err.startswith("fatal: ") and repr(doc_id) in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "report", "compare"])
+def test_corrupt_judgment_is_fatal_not_a_traceback(tmp_path, capsys, command):
+    corpus = tmp_path / "S"
+    broken = truncate_file(make_docx(corpus / "rotto.docx", ["principio"]))
+    gold, candidates = _one_doc_inputs(tmp_path, "rotto.docx", "rotto.docx")
+    sets = [candidates]
+    if command == "compare":
+        second = tmp_path / "cand2.jsonl"
+        second.write_bytes(Path(candidates).read_bytes())
+        sets.append(str(second))
+    assert main([command, gold, *sets, "--input", str(corpus), "--out", str(tmp_path / "R")]) == 1
+    assert capsys.readouterr().err.startswith(f"fatal: {broken}: ")
+
+
+def test_compare_reads_each_judgment_once(repro_files, tmp_path, monkeypatch):
+    base, corpus, gold_path, paths = repro_files
+    opened = []
+    real_load_document = cli.load_document
+
+    def spy(path, *args, **kwargs):
+        opened.append(Path(path).name)
+        return real_load_document(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_document", spy)
+    assert main([
+        "compare", str(gold_path), str(paths["chat"]), str(paths["regex"]), str(paths["annotators"]),
+        "--input", str(corpus), "--out", str(tmp_path / "cmp"),
+    ]) == 0
+    assert opened and sorted(opened) == sorted(set(opened))
+
+
+REPORT_FLAGS = {"--config", "--input", "--out", "--format", "--overlap", "--hallucination-threshold"}
+
+
+def test_each_command_offers_only_the_flags_it_reads():
+    (subparsers,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    offered = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert offered == {
+        "extract": {"--config", "--input", "--out", "--profile"},
+        "import-gold": {"--out", "--annotator"},
+        "evaluate": REPORT_FLAGS,
+        "compare": REPORT_FLAGS,
+        "report": REPORT_FLAGS,
+        "llm-extract": {
+            "--config", "--input", "--mock", "--endpoint", "--model", "--temperature",
+            "--budget", "--language", "--audit", "--out-file",
+        },
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate", "g.json", "c.jsonl", "--profile", "v1_broad"],
+    ["report", "g.json", "c.jsonl", "--mode", "standard"],
+    ["extract", "--overlap", "0.5"],
+    ["extract", "--jobs", "1"],
+    ["llm-extract", "--profile", "v1_broad"],
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["jobs", "metrics_mode"])
+def test_config_rejects_removed_fields(tmp_path, capsys, field):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({field: 1}))
+    assert main(["extract", "--config", str(config), "--input", str(tmp_path / "S")]) == 1
+    assert f"unknown config field {field!r}" in capsys.readouterr().err

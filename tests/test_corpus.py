@@ -61,6 +61,17 @@ def test_docx_includes_hyperlink_wrapped_runs(tmp_path):
     assert [p.text for p in doc.paragraphs] == ["Prima.", "vedi Cass. n. 26972/2008"]
 
 
+def test_docx_tab_stops_are_not_text(tmp_path):
+    # w:pPr/w:tabs defines tab stops; only a w:tab inside a run is a tab
+    para = (
+        '<w:p><w:pPr><w:tabs><w:tab w:val="left" w:pos="720"/>'
+        '<w:tab w:val="right" w:pos="9000"/></w:tabs></w:pPr>'
+        "<w:r><w:t>Rubrica</w:t><w:tab/><w:t>pagina</w:t></w:r></w:p>"
+    )
+    doc = load_document(make_docx(tmp_path / "t.docx", [], body_extra_xml=para))
+    assert [p.text for p in doc.paragraphs] == ["Rubrica\tpagina"]
+
+
 def test_explicit_format_override(tmp_path):
     path = tmp_path / "misleading.docx"
     path.write_text("testo semplice\n", encoding="utf-8")

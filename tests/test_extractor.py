@@ -117,13 +117,6 @@ def test_script_equivalence_on_synthetic_corpus():
     assert engine_selected == oracles.replay_broad(texts)
 
 
-def test_one_candidate_per_quote_flag():
-    doc = _doc(['Corte dice “uno” e poi “due”.'])
-    assert len(extract_candidates(doc, V2)) == 1
-    split = extract_candidates(doc, V2, one_candidate_per_quote=True)
-    assert [c.quote for c in split] == ["“uno”", "“due”"]
-
-
 def test_emit_csv_contract(tmp_path):
     doc = _doc(
         [
@@ -201,7 +194,7 @@ def test_find_citations_runs_once_per_kept_paragraph(monkeypatch):
     monkeypatch.setattr(extractor, "find_citations", counting_find_citations)
     text = "La Corte richiama “a”, “b” e “c” (Cass. n. 26972/2008)."
     doc = Document("d.txt", (Paragraph(0, text, 0),), 1, "d.txt")
-    candidates = extract_candidates(doc, V2, one_candidate_per_quote=True)
-    assert [c.quote for c in candidates] == ["“a”", "“b”", "“c”"]
-    assert all(len(c.citations) == 1 for c in candidates)
+    candidates = extract_candidates(doc, V2)
+    assert [c.quote for c in candidates] == ["“a”"]
+    assert len(candidates[0].citations) == 1
     assert calls == [text]

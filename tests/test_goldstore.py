@@ -5,6 +5,7 @@ import json
 import pytest
 
 from docxbuild import make_docx
+from polminer.corpus import load_document
 from polminer.errors import DuplicateAnnotation, SchemaError, UnknownColorWarning
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import (
@@ -84,6 +85,22 @@ def test_import_paragraph_indices_skip_empty_paragraphs(tmp_path):
     )
     anns = import_docx_highlights(path)
     assert anns[0].paragraph_index == 1  # matches corpus loader indexing
+
+
+def test_import_text_box_text_matches_corpus_text(tmp_path):
+    # the text box's runs nest inside the outer run; their text counts once
+    hl = '<w:rPr><w:highlight w:val="yellow"/></w:rPr>'
+    para = (
+        f'<w:p><w:r>{hl}<w:t xml:space="preserve">Prima </w:t></w:r>'
+        f'<w:r>{hl}<w:pict><v:shape xmlns:v="urn:schemas-microsoft-com:vml"><v:textbox>'
+        f"<w:txbxContent><w:p><w:r>{hl}<w:t>riquadro</w:t></w:r></w:p></w:txbxContent>"
+        "</v:textbox></v:shape></w:pict></w:r>"
+        f'<w:r>{hl}<w:t xml:space="preserve"> dopo</w:t></w:r></w:p>'
+    )
+    path = make_docx(tmp_path / "g.docx", [], body_extra_xml=para)
+    anns = import_docx_highlights(path)
+    assert [a.span_text for a in anns] == ["Prima riquadro dopo"]
+    assert load_document(path).paragraphs[0].text == anns[0].span_text
 
 
 def test_gold_roundtrip_and_counts(tmp_path):

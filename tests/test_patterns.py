@@ -8,13 +8,10 @@ import oracles
 import synth
 from polminer.patterns import (
     PROFILES,
-    RuleProfile,
     citation_at_end,
     find_quotes,
     get_profile,
-    load_profile,
     match_keywords,
-    save_profile,
 )
 
 V1 = PROFILES["v1_broad"]
@@ -147,19 +144,6 @@ def test_profile_classes_equal_the_original_pattern_strings():
     assert V2.quote_close_set == frozenset(close_class)
     alternation = oracles.KEYWORD_PATTERN.split("(")[1].split(")")[0]
     assert V2.keyword_lexicon == tuple(t.replace("\\.", ".") for t in alternation.split("|"))
-
-
-def test_profile_json_roundtrip(tmp_path):
-    for name in PROFILES:
-        path = save_profile(get_profile(name), tmp_path / f"{name}.json")
-        assert load_profile(path) == get_profile(name)
-
-
-def test_profile_from_dict_rejects_missing_fields():
-    from polminer.errors import SchemaError
-
-    with pytest.raises(SchemaError):
-        RuleProfile.from_dict({"name": "x"})
 
 
 def test_unknown_profile_name():
