@@ -12,12 +12,13 @@ import json
 import os
 import sys
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import evaluation, extractor, goldstore, llm
-from .corpus import load_corpus, load_document
-from .errors import DocMismatch, PolminerError
+from .corpus import LoadWarning, is_docx, list_judgments, load_document
+from .errors import DocMismatch, PolminerError, UnreadableJudgment
 from .patterns import PROFILES, get_profile
 
 EXIT_OK = 0
@@ -76,67 +77,75 @@ def _err(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    loaded = load_corpus(cfg.input_dir)
-    profile = get_profile(cfg.profile)
-    out_dir = Path(cfg.output_dir)
-    all_candidates: list[extractor.PoLCandidate] = []
-    failures = [(w.path, w.reason) for w in loaded.warnings]
-    # CSVs are named by stem: the first document to claim one keeps it
-    claimed: dict[str, str] = {}
-    ok = 0
-    for doc in loaded.documents:
-        stem = Path(doc.doc_id).stem
-        if stem in claimed:
-            failures.append((doc.doc_id, f"{stem}.csv is already written for {claimed[stem]}"))
-            continue
-        claimed[stem] = doc.doc_id
-        try:
-            candidates = extractor.extract_candidates(doc, profile)
-            extractor.emit_csv(candidates, doc.doc_id, out_dir)
-        except (OSError, PolminerError) as exc:
-            failures.append((doc.doc_id, str(exc)))
-            continue
-        all_candidates.extend(candidates)
-        ok += 1
-    extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl")
+def _each_judgment(handle: Callable[[Path], None], paths: list[Path], skipped: list[LoadWarning]) -> tuple[int, int]:
+    """Run ``handle`` on every judgment; return how many succeeded and failed.
 
-    for path, reason in failures:
-        _err(f"warning: {path}: {reason}")
-    _err(f"{ok} ok, {len(failures)} failed")
-    if failures:
+    Every skipped file, every warning a judgment raises and every judgment
+    that fails with a ``PolminerError`` or ``OSError`` gets one
+    ``warning: <path>: <reason>`` line.
+    """
+    for skip in skipped:
+        _err(f"warning: {skip.path}: {skip.reason}")
+    ok = 0
+    for path in paths:
+        reasons = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                handle(path)
+                ok += 1
+            except (PolminerError, OSError) as exc:
+                reasons.append(exc.reason if isinstance(exc, UnreadableJudgment) else str(exc))
+        for reason in [str(w.message) for w in caught] + reasons:
+            _err(f"warning: {path}: {reason}")
+    return ok, len(skipped) + len(paths) - ok
+
+
+def _finish(summary: str, ok: int, failed: int) -> int:
+    """Print the summary line; exit 0 when nothing failed, 2 when some
+    judgments succeeded, 1 when none did."""
+    _err(summary)
+    if failed:
         return EXIT_PARTIAL if ok else EXIT_FATAL
     return EXIT_OK
 
 
+def cmd_extract(cfg: RunConfig) -> int:
+    paths, skipped = list_judgments(cfg.input_dir)
+    profile = get_profile(cfg.profile)
+    out_dir = Path(cfg.output_dir)
+    all_candidates: list[extractor.PoLCandidate] = []
+    # CSVs are named by stem: the first judgment to claim one keeps it
+    claimed: dict[str, str] = {}
+
+    def extract(path: Path) -> None:
+        doc = load_document(path)
+        stem = path.stem
+        if stem in claimed:
+            raise PolminerError(f"{stem}.csv is already written for {claimed[stem]}")
+        claimed[stem] = doc.doc_id
+        candidates = extractor.extract_candidates(doc, profile)
+        extractor.emit_csv(candidates, doc.doc_id, out_dir)
+        all_candidates.extend(candidates)
+
+    ok, failed = _each_judgment(extract, paths, skipped)
+    extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl")
+    return _finish(f"{ok} ok, {failed} failed", ok, failed)
+
+
 def cmd_import_gold(args: argparse.Namespace) -> int:
     src = Path(args.input)
-    if src.is_dir():
-        paths = sorted(src.glob("*.docx"))
-    elif src.is_file():
-        paths = [src]
-    else:
-        _err(f"fatal: no such file or directory: {src}")
-        return EXIT_FATAL
+    paths = [src] if src.is_file() else [p for p in list_judgments(src)[0] if is_docx(p)]
     annotations: list[goldstore.GoldAnnotation] = []
-    failed = 0
-    for path in paths:
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                annotations.extend(goldstore.import_docx_highlights(path, annotator_id=args.annotator))
-            for w in caught:
-                _err(f"warning: {w.message}")
-        except PolminerError as exc:
-            _err(f"warning: {path}: {exc}")
-            failed += 1
+
+    def import_highlights(path: Path) -> None:
+        annotations.extend(goldstore.import_docx_highlights(path, annotator_id=args.annotator))
+
+    ok, failed = _each_judgment(import_highlights, paths, [])
     gold = goldstore.GoldSet(annotations=tuple(annotations))
     goldstore.save_gold(gold, args.out)
     counts = {t.value: n for t, n in gold.counts_by_type.items()}
-    _err(f"imported {len(gold)} annotations from {len(paths) - failed} files: {counts}")
-    if failed:
-        return EXIT_PARTIAL if len(paths) > failed else EXIT_FATAL
-    return EXIT_OK
+    return _finish(f"imported {len(gold)} annotations from {ok} files: {counts}", ok, failed)
 
 
 def _load_and_align(
@@ -258,13 +267,12 @@ def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
 
 
 def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    loaded = load_corpus(cfg.input_dir)
+    paths, skipped = list_judgments(cfg.input_dir)
     if args.mock:
         try:
             responses = json.loads(Path(args.mock).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            _err(f"fatal: cannot read mock fixtures: {exc}")
-            return EXIT_FATAL
+            raise PolminerError(f"cannot read mock fixtures: {exc}") from exc
         transport: llm.Transport = llm.ScriptedTransport(responses=responses)
     elif args.endpoint:
         transport = llm.HttpChatTransport(
@@ -284,31 +292,31 @@ def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
         audit_path=args.audit,
     )
     candidates: list[extractor.PoLCandidate] = []
-    failed = 0
-    for doc in loaded.documents:
+
+    def extract(path: Path) -> None:
+        nonlocal session
+        doc = load_document(path)
         if session.queries_sent >= session.max_queries_per_session:
             session = llm.reset_session(session)
             _err(f"session reset after {session.max_queries_per_session} queries")
-        try:
-            candidates.extend(
-                llm.run_extraction(doc, session, transport, language=args.language)
-            )
-        except PolminerError as exc:
-            _err(f"warning: {doc.doc_id}: {exc}")
-            failed += 1
+        candidates.extend(llm.run_extraction(doc, session, transport, language=args.language))
+
+    ok, failed = _each_judgment(extract, paths, skipped)
     extractor.save_candidates_jsonl(candidates, args.out_file)
-    _err(f"{len(loaded.documents) - failed} ok, {failed} failed; wrote {args.out_file}")
-    if failed:
-        return EXIT_PARTIAL if failed < len(loaded.documents) else EXIT_FATAL
-    return EXIT_OK
+    return _finish(f"{ok} ok, {failed} failed; wrote {args.out_file}", ok, failed)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polminer",
         description="Extract principle-of-law passages from court judgments and evaluate extractors against gold annotations.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def _command(name: str, help: str) -> argparse.ArgumentParser:
+        # full flag names only: a prefix like --out would pass for --out-file
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
     def _corpus_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="JSON config file; flags override its fields")
@@ -322,32 +330,32 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--hallucination-threshold", dest="hallucination_threshold", type=float,
                        help="triage threshold in (0,1]")
 
-    p_extract = sub.add_parser("extract", help="run the rule extractor over a corpus directory")
+    p_extract = _command("extract", "run the rule extractor over a corpus directory")
     _corpus_flags(p_extract)
     p_extract.add_argument("--out", help="output directory")
     p_extract.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
 
-    p_gold = sub.add_parser("import-gold", help="import highlight annotations from .docx files")
+    p_gold = _command("import-gold", "import highlight annotations from .docx files")
     p_gold.add_argument("input", help=".docx file or directory of .docx files")
     p_gold.add_argument("--out", default="gold.json", help="gold JSON output path")
     p_gold.add_argument("--annotator", help="annotator id recorded on imported spans")
 
-    p_eval = sub.add_parser("evaluate", help="align candidates with gold and print metrics")
+    p_eval = _command("evaluate", "align candidates with gold and print metrics")
     p_eval.add_argument("gold", help="gold JSON file")
     p_eval.add_argument("candidates", help="candidates JSONL file")
     _report_flags(p_eval)
 
-    p_cmp = sub.add_parser("compare", help="compare two or more candidate sets against one gold")
+    p_cmp = _command("compare", "compare two or more candidate sets against one gold")
     p_cmp.add_argument("gold", help="gold JSON file")
     p_cmp.add_argument("candidates", nargs="+", help="two or more candidates JSONL files")
     _report_flags(p_cmp)
 
-    p_rep = sub.add_parser("report", help="emit the per-judgment tracking table")
+    p_rep = _command("report", "emit the per-judgment tracking table")
     p_rep.add_argument("gold", help="gold JSON file")
     p_rep.add_argument("candidates", help="candidates JSONL file")
     _report_flags(p_rep)
 
-    p_llm = sub.add_parser("llm-extract", help="extract via an LLM endpoint or offline mock")
+    p_llm = _command("llm-extract", "extract via an LLM endpoint or offline mock")
     _corpus_flags(p_llm)
     p_llm.add_argument("--mock", help="JSON file mapping doc_id to canned response")
     p_llm.add_argument("--endpoint", help="chat-completions endpoint URL")

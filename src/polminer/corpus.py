@@ -12,14 +12,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .errors import DirectoryNotFound, EncodingError, MalformedArchive
+from .errors import DirectoryNotFound, EncodingError, MalformedArchive, UnreadableJudgment
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = "{%s}" % W_NS
+_MC = "{http://schemas.openxmlformats.org/markup-compatibility/2006}"
 _EXT_PROPS_NS = "{http://schemas.openxmlformats.org/officeDocument/2006/extended-properties}"
 
-DOCX_SUFFIXES = {".docx"}
-PLAINTEXT_SUFFIXES = {".txt"}
+# judgment suffixes, matched in any case; a corpus lists .docx before .txt
+DOCX_SUFFIX = ".docx"
+JUDGMENT_SUFFIXES = (DOCX_SUFFIX, ".txt")
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,28 @@ class CorpusLoadResult:
     warnings: list[LoadWarning] = field(default_factory=list)
 
 
+def is_docx(path: str | Path) -> bool:
+    return Path(path).suffix.lower() == DOCX_SUFFIX
+
+
+def list_judgments(directory: str | Path) -> tuple[list[Path], list[LoadWarning]]:
+    """The judgment files in ``directory``, and a warning for every other file.
+
+    Judgments are the .docx and .txt files, whatever the case of their
+    suffix: .docx first, then .txt, each group sorted by name ignoring case.
+    """
+    d = Path(directory)
+    if not d.is_dir():
+        raise DirectoryNotFound(f"no such directory: {d}")
+    entries = sorted(
+        (p for p in d.iterdir() if p.is_file()),
+        key=lambda p: (p.suffix.lower(), p.name.lower(), p.name),
+    )
+    judgments = [p for p in entries if p.suffix.lower() in JUDGMENT_SUFFIXES]
+    others = [p for p in entries if p.suffix.lower() not in JUDGMENT_SUFFIXES]
+    return judgments, [LoadWarning(str(p), "unrecognized extension") for p in others]
+
+
 def _open_docx_part(path: Path, part: str) -> bytes | None:
     try:
         with zipfile.ZipFile(path) as zf:
@@ -62,21 +86,28 @@ def _open_docx_part(path: Path, part: str) -> bytes | None:
             except KeyError:
                 return None
     except (zipfile.BadZipFile, OSError) as exc:
-        raise MalformedArchive(f"{path}: not a readable .docx archive ({exc})") from exc
+        raise MalformedArchive(path, f"not a readable .docx archive ({exc})") from exc
 
 
 def docx_paragraph_elements(path: Path) -> list[ET.Element]:
-    """Body-level w:p elements of the main document part, in document order."""
+    """Body-level w:p elements of the main document part, in document order.
+
+    Word stores a text box twice, as a DrawingML mc:Choice and a VML
+    mc:Fallback; every mc:Fallback is removed, so its text is read once.
+    """
     data = _open_docx_part(path, "word/document.xml")
     if data is None:
-        raise MalformedArchive(f"{path}: missing word/document.xml")
+        raise MalformedArchive(path, "missing word/document.xml")
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
-        raise MalformedArchive(f"{path}: unparseable document XML ({exc})") from exc
+        raise MalformedArchive(path, f"unparseable document XML ({exc})") from exc
     body = root.find(W + "body")
     if body is None:
-        raise MalformedArchive(f"{path}: document XML has no body")
+        raise MalformedArchive(path, "document XML has no body")
+    for alternate in list(body.iter(_MC + "AlternateContent")):
+        for fallback in alternate.findall(_MC + "Fallback"):
+            alternate.remove(fallback)
     return [child for child in body if child.tag == W + "p"]
 
 
@@ -98,13 +129,20 @@ def run_text(run: ET.Element) -> str:
     return "".join(parts)
 
 
-def paragraph_element_text(p_elem: ET.Element) -> str:
-    """Concatenated text of every run in a paragraph, nested runs included.
+def docx_paragraphs(path: Path) -> list[list[tuple[ET.Element, str]]]:
+    """The body paragraphs of a .docx that hold more than whitespace, in
+    order, each as its runs (nested ones included) with their run text.
 
-    The tab stops a w:pPr defines are not text; gold import reads the same
-    runs, so highlight spans line up with this text.
+    A paragraph's index is its position in the list, and its text joins its
+    runs' text. Loading and gold import both read paragraphs here, so
+    highlight spans line up with the loaded text.
     """
-    return "".join(run_text(r) for r in p_elem.iter(W + "r"))
+    paragraphs = []
+    for p_elem in docx_paragraph_elements(path):
+        runs = [(r, run_text(r)) for r in p_elem.iter(W + "r")]
+        if any(text.strip() for _, text in runs):
+            paragraphs.append(runs)
+    return paragraphs
 
 
 def _docx_page_count(path: Path) -> int | None:
@@ -125,21 +163,11 @@ def _docx_page_count(path: Path) -> int | None:
     return n if n > 0 else None
 
 
-def docx_paragraph_texts(path: Path) -> list[str]:
-    """Raw body paragraph texts, whitespace-only ones dropped.
-
-    Gold import drops the same paragraphs, with the same run text, so
-    paragraph indices agree between loaded documents and imported highlights.
-    """
-    texts = [paragraph_element_text(p) for p in docx_paragraph_elements(path)]
-    return [t for t in texts if t.strip()]
-
-
 def _plaintext_paragraphs(path: Path) -> list[str]:
     try:
         raw = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise EncodingError(f"{path}: not valid UTF-8 ({exc})") from exc
+        raise EncodingError(path, f"not valid UTF-8 ({exc})") from exc
     blocks: list[str] = []
     current: list[str] = []
     for line in raw.splitlines():
@@ -167,50 +195,37 @@ def _assemble(doc_id: str, texts: list[str], page_count: int | None, source: Pat
     )
 
 
-def load_document(path: str | Path, format: str | None = None) -> Document:
-    """Load one judgment from ``path``.
+def load_document(path: str | Path) -> Document:
+    """Load one judgment from ``path``: a .docx when its suffix says so, in
+    any case, UTF-8 plaintext otherwise.
 
-    ``format`` is ``"docx"`` or ``"plaintext"``; by default it is inferred
-    from the file suffix. Whitespace-only paragraphs are dropped before
-    indexing so paragraph indices are stable for alignment.
+    Whitespace-only paragraphs are dropped before indexing so paragraph
+    indices are stable for alignment.
     """
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"no such file: {p}")
-    if format is None:
-        format = "docx" if p.suffix.lower() in DOCX_SUFFIXES else "plaintext"
-    if format == "docx":
-        texts = docx_paragraph_texts(p)
+    if is_docx(p):
+        texts = ["".join(text for _, text in runs) for runs in docx_paragraphs(p)]
         pages = _docx_page_count(p)
-    elif format == "plaintext":
-        texts = _plaintext_paragraphs(p)
-        pages = None
     else:
-        raise ValueError(f"unknown format {format!r}")
+        texts, pages = _plaintext_paragraphs(p), None
     return _assemble(p.name, texts, pages, p)
 
 
 def load_corpus(directory: str | Path) -> CorpusLoadResult:
-    """Load every recognized file in ``directory``.
+    """Load every judgment ``list_judgments`` finds in ``directory``.
 
-    Files are processed .docx first, then .txt, each group sorted by name.
-    Unrecognized files and per-file load failures become warning records;
-    they never abort the batch.
+    Other files and per-file load failures become warning records; they
+    never abort the batch.
     """
-    d = Path(directory)
-    if not d.is_dir():
-        raise DirectoryNotFound(f"no such directory: {d}")
-    result = CorpusLoadResult(documents=[])
-    entries = sorted(
-        (p for p in d.iterdir() if p.is_file()),
-        key=lambda p: (p.suffix.lower(), p.name.lower()),
-    )
-    for entry in entries:
-        if entry.suffix.lower() not in DOCX_SUFFIXES | PLAINTEXT_SUFFIXES:
-            result.warnings.append(LoadWarning(str(entry), "unrecognized extension"))
-            continue
+    paths, warnings = list_judgments(directory)
+    result = CorpusLoadResult(documents=[], warnings=warnings)
+    for path in paths:
         try:
-            result.documents.append(load_document(entry))
-        except (MalformedArchive, EncodingError, OSError) as exc:
-            result.warnings.append(LoadWarning(str(entry), str(exc)))
+            result.documents.append(load_document(path))
+        except UnreadableJudgment as exc:
+            result.warnings.append(LoadWarning(exc.path, exc.reason))
+        except OSError as exc:
+            result.warnings.append(LoadWarning(str(path), str(exc)))
     return result

@@ -7,11 +7,20 @@ class PolminerError(Exception):
     """Base class for all toolkit errors."""
 
 
-class MalformedArchive(PolminerError):
+class UnreadableJudgment(PolminerError):
+    """A judgment file cannot be read: ``path`` names it, ``reason`` says why."""
+
+    def __init__(self, path: object, reason: str):
+        self.path = str(path)
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
+class MalformedArchive(UnreadableJudgment):
     """A .docx file is not a readable zip archive or lacks the main document part."""
 
 
-class EncodingError(PolminerError):
+class EncodingError(UnreadableJudgment):
     """A plaintext file is not valid UTF-8."""
 
 
@@ -48,10 +57,6 @@ class SchemaError(PolminerError):
 
 class DuplicateAnnotation(PolminerError):
     """An annotation with the same (doc_id, paragraph_index, span) already exists."""
-
-
-class OverlappingHighlights(PolminerError):
-    """Two differently colored highlight spans overlap within one paragraph."""
 
 
 class DocMismatch(PolminerError):

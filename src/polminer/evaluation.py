@@ -88,7 +88,6 @@ class AlignmentResult:
     false_positives: tuple[tuple[PoLCandidate, FpKind], ...]
     false_negatives: tuple[GoldAnnotation, ...]
     page_count: int | None = None
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -382,7 +381,7 @@ def tracking_table(alignments: Sequence[AlignmentResult]) -> Table:
             sim.get(SimilarityClass.DIVERGENT, 0),
             fp_kinds.get(FpKind.HALLUCINATION, 0),
             fp_kinds.get(FpKind.NOT_POL, 0),
-            a.note,
+            "",  # Note
             a.page_count if a.page_count is not None else "",
         ])
     total = ["TOTAL"]
@@ -401,13 +400,6 @@ def percent(count: int, whole: int, digits: int = 1) -> float:
 class ComparisonReport:
     comparison: Table
     error_share: Table
-
-    def to_records(self) -> dict:
-        return {
-            "comparison": self.comparison.to_records(),
-            "error_share": self.error_share.to_records(),
-            "footnotes": self.comparison.footnotes + self.error_share.footnotes,
-        }
 
 
 def _gold_keys(alignments: Sequence[AlignmentResult]) -> set:

@@ -101,9 +101,9 @@ def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCand
     for para in document.paragraphs:
         text = para.text
         quotes = find_quotes(text, profile)
-        keywords = match_keywords(text, profile)
+        # keyword hits are looked for only where the profile's logic reads them
         if profile.conjunctive:
-            if quotes and keywords:
+            if quotes and match_keywords(text, profile):
                 quote, trigger = quotes[0].text, Trigger.QUOTE_AND_KEYWORD
             elif citation_at_end(text, profile):
                 quote, trigger = "", Trigger.CITATION_AT_END
@@ -113,7 +113,7 @@ def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCand
             quote, trigger = quotes[0].text, Trigger.QUOTE_ONLY
         elif citation_at_end(text, profile):
             quote, trigger = "", Trigger.CITATION_ANYWHERE
-        elif keywords:
+        elif match_keywords(text, profile):
             quote, trigger = "", Trigger.KEYWORD_ONLY
         else:
             continue

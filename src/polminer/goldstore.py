@@ -14,13 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .corpus import W, docx_paragraph_elements, run_text
-from .errors import (
-    DuplicateAnnotation,
-    OverlappingHighlights,
-    SchemaError,
-    UnknownColorWarning,
-)
+from .corpus import W, docx_paragraphs
+from .errors import DuplicateAnnotation, SchemaError, UnknownColorWarning
 from .extractor import PoLCandidate, PoLType
 from .textnorm import normalize_text
 
@@ -135,49 +130,33 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
 
     Adjacent runs with the same highlight color merge into one annotation;
     colors outside the scheme raise an UnknownColorWarning and are skipped.
-    Paragraph indices match ``corpus.load_document`` (whitespace-only
-    paragraphs dropped before indexing).
+    The paragraphs, their indices and their text are those
+    ``corpus.load_document`` reads.
     """
     p = Path(path)
     annotations: list[GoldAnnotation] = []
-    index = -1
-    for p_elem in docx_paragraph_elements(p):
-        runs = list(p_elem.iter(W + "r"))
-        texts = [run_text(r) for r in runs]
-        if not "".join(texts).strip():
-            continue
-        index += 1
-        spans: list[tuple[str, str, int]] = []  # (color, text, start_offset)
-        offset = 0
+    for index, runs in enumerate(docx_paragraphs(p)):
+        spans: list[tuple[str, str]] = []  # (color, text)
         current_color: str | None = None
-        for run, text in zip(runs, texts):
+        for run, text in runs:
             color = _run_highlight(run)
             if color in (None, "none"):
                 current_color = None
-            elif color == current_color and spans:
-                spans[-1] = (color, spans[-1][1] + text, spans[-1][2])
+            elif color == current_color:
+                spans[-1] = (color, spans[-1][1] + text)
             else:
-                spans.append((color, text, offset))
+                spans.append((color, text))
                 current_color = color
-            offset += len(text)
-        occupied: list[tuple[int, int]] = []
-        for color, text, start in spans:
+        for color, text in spans:
             if color not in HIGHLIGHT_TYPE_MAP:
                 warnings.warn(
-                    f"{p.name}#{index}: ignoring highlight color {color!r}",
+                    f"paragraph {index}: ignoring highlight color {color!r}",
                     UnknownColorWarning,
                     stacklevel=2,
                 )
                 continue
             if not text.strip():
                 continue
-            end = start + len(text)
-            for s, e in occupied:
-                if s < end and start < e:
-                    raise OverlappingHighlights(
-                        f"{p.name}#{index}: highlight spans overlap at offsets {start}..{end}"
-                    )
-            occupied.append((start, end))
             annotations.append(
                 GoldAnnotation(
                     doc_id=p.name,

@@ -92,6 +92,38 @@ def test_unknown_profile_is_fatal(tmp_path):
     assert main(["extract", "--config", str(config)]) == 1
 
 
+def test_llm_extract_names_each_unreadable_judgment_once(tmp_path, capsys):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    text = "Il giudice deve garantire la tutela effettiva dei diritti."
+    (corpus / "j01.txt").write_text(text + "\n", encoding="utf-8")
+    broken = truncate_file(make_docx(corpus / "rotto.docx", ["Testo."]))
+    latin = corpus / "latin.txt"
+    latin.write_bytes("città\n".encode("latin-1"))
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": text}), encoding="utf-8")
+    out_file = tmp_path / "llm.jsonl"
+    assert main([
+        "llm-extract", "--input", str(corpus), "--mock", str(mock), "--out-file", str(out_file),
+    ]) == 2
+    err = capsys.readouterr().err
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 2
+    for path, reason in ((broken, "not a readable .docx archive"), (latin, "not valid UTF-8")):
+        (line,) = [w for w in warnings if str(path) in w]
+        assert line.startswith(f"warning: {path}: {reason}") and line.count(str(path)) == 1
+    assert "1 ok, 2 failed" in err
+    assert len(out_file.read_text(encoding="utf-8").splitlines()) == 1
+
+
+def test_extract_names_a_corrupt_judgment_once(tmp_path, capsys):
+    corpus = build_fixture_corpus(tmp_path / "S")
+    broken = truncate_file(make_docx(corpus / "rotto.docx", ["Testo."]))
+    assert main(["extract", "--input", str(corpus), "--out", str(tmp_path / "P")]) == 2
+    (line,) = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning:")]
+    assert line.startswith(f"warning: {broken}: ") and line.count(str(broken)) == 1
+
+
 def test_import_gold_roundtrip(tmp_path, capsys):
     src = tmp_path / "annotati"
     src.mkdir()
@@ -101,6 +133,35 @@ def test_import_gold_roundtrip(tmp_path, capsys):
     assert main(["import-gold", str(src), "--out", str(out)]) == 0
     data = json.loads(out.read_text(encoding="utf-8"))
     assert len(data["annotations"]) == 3
+
+
+def test_import_gold_reads_any_suffix_case_in_corpus_order(tmp_path, capsys):
+    src = tmp_path / "annotati"
+    make_docx(src / "S01.DOCX", [[("span maiuscolo", "yellow")]])
+    make_docx(src / "a02.docx", [[("span minuscolo", "blue")]])
+    (src / "note.txt").write_text("non un file di gold\n", encoding="utf-8")
+    out = tmp_path / "gold.json"
+    assert main(["import-gold", str(src), "--out", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert [(a["doc_id"], a["span_text"]) for a in data["annotations"]] == [
+        ("a02.docx", "span minuscolo"), ("S01.DOCX", "span maiuscolo"),
+    ]
+    assert "from 2 files" in capsys.readouterr().err
+
+
+def test_import_gold_missing_input_is_fatal(tmp_path, capsys):
+    assert main(["import-gold", str(tmp_path / "assente"), "--out", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err.startswith("fatal: ")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_import_gold_names_an_unknown_color_with_its_path(tmp_path, capsys):
+    src = tmp_path / "annotati"
+    path = make_docx(src / "g1.docx", ["testo", [("verde", "green"), ("giallo", "yellow")]])
+    assert main(["import-gold", str(src), "--out", str(tmp_path / "gold.json")]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: {path}: paragraph 1: ignoring highlight color 'green'\n" in err
+    assert "imported 1 annotations from 1 files" in err
 
 
 @pytest.fixture(scope="module")
@@ -372,6 +433,17 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["llm-extract", "--out", "P"],
+    ["extract", "--prof", "v1_broad"],
+])
+def test_flag_prefixes_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", ["jobs", "metrics_mode"])

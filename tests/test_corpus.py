@@ -72,15 +72,6 @@ def test_docx_tab_stops_are_not_text(tmp_path):
     assert [p.text for p in doc.paragraphs] == ["Rubrica\tpagina"]
 
 
-def test_explicit_format_override(tmp_path):
-    path = tmp_path / "misleading.docx"
-    path.write_text("testo semplice\n", encoding="utf-8")
-    doc = load_document(path, format="plaintext")
-    assert [p.text for p in doc.paragraphs] == ["testo semplice"]
-    with pytest.raises(ValueError):
-        load_document(path, format="pdf")
-
-
 def test_plaintext_blank_line_blocks(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("riga uno\nriga due\n\nriga tre\n\n\n", encoding="utf-8")

@@ -21,7 +21,7 @@ from polminer.extractor import (
     load_candidates_jsonl,
     save_candidates_jsonl,
 )
-from polminer.patterns import PROFILES, find_citations
+from polminer.patterns import PROFILES, find_citations, match_keywords
 
 V1 = PROFILES["v1_broad"]
 V2 = PROFILES["v2_refined"]
@@ -198,3 +198,24 @@ def test_find_citations_runs_once_per_kept_paragraph(monkeypatch):
     assert [c.quote for c in candidates] == ["“a”"]
     assert len(candidates[0].citations) == 1
     assert calls == [text]
+
+
+def test_match_keywords_runs_only_where_the_logic_reads_it(monkeypatch):
+    calls = []
+
+    def counting_match_keywords(text, profile):
+        calls.append((profile.name, text))
+        return match_keywords(text, profile)
+
+    monkeypatch.setattr(extractor, "match_keywords", counting_match_keywords)
+    quoted = "La Corte afferma “un principio”."
+    unquoted = "La Corte afferma un principio."
+    cited = "Le spese seguono la soccombenza (Cass. n. 26972/2008)"
+    doc = _doc([quoted, unquoted, cited])
+    v2 = extract_candidates(doc, V2)
+    v1 = extract_candidates(doc, V1)
+    # v2_refined reads keyword hits only beside a quote; v1_broad only when
+    # a paragraph has neither a quote nor an end citation
+    assert calls == [("v2_refined", quoted), ("v1_broad", unquoted)]
+    assert [c.trigger for c in v2] == [Trigger.QUOTE_AND_KEYWORD, Trigger.CITATION_AT_END]
+    assert [c.trigger for c in v1] == [Trigger.QUOTE_ONLY, Trigger.KEYWORD_ONLY, Trigger.CITATION_ANYWHERE]

@@ -103,6 +103,23 @@ def test_import_text_box_text_matches_corpus_text(tmp_path):
     assert load_document(path).paragraphs[0].text == anns[0].span_text
 
 
+def test_alternate_content_text_box_is_read_once(tmp_path):
+    # Word stores a text box as a DrawingML mc:Choice plus a VML mc:Fallback
+    hl = '<w:rPr><w:highlight w:val="yellow"/></w:rPr>'
+    box = f"<w:txbxContent><w:p><w:r>{hl}<w:t>riquadro</w:t></w:r></w:p></w:txbxContent>"
+    para = (
+        '<w:p><w:r><w:t xml:space="preserve">Prima </w:t></w:r><w:r>'
+        '<mc:AlternateContent xmlns:mc="http://schemas.openxmlformats.org/markup-compatibility/2006">'
+        f'<mc:Choice Requires="wps"><w:drawing>{box}</w:drawing></mc:Choice>'
+        f'<mc:Fallback><w:pict><v:shape xmlns:v="urn:schemas-microsoft-com:vml"><v:textbox>{box}'
+        "</v:textbox></v:shape></w:pict></mc:Fallback></mc:AlternateContent></w:r>"
+        '<w:r><w:t xml:space="preserve"> dopo</w:t></w:r></w:p>'
+    )
+    path = make_docx(tmp_path / "g.docx", [], body_extra_xml=para)
+    assert load_document(path).paragraphs[0].text == "Prima riquadro dopo"
+    assert [a.span_text for a in import_docx_highlights(path)] == ["riquadro"]
+
+
 def test_gold_roundtrip_and_counts(tmp_path):
     gold = GoldSet(annotations=(
         _ann(0, PoLType.IMPLICIT),

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
@@ -11,6 +13,7 @@ from polminer.evaluation import FpKind, align, confusion
 from polminer.extractor import PoLType, Source
 from polminer.goldstore import GoldAnnotation
 from polminer.llm import (
+    HttpChatTransport,
     LlmSession,
     PromptTemplate,
     ScriptedTransport,
@@ -207,3 +210,73 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     # two equally good paragraphs: the first one wins
     assert [c.paragraph_index for c in candidates] == [1, 0]
     assert len(calls) == len(paragraphs) + len(candidates)
+
+
+@pytest.fixture
+def chat_server(monkeypatch):
+    """A chat-completions stub on 127.0.0.1: records each request's
+    Authorization header and JSON body, and answers with ``reply``."""
+    for var in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    seen = []
+    reply = {"status": 200, "body": {"choices": [{"message": {"content": "passaggio copiato"}}]}}
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((self.headers.get("Authorization"), json.loads(body)))
+            answer = json.dumps(reply["body"]).encode("utf-8")
+            self.send_response(reply["status"])
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(answer)))
+            self.end_headers()
+            self.wfile.write(answer)
+
+        def log_message(self, *args):
+            pass
+
+    server = HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/v1/chat/completions", seen, reply
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_http_transport_sends_model_prompt_and_document(chat_server):
+    url, seen, _ = chat_server
+    transport = HttpChatTransport(endpoint=url, model_name="gpt-4o", timeout=10)
+    assert transport.send("ISTRUZIONI", _doc()) == "passaggio copiato"
+    ((authorization, payload),) = seen
+    assert payload["model"] == "gpt-4o"
+    assert payload["messages"] == [{"role": "user", "content": "ISTRUZIONI\n\n" + _doc().text}]
+    assert "temperature" not in payload
+    assert authorization is None
+
+
+def test_http_transport_sends_temperature_and_key_when_set(chat_server):
+    url, seen, _ = chat_server
+    transport = HttpChatTransport(endpoint=url, model_name="m", temperature=0.0, api_key="segreto", timeout=10)
+    transport.send("p", _doc())
+    ((authorization, payload),) = seen
+    assert payload["temperature"] == 0.0
+    assert authorization == "Bearer segreto"
+
+
+def test_http_transport_non_200_is_transport_error(chat_server):
+    url, _, reply = chat_server
+    reply["status"] = 429
+    with pytest.raises(TransportError, match="HTTP 429"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+
+
+def test_http_transport_body_without_choices_is_transport_error(chat_server):
+    url, _, reply = chat_server
+    reply["body"] = {"error": "nessuna scelta"}
+    with pytest.raises(TransportError, match="unexpected response shape"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
