@@ -155,8 +155,9 @@ def _load_and_align(
     that the file or gold names.
 
     Every ``doc_id`` is checked to be a plain file name before any judgment
-    is read, and each judgment is read from ``cfg.input_dir`` once for all
-    candidate files.
+    is read. Alignment is judgment by judgment: each judgment is read from
+    ``cfg.input_dir`` once and aligned with every candidate file in turn,
+    which lets ``align`` index its paragraphs once.
     """
     gold = goldstore.load_gold(gold_path)
     gold_ids = set(gold.doc_ids())
@@ -171,25 +172,22 @@ def _load_and_align(
         if doc_id in ("", ".", "..") or "/" in doc_id or "\\" in doc_id:
             raise DocMismatch(f"doc_id {doc_id!r} is not a plain file name")
     directory = Path(cfg.input_dir)
-    documents = {}
+    alignments: list[list[evaluation.AlignmentResult]] = [[] for _ in by_doc_sets]
     for doc_id in doc_ids:
         path = directory / doc_id
         if not path.is_file():
             raise DocMismatch(f"document {doc_id!r} not found under {directory}")
-        documents[doc_id] = load_document(path)
-    return gold, [
-        [
-            evaluation.align(
-                by_doc.get(doc_id, []),
-                gold.for_doc(doc_id),
-                documents[doc_id],
-                overlap_threshold=cfg.overlap_threshold,
-                hallucination_threshold=cfg.hallucination_threshold,
-            )
-            for doc_id in sorted(gold_ids.union(by_doc))
-        ]
-        for by_doc in by_doc_sets
-    ]
+        document = load_document(path)
+        for by_doc, results in zip(by_doc_sets, alignments):
+            if doc_id in gold_ids or doc_id in by_doc:
+                results.append(evaluation.align(
+                    by_doc.get(doc_id, []),
+                    gold.for_doc(doc_id),
+                    document,
+                    overlap_threshold=cfg.overlap_threshold,
+                    hallucination_threshold=cfg.hallucination_threshold,
+                ))
+    return gold, alignments
 
 
 def _write_report(out_dir: Path, basename: str, table: evaluation.Table, formats: tuple[str, ...]) -> None:

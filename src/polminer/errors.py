@@ -81,3 +81,7 @@ class EmptyResponse(PolminerError):
 
 class UnknownColorWarning(UserWarning):
     """A highlight color outside the annotation scheme was ignored."""
+
+
+class DuplicateHighlightWarning(UserWarning):
+    """A paragraph repeats a highlighted span; it was imported once."""

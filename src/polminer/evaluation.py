@@ -15,6 +15,7 @@ standard usage; it is the default for reproduction runs.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ from .errors import DocMismatch, GoldMismatch
 from .extractor import PoLCandidate, PoLType
 from .goldstore import GoldAnnotation, GoldSet
 from .textnorm import (
+    TokenIndex,
     containment,
     normalize_text,
     overlap_coefficient,
@@ -212,6 +214,16 @@ def _classify_match(
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _paragraph_index(document: Document) -> TokenIndex:
+    """The document's paragraphs as written, indexed for FP triage.
+
+    One entry: every candidate set of a judgment is aligned before the next
+    judgment, so its paragraph counters are built once.
+    """
+    return TokenIndex([raw_token_counts(p.text) for p in document.paragraphs])
+
+
 def align(
     candidates: Sequence[PoLCandidate],
     gold: Sequence[GoldAnnotation],
@@ -223,9 +235,10 @@ def align(
 
     Pairs scoring at least ``overlap_threshold`` (multiset token overlap)
     match, highest score first; ties break on lowest gold paragraph index,
-    then lowest candidate paragraph index. Every unmatched candidate is
-    scored against every source paragraph: below
-    ``hallucination_threshold`` it is a Hallucination, otherwise a Not-PoL.
+    then lowest candidate paragraph index. Only pairs sharing a token are
+    scored, since any other pair scores 0. An unmatched candidate is scored
+    against the source paragraphs it shares a token with: if any reaches
+    ``hallucination_threshold`` it is a Not-PoL, otherwise a Hallucination.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):
@@ -237,13 +250,13 @@ def align(
 
     gold_counters = [token_counts(a.span_text) for a in gold]
     cand_counters = [token_counts(c.text) for c in candidates]
+    cand_index = TokenIndex(cand_counters)
 
     scored = []
     for gi, ann in enumerate(gold):
-        for ci, cand in enumerate(candidates):
+        for ci in cand_index.overlapping(gold_counters[gi], overlap_threshold):
             score = overlap_coefficient(gold_counters[gi], cand_counters[ci])
-            if score >= overlap_threshold:
-                scored.append((score, ann.paragraph_index, cand.paragraph_index, gi, ci))
+            scored.append((score, ann.paragraph_index, candidates[ci].paragraph_index, gi, ci))
     scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3], item[4]))
 
     matched_gold: set[int] = set()
@@ -262,18 +275,13 @@ def align(
 
     # triage compares text as written: a candidate that is nothing but a
     # citation tail still exists in the source and must not read as fabricated
-    para_counters = [raw_token_counts(p.text) for p in document.paragraphs]
+    para_index = _paragraph_index(document)
     false_positives: list[tuple[PoLCandidate, FpKind]] = []
     for ci, cand in enumerate(candidates):
         if ci in matched_cand:
             continue
-        raw_counter = raw_token_counts(cand.text)
-        best = max(
-            (overlap_coefficient(raw_counter, pc) for pc in para_counters),
-            default=0.0,
-        )
-        kind = FpKind.HALLUCINATION if best < hallucination_threshold else FpKind.NOT_POL
-        false_positives.append((cand, kind))
+        in_source = para_index.overlapping(raw_token_counts(cand.text), hallucination_threshold)
+        false_positives.append((cand, FpKind.NOT_POL if in_source else FpKind.HALLUCINATION))
 
     false_negatives = tuple(ann for gi, ann in enumerate(gold) if gi not in matched_gold)
     return AlignmentResult(

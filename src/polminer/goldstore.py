@@ -15,7 +15,7 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .corpus import W, docx_paragraphs
-from .errors import DuplicateAnnotation, SchemaError, UnknownColorWarning
+from .errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
 from .extractor import PoLCandidate, PoLType
 from .textnorm import normalize_text
 
@@ -103,18 +103,6 @@ class GoldSet:
         return list(seen)
 
 
-def _check_duplicates(annotations: list[GoldAnnotation], schema: bool = False) -> None:
-    seen: set[tuple[str, int, str]] = set()
-    for i, ann in enumerate(annotations):
-        key = ann.key()
-        if key in seen:
-            msg = f"duplicate annotation {ann.doc_id}#{ann.paragraph_index}: {ann.span_text[:60]!r}"
-            if schema:
-                raise SchemaError(f"/annotations/{i}", msg)
-            raise DuplicateAnnotation(msg)
-        seen.add(key)
-
-
 def _run_highlight(run: ET.Element) -> str | None:
     rpr = run.find(W + "rPr")
     if rpr is None:
@@ -130,11 +118,13 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
 
     Adjacent runs with the same highlight color merge into one annotation;
     colors outside the scheme raise an UnknownColorWarning and are skipped.
-    The paragraphs, their indices and their text are those
-    ``corpus.load_document`` reads.
+    A span with the normalized text of an earlier span in its paragraph is
+    imported once, with a DuplicateHighlightWarning. The paragraphs, their
+    indices and their text are those ``corpus.load_document`` reads.
     """
     p = Path(path)
     annotations: list[GoldAnnotation] = []
+    seen: set[tuple[str, int, str]] = set()
     for index, runs in enumerate(docx_paragraphs(p)):
         spans: list[tuple[str, str]] = []  # (color, text)
         current_color: str | None = None
@@ -157,17 +147,24 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
                 continue
             if not text.strip():
                 continue
-            annotations.append(
-                GoldAnnotation(
-                    doc_id=p.name,
-                    paragraph_index=index,
-                    span_text=text,
-                    pol_type=HIGHLIGHT_TYPE_MAP[color],
-                    annotator_id=annotator_id,
-                    origin="Human",
-                )
+            ann = GoldAnnotation(
+                doc_id=p.name,
+                paragraph_index=index,
+                span_text=text,
+                pol_type=HIGHLIGHT_TYPE_MAP[color],
+                annotator_id=annotator_id,
+                origin="Human",
             )
-    _check_duplicates(annotations)
+            key = ann.key()
+            if key in seen:
+                warnings.warn(
+                    f"paragraph {index}: duplicate highlight {text[:60]!r} imported once",
+                    DuplicateHighlightWarning,
+                    stacklevel=2,
+                )
+                continue
+            seen.add(key)
+            annotations.append(ann)
     return annotations
 
 
@@ -195,7 +192,15 @@ def load_gold(path: str | Path) -> GoldSet:
         GoldAnnotation.from_dict(entry, pointer=f"/annotations/{i}")
         for i, entry in enumerate(data["annotations"])
     ]
-    _check_duplicates(annotations, schema=True)
+    seen: set[tuple[str, int, str]] = set()
+    for i, ann in enumerate(annotations):
+        key = ann.key()
+        if key in seen:
+            raise SchemaError(
+                f"/annotations/{i}",
+                f"duplicate annotation {ann.doc_id}#{ann.paragraph_index}: {ann.span_text[:60]!r}",
+            )
+        seen.add(key)
     return GoldSet(annotations=tuple(annotations))
 
 

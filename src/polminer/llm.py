@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -28,7 +27,7 @@ from .errors import BudgetExceeded, EmptyResponse, TransportError
 from .extractor import PoLCandidate, Source, classify
 from .patterns import find_citations, find_quotes
 from .patterns.rules import V2_REFINED
-from .textnorm import containment, raw_token_counts
+from .textnorm import TokenIndex, raw_token_counts
 
 _BODY_IT = (
     "Estrai i paragrafi in cui c’è la parola CORTE, TRIBUNALE, "
@@ -231,23 +230,22 @@ def split_passages(response: str) -> list[str]:
     return [p for p in passages if p]
 
 
-def resolve_paragraph(
-    passage: str, paragraphs: list[tuple[int, Counter[str]]], threshold: float = 0.6
-) -> int:
+def resolve_paragraph(passage: str, index: TokenIndex, threshold: float = 0.6) -> int:
     """Index of the paragraph best containing the passage, or -1.
 
-    ``paragraphs`` holds each paragraph's index and ``raw_token_counts``,
-    built once per document. Containment is the fraction of passage tokens
-    (as written) present in the paragraph; the first paragraph with the top
-    score wins. Below the threshold the passage is unresolved and flagged
-    for hallucination triage downstream.
+    ``index`` holds the document's paragraphs' ``raw_token_counts`` in
+    paragraph order, built once per document. Containment is the fraction
+    of passage tokens (as written) present in the paragraph; the first
+    paragraph with the top score wins. Below the threshold the passage is
+    unresolved and flagged for hallucination triage downstream.
     """
     passage_counts = raw_token_counts(passage)
+    total = sum(passage_counts.values())
     best_index, best_score = -1, 0.0
-    for index, counts in paragraphs:
-        score = containment(passage_counts, counts)
-        if score > best_score:
-            best_index, best_score = index, score
+    for position, shared in index.shared(passage_counts).items():
+        score = shared / total
+        if score > best_score or (score == best_score and position < best_index):
+            best_index, best_score = position, score
     return best_index if best_score >= threshold else -1
 
 
@@ -277,7 +275,7 @@ def run_extraction(
     if not response or not response.strip():
         raise EmptyResponse(f"empty response for {document.doc_id}")
 
-    paragraphs = [(para.index, raw_token_counts(para.text)) for para in document.paragraphs]
+    index = TokenIndex([raw_token_counts(para.text) for para in document.paragraphs])
     candidates: list[PoLCandidate] = []
     for passage in split_passages(response):
         quotes = find_quotes(passage, V2_REFINED)
@@ -286,7 +284,7 @@ def run_extraction(
         candidates.append(
             PoLCandidate(
                 doc_id=document.doc_id,
-                paragraph_index=resolve_paragraph(passage, paragraphs, resolution_threshold),
+                paragraph_index=resolve_paragraph(passage, index, resolution_threshold),
                 text=passage,
                 quote=quote,
                 trigger=None,

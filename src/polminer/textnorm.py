@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 
 # Curly/angle/straight quotation marks plus apostrophes, stripped from span edges.
 _EDGE_QUOTE_CHARS = "“”‘’«»\"'`"
@@ -63,6 +64,52 @@ def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:
         return 0.0
     shared = sum((a & b).values())
     return shared / min(ta, tb)
+
+
+class TokenIndex:
+    """Token postings over a list of counters, for exact similarity joins.
+
+    Overlap coefficient and containment are 0 for two texts that share no
+    token, and every threshold is above 0, so only the positions a probe
+    co-occurs with in some posting list can pass one (Chaudhuri, Ganti &
+    Kaushik, ICDE 2006).
+    """
+
+    def __init__(self, counters: list[Counter[str]]):
+        self._sizes = [sum(c.values()) for c in counters]
+        # token -> positions holding it; token -> (position, count) where it repeats
+        self._postings: dict[str, list[int]] = {}
+        self._repeats: dict[str, list[tuple[int, int]]] = {}
+        for position, counter in enumerate(counters):
+            for token, count in counter.items():
+                self._postings.setdefault(token, []).append(position)
+                if count > 1:
+                    self._repeats.setdefault(token, []).append((position, count))
+
+    def shared(self, probe: Counter[str]) -> Counter[int]:
+        """``|probe & counters[i]|`` for every position ``i`` sharing a token with the probe.
+
+        Each common token counts once, in one count over the concatenated
+        posting lists; a token both sides repeat adds the rest of its
+        ``min`` count.
+        """
+        postings = self._postings
+        shared = Counter(chain.from_iterable(postings.get(token, ()) for token in probe))
+        for token, count in probe.items():
+            if count > 1:
+                for position, indexed in self._repeats.get(token, ()):
+                    shared[position] += min(count, indexed) - 1
+        return shared
+
+    def overlapping(self, probe: Counter[str], threshold: float) -> list[int]:
+        """Positions whose ``overlap_coefficient`` with the probe is at least ``threshold``.
+
+        ``threshold`` must be above 0: positions sharing no token are not
+        listed. Each score is ``overlap_coefficient``'s own expression, so a
+        pair at exactly the threshold passes here as it does there.
+        """
+        total, sizes = sum(probe.values()), self._sizes
+        return [i for i, shared in self.shared(probe).items() if shared / min(total, sizes[i]) >= threshold]
 
 
 def containment(a: Counter[str], b: Counter[str]) -> float:

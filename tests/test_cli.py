@@ -164,6 +164,21 @@ def test_import_gold_names_an_unknown_color_with_its_path(tmp_path, capsys):
     assert "imported 1 annotations from 1 files" in err
 
 
+def test_import_gold_imports_a_repeated_highlight_once(tmp_path, capsys):
+    src = tmp_path / "annotati"
+    path = make_docx(
+        src / "g.docx",
+        [[("uno", "yellow"), (" mezzo ", None), ("uno", "yellow")], [("altro principio", "blue")]],
+    )
+    out = tmp_path / "gold.json"
+    assert main(["import-gold", str(src), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: {path}: paragraph 0: duplicate highlight 'uno' imported once\n" in err
+    assert "imported 2 annotations from 1 files" in err
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert [a["span_text"] for a in data["annotations"]] == ["uno", "altro principio"]
+
+
 @pytest.fixture(scope="module")
 def repro_files(tmp_path_factory):
     base = tmp_path_factory.mktemp("repro")

@@ -6,7 +6,7 @@ import pytest
 
 from docxbuild import make_docx
 from polminer.corpus import load_document
-from polminer.errors import DuplicateAnnotation, SchemaError, UnknownColorWarning
+from polminer.errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import (
     GoldAnnotation,
@@ -76,6 +76,19 @@ def test_import_warns_on_unknown_color(tmp_path):
     with pytest.warns(UnknownColorWarning):
         anns = import_docx_highlights(path)
     assert anns == []
+
+
+def test_import_keeps_a_repeated_highlight_once(tmp_path):
+    path = make_docx(
+        tmp_path / "g.docx",
+        [[("uno", "yellow"), (" mezzo ", None), ("uno", "yellow")], [("altro principio", "blue")]],
+    )
+    with pytest.warns(DuplicateHighlightWarning, match="paragraph 0: duplicate highlight 'uno' imported once"):
+        anns = import_docx_highlights(path)
+    assert [(a.paragraph_index, a.span_text, a.pol_type) for a in anns] == [
+        (0, "uno", PoLType.EXPLICIT_DIRECT),
+        (1, "altro principio", PoLType.EXPLICIT_INDIRECT),
+    ]
 
 
 def test_import_paragraph_indices_skip_empty_paragraphs(tmp_path):

@@ -1,7 +1,8 @@
-"""Each detector and the citation locator take linear time on adversarial lines.
+"""Each detector and the citation locator take linear time on adversarial
+lines, and alignment takes linear time on a judgment of disjoint paragraphs.
 
-Every test times one line at n and at 4n characters, n about 2,000 (the
-length of a long plaintext paragraph) unless the test says otherwise. A
+Every detector test times one line at n and at 4n characters, n about 2,000
+(the length of a long plaintext paragraph) unless the test says otherwise. A
 timed run calls the function enough times for the run at n to take at least
 5 ms, and the best of five runs counts. The line length is fixed rather
 than grown until one call takes 5 ms, because a linear check such as the
@@ -17,6 +18,10 @@ import time
 
 import pytest
 
+from polminer.corpus import Document, Paragraph
+from polminer.evaluation import align
+from polminer.extractor import PoLCandidate, PoLType, Source
+from polminer.goldstore import GoldAnnotation
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
 
 V1 = PROFILES["v1_broad"]
@@ -28,7 +33,7 @@ MIN_SECONDS = 0.005
 MAX_RATIO = 8.0
 
 
-def _best_of_5(fn, text: str, calls: int) -> float:
+def _best_of_5(fn, arg, calls: int) -> float:
     """Best time of five runs, with the collector off: a collection's cost
     grows with everything alive in the process, not with this call."""
     best = float("inf")
@@ -37,21 +42,26 @@ def _best_of_5(fn, text: str, calls: int) -> float:
         for _ in range(5):
             start = time.perf_counter()
             for _ in range(calls):
-                fn(text)
+                fn(arg)
             best = min(best, time.perf_counter() - start)
     finally:
         gc.enable()
     return best
 
 
+def _ratio(fn, small, large) -> float:
+    """Time of ``fn(large)`` over ``fn(small)``, each repeated until the
+    small run takes ``MIN_SECONDS``."""
+    calls = 1
+    while _best_of_5(fn, small, calls) < MIN_SECONDS and calls < 1 << 16:
+        calls *= 2
+    return _best_of_5(fn, large, calls) / _best_of_5(fn, small, calls)
+
+
 def _growth(fn, unit: str, tail: str = "", chars: int = LINE_CHARS) -> float:
     """Time ratio of the line at 4n characters over the line at n = chars."""
     repeats = chars // len(unit)
-    line, long_line = unit * repeats + tail, unit * 4 * repeats + tail
-    calls = 1
-    while _best_of_5(fn, line, calls) < MIN_SECONDS and calls < 1 << 16:
-        calls *= 2
-    return _best_of_5(fn, long_line, calls) / _best_of_5(fn, line, calls)
+    return _ratio(fn, unit * repeats + tail, unit * 4 * repeats + tail)
 
 
 @pytest.mark.parametrize("profile", [V2, EXT], ids=lambda p: p.name)
@@ -88,3 +98,31 @@ def test_match_keywords_linear():
 )
 def test_find_citations_linear(unit, tail):
     assert _growth(find_citations, unit, tail) < MAX_RATIO
+
+
+def _judgment(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:
+    """2n paragraphs of 8 words each, no word shared between paragraphs; a
+    gold span on every other paragraph and a candidate copying each one."""
+    texts = [" ".join(f"w{p}x{k}" for k in range(8)) for p in range(2 * n)]
+    document = Document(
+        doc_id="d.txt",
+        paragraphs=tuple(Paragraph(index=p, text=t, char_offset=0) for p, t in enumerate(texts)),
+        page_count=None,
+        source_path="d.txt",
+    )
+    gold = [
+        GoldAnnotation(doc_id="d.txt", paragraph_index=p, span_text=texts[p], pol_type=PoLType.IMPLICIT)
+        for p in range(0, 2 * n, 2)
+    ]
+    candidates = [
+        PoLCandidate(doc_id="d.txt", paragraph_index=p, text=t, quote="", trigger=None,
+                     pol_type=PoLType.IMPLICIT, source=Source.RULES)
+        for p, t in enumerate(texts)
+    ]
+    return candidates, gold, document
+
+
+def test_align_linear_on_disjoint_paragraphs():
+    # every gold span matches its copy and every other candidate is a
+    # Not-PoL; scoring all pairs would make n = 200 take 16 times n = 50
+    assert _ratio(lambda args: align(*args), _judgment(50), _judgment(200)) < MAX_RATIO

@@ -6,6 +6,11 @@ tracer wraps only the public functions of the modules in its ``LAYERS``
 map; deleting or renaming such a function breaks the traced run. Derived
 ratios and the ``cli.*`` command spans are not functions and are skipped.
 Both files are read, never imported or written.
+
+The traced run also needs ``align`` to call ``overlap_coefficient`` through
+``polminer.evaluation``: ``textnorm.overlap_coefficient.calls`` is missing
+from a round where nothing calls it, and ``evaluation.match_yield`` (matches
+per score computed from ``polminer.evaluation``) is undefined.
 """
 
 from __future__ import annotations
@@ -17,6 +22,11 @@ import json
 from pathlib import Path
 
 import pytest
+
+from polminer import evaluation
+from polminer.corpus import Document, Paragraph
+from polminer.extractor import PoLCandidate, PoLType, Source
+from polminer.goldstore import GoldAnnotation
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,3 +63,31 @@ def test_declared_span_is_a_public_layer_function(span):
     value = getattr(importlib.import_module(module_of[layer]), function, None)
     assert not function.startswith("_")
     assert inspect.isfunction(value) and value.__module__ == module_of[layer]
+
+
+def test_align_scores_every_match_through_evaluation(monkeypatch):
+    texts = ["la corte afferma il principio", "altro testo", "la corte tace"]
+    document = Document(
+        doc_id="d.txt",
+        paragraphs=tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(texts)),
+        page_count=None,
+        source_path="d.txt",
+    )
+    gold = [GoldAnnotation(doc_id="d.txt", paragraph_index=0, span_text=texts[0],
+                           pol_type=PoLType.EXPLICIT_DIRECT)]
+    candidates = [
+        PoLCandidate(doc_id="d.txt", paragraph_index=i, text=t, quote="", trigger=None,
+                     pol_type=PoLType.IMPLICIT, source=Source.RULES)
+        for i, t in enumerate(texts)
+    ]
+    calls = []
+    real = evaluation.overlap_coefficient
+
+    def spy(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(evaluation, "overlap_coefficient", spy)
+    result = evaluation.align(candidates, gold, document)
+    assert len(result.matches) == 1
+    assert len(calls) >= len(result.matches)
