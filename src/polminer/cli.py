@@ -25,6 +25,8 @@ EXIT_OK = 0
 EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
+REPORT_FORMATS = ("csv", "md", "json")
+
 
 @dataclass
 class RunConfig:
@@ -33,7 +35,7 @@ class RunConfig:
     profile: str = "v2_refined"
     overlap_threshold: float = 0.8
     hallucination_threshold: float = 0.6
-    report_formats: tuple[str, ...] = ("csv", "md", "json")
+    report_formats: tuple[str, ...] = REPORT_FORMATS
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -43,11 +45,16 @@ class RunConfig:
                 data = json.loads(Path(args.config).read_text(encoding="utf-8"))
             except (OSError, json.JSONDecodeError) as exc:
                 raise PolminerError(f"cannot read config {args.config}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise PolminerError(f"config {args.config} must hold a JSON object")
             known = {f.name for f in fields(cls)}
             for key, value in data.items():
                 if key not in known:
                     raise PolminerError(f"unknown config field {key!r}")
                 if key == "report_formats":
+                    # a string would be read letter by letter
+                    if not isinstance(value, list):
+                        raise PolminerError(f"report_formats must be a list of names, got {value!r}")
                     value = tuple(value)
                 setattr(cfg, key, value)
         # flags win over config file values
@@ -64,10 +71,20 @@ class RunConfig:
                 setattr(cfg, attr, value)
         if getattr(args, "format", None):
             cfg.report_formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
+        for name in ("input_dir", "output_dir", "profile"):
+            value = getattr(cfg, name)
+            if not isinstance(value, str):
+                raise PolminerError(f"{name} must be a string, got {value!r}")
         if cfg.profile not in PROFILES:
             raise PolminerError(f"unknown profile {cfg.profile!r}; expected one of {sorted(PROFILES)}")
+        unknown = [name for name in cfg.report_formats if name not in REPORT_FORMATS]
+        if unknown or not cfg.report_formats:
+            found = f"unknown report format {unknown[0]!r}" if unknown else "no report format"
+            raise PolminerError(f"{found}; expected some of {', '.join(REPORT_FORMATS)}")
         for name in ("overlap_threshold", "hallucination_threshold"):
             value = getattr(cfg, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise PolminerError(f"{name} must be a number, got {value!r}")
             if not 0 < value <= 1:
                 raise PolminerError(f"{name} must be in (0, 1], got {value}")
         return cfg

@@ -21,7 +21,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import Document
 from .errors import DocMismatch, GoldMismatch
@@ -35,7 +35,7 @@ from .textnorm import (
     raw_token_counts,
     token_counts,
     token_edit_ratio,
-    tokens,
+    word_tokens,
 )
 
 FULL_COVERAGE = 0.95
@@ -173,14 +173,29 @@ def _ends_with_ellipsis(text: str) -> bool:
     return t.endswith(ELLIPSIS_SUFFIXES)
 
 
+class _Normalized(NamedTuple):
+    """A gold span's or a candidate's text, normalized and tokenized once per ``align``."""
+
+    text: str
+    tokens: list[str]
+    counts: Counter[str]
+
+
+def _normalized(text: str) -> _Normalized:
+    normalized = normalize_text(text)
+    words = word_tokens(normalized)
+    return _Normalized(normalized, words, token_counts(words))
+
+
 def _classify_match(
     gold: GoldAnnotation,
     candidate: PoLCandidate,
-    gold_counter: Counter,
-    cand_counter: Counter,
+    gold_text: _Normalized,
+    cand_text: _Normalized,
     overlap_threshold: float,
     score: float,
 ) -> MatchRecord:
+    gold_counter, cand_counter = gold_text.counts, cand_text.counts
     coverage = containment(gold_counter, cand_counter)
     if coverage >= FULL_COVERAGE:
         completeness = Completeness.FULL
@@ -189,11 +204,10 @@ def _classify_match(
     else:
         completeness = Completeness.PARTIAL
 
-    if normalize_text(candidate.text) == normalize_text(gold.span_text):
+    if cand_text.text == gold_text.text:
         similarity = SimilarityClass.SAME_TEXT
     else:
-        gold_tokens = tokens(gold.span_text)
-        cand_tokens = tokens(candidate.text)
+        gold_tokens, cand_tokens = gold_text.tokens, cand_text.tokens
         edit = token_edit_ratio(cand_tokens, gold_tokens)
         length_delta = abs(len(cand_tokens) - len(gold_tokens))
         if (
@@ -214,14 +228,57 @@ def _classify_match(
     )
 
 
-@functools.lru_cache(maxsize=1)
-def _paragraph_index(document: Document) -> TokenIndex:
-    """The document's paragraphs as written, indexed for FP triage.
+class _SourceParagraphs:
+    """A judgment's paragraphs as written, tokenized for FP triage on first use.
 
-    One entry: every candidate set of a judgment is aligned before the next
-    judgment, so its paragraph counters are built once.
+    Each paragraph's counter is built the first time a candidate needs it,
+    and the index over all of them only when some candidate's own paragraph
+    does not settle its triage.
     """
-    return TokenIndex([raw_token_counts(p.text) for p in document.paragraphs])
+
+    def __init__(self, document: Document):
+        self._texts = [p.text for p in document.paragraphs]
+        self._counters: list[Counter[str] | None] = [None] * len(self._texts)
+        self._index: TokenIndex | None = None
+
+    def _counter(self, position: int) -> Counter[str]:
+        counter = self._counters[position]
+        if counter is None:
+            counter = self._counters[position] = raw_token_counts(self._texts[position])
+        return counter
+
+    def contain(self, text: str, own: int, threshold: float) -> bool:
+        """Whether some paragraph's overlap coefficient with ``text`` reaches ``threshold``.
+
+        The paragraph at ``own`` is tried first. Any paragraph reaching the
+        threshold gives the same answer, so a hit there settles it; only a
+        miss probes the index over every paragraph.
+        """
+        if 0 <= own < len(self._texts):
+            counter = self._counter(own)
+            if text == self._texts[own]:
+                # a copy overlaps its paragraph fully; a text without tokens overlaps nothing
+                return bool(counter)
+            probe = raw_token_counts(text)
+            # overlap_coefficient's expression, computed here so that
+            # evaluation.overlap_coefficient scores only matches
+            shared = sum((probe & counter).values())
+            if shared and shared / min(sum(probe.values()), sum(counter.values())) >= threshold:
+                return True
+        else:
+            probe = raw_token_counts(text)
+        if not probe:
+            return False
+        if self._index is None:
+            self._index = TokenIndex([self._counter(i) for i in range(len(self._texts))])
+        return bool(self._index.overlapping(probe, threshold))
+
+
+@functools.lru_cache(maxsize=1)
+def _source_paragraphs(document: Document) -> _SourceParagraphs:
+    """One entry: every candidate set of a judgment is aligned before the
+    next judgment, so each of its paragraphs is tokenized at most once."""
+    return _SourceParagraphs(document)
 
 
 def align(
@@ -236,9 +293,11 @@ def align(
     Pairs scoring at least ``overlap_threshold`` (multiset token overlap)
     match, highest score first; ties break on lowest gold paragraph index,
     then lowest candidate paragraph index. Only pairs sharing a token are
-    scored, since any other pair scores 0. An unmatched candidate is scored
-    against the source paragraphs it shares a token with: if any reaches
-    ``hallucination_threshold`` it is a Not-PoL, otherwise a Hallucination.
+    scored, since any other pair scores 0. An unmatched candidate is a
+    Not-PoL if any source paragraph reaches ``hallucination_threshold``
+    against it, otherwise a Hallucination; its own paragraph is scored
+    first, and the others it shares a token with only if that one falls
+    short.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):
@@ -248,14 +307,15 @@ def align(
     if len(doc_ids) > 1:
         raise DocMismatch(f"mixed doc_ids in one alignment: {sorted(doc_ids)}")
 
-    gold_counters = [token_counts(a.span_text) for a in gold]
-    cand_counters = [token_counts(c.text) for c in candidates]
-    cand_index = TokenIndex(cand_counters)
+    gold_texts = [_normalized(a.span_text) for a in gold]
+    cand_texts = [_normalized(c.text) for c in candidates]
+    cand_index = TokenIndex([t.counts for t in cand_texts])
 
     scored = []
     for gi, ann in enumerate(gold):
-        for ci in cand_index.overlapping(gold_counters[gi], overlap_threshold):
-            score = overlap_coefficient(gold_counters[gi], cand_counters[ci])
+        gold_counter = gold_texts[gi].counts
+        for ci in cand_index.overlapping(gold_counter, overlap_threshold):
+            score = overlap_coefficient(gold_counter, cand_texts[ci].counts)
             scored.append((score, ann.paragraph_index, candidates[ci].paragraph_index, gi, ci))
     scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3], item[4]))
 
@@ -268,19 +328,19 @@ def align(
         matched_gold.add(gi)
         matched_cand.add(ci)
         matches.append(
-            (gi, _classify_match(gold[gi], candidates[ci], gold_counters[gi],
-                                 cand_counters[ci], overlap_threshold, score))
+            (gi, _classify_match(gold[gi], candidates[ci], gold_texts[gi],
+                                 cand_texts[ci], overlap_threshold, score))
         )
     matches.sort(key=lambda item: item[0])
 
     # triage compares text as written: a candidate that is nothing but a
     # citation tail still exists in the source and must not read as fabricated
-    para_index = _paragraph_index(document)
+    source = _source_paragraphs(document)
     false_positives: list[tuple[PoLCandidate, FpKind]] = []
     for ci, cand in enumerate(candidates):
         if ci in matched_cand:
             continue
-        in_source = para_index.overlapping(raw_token_counts(cand.text), hallucination_threshold)
+        in_source = source.contain(cand.text, cand.paragraph_index, hallucination_threshold)
         false_positives.append((cand, FpKind.NOT_POL if in_source else FpKind.HALLUCINATION))
 
     false_negatives = tuple(ann for gi, ann in enumerate(gold) if gi not in matched_gold)

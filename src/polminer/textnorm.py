@@ -39,13 +39,14 @@ def normalize_text(text: str) -> str:
     return t.casefold()
 
 
-def tokens(text: str) -> list[str]:
-    """Word tokens (alphanumeric runs) of the normalized text."""
-    return _TOKEN_RE.findall(normalize_text(text))
+def word_tokens(normalized: str) -> list[str]:
+    """Word tokens (alphanumeric runs) of a text ``normalize_text`` returned."""
+    return _TOKEN_RE.findall(normalized)
 
 
-def token_counts(text: str) -> Counter[str]:
-    return Counter(tokens(text))
+def token_counts(words: list[str]) -> Counter[str]:
+    """Token multiset of ``word_tokens``' list, the one alignment scores."""
+    return Counter(words)
 
 
 def raw_token_counts(text: str) -> Counter[str]:

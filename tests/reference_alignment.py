@@ -5,7 +5,9 @@ the token-indexed versions in ``polminer.evaluation`` and ``polminer.llm``
 are checked against. They score every gold span against every candidate and
 every unmatched candidate or passage against every source paragraph, so
 they take quadratic time; tests only feed them small documents. The match
-classification and the result types are shared with the package.
+classification is the earlier one too, which normalized and tokenized both
+texts again for every match; the result types and the class thresholds are
+shared with the package.
 """
 
 from __future__ import annotations
@@ -15,10 +17,78 @@ from typing import Sequence
 
 from polminer.corpus import Document
 from polminer.errors import DocMismatch
-from polminer.evaluation import AlignmentResult, FpKind, MatchRecord, _classify_match
+from polminer.evaluation import (
+    FULL_COVERAGE,
+    SUMMARY_MAX_LENGTH_RATIO,
+    WORD_EXCHANGE_MAX_EDIT_RATIO,
+    WORD_EXCHANGE_MAX_LENGTH_DELTA,
+    AlignmentResult,
+    Completeness,
+    FpKind,
+    MatchRecord,
+    SimilarityClass,
+    _ends_with_ellipsis,
+)
 from polminer.extractor import PoLCandidate
 from polminer.goldstore import GoldAnnotation
-from polminer.textnorm import containment, overlap_coefficient, raw_token_counts, token_counts
+from polminer.textnorm import (
+    _TOKEN_RE,
+    containment,
+    normalize_text,
+    overlap_coefficient,
+    raw_token_counts,
+    token_edit_ratio,
+)
+
+
+def tokens(text: str) -> list[str]:
+    """Word tokens (alphanumeric runs) of the normalized text."""
+    return _TOKEN_RE.findall(normalize_text(text))
+
+
+def token_counts(text: str) -> Counter[str]:
+    return Counter(tokens(text))
+
+
+def _classify_match(
+    gold: GoldAnnotation,
+    candidate: PoLCandidate,
+    gold_counter: Counter,
+    cand_counter: Counter,
+    overlap_threshold: float,
+    score: float,
+) -> MatchRecord:
+    coverage = containment(gold_counter, cand_counter)
+    if coverage >= FULL_COVERAGE:
+        completeness = Completeness.FULL
+    elif _ends_with_ellipsis(candidate.text):
+        completeness = Completeness.PARTIAL_ELLIPSIS
+    else:
+        completeness = Completeness.PARTIAL
+
+    if normalize_text(candidate.text) == normalize_text(gold.span_text):
+        similarity = SimilarityClass.SAME_TEXT
+    else:
+        gold_tokens = tokens(gold.span_text)
+        cand_tokens = tokens(candidate.text)
+        edit = token_edit_ratio(cand_tokens, gold_tokens)
+        length_delta = abs(len(cand_tokens) - len(gold_tokens))
+        if (
+            edit <= WORD_EXCHANGE_MAX_EDIT_RATIO
+            and length_delta <= WORD_EXCHANGE_MAX_LENGTH_DELTA * max(len(gold_tokens), 1)
+        ):
+            similarity = SimilarityClass.WORD_EXCHANGE
+        elif (
+            len(cand_tokens) <= SUMMARY_MAX_LENGTH_RATIO * len(gold_tokens)
+            and containment(cand_counter, gold_counter) >= overlap_threshold
+        ):
+            similarity = SimilarityClass.SUMMARY
+        else:
+            similarity = SimilarityClass.DIVERGENT
+    return MatchRecord(
+        gold=gold, candidate=candidate, completeness=completeness,
+        similarity=similarity, score=score,
+    )
 
 
 def align(

@@ -92,6 +92,37 @@ def test_unknown_profile_is_fatal(tmp_path):
     assert main(["extract", "--config", str(config)]) == 1
 
 
+@pytest.mark.parametrize("config, argv, reason", [
+    ({"overlap_threshold": "0.8"}, [], "overlap_threshold must be a number, got '0.8'"),
+    ({"hallucination_threshold": True}, [], "hallucination_threshold must be a number, got True"),
+    ({"report_formats": "csv"}, [], "report_formats must be a list of names, got 'csv'"),
+    ({"report_formats": ["cvs"]}, [], "unknown report format 'cvs'"),
+    ({}, ["--format", "cvs,mdd"], "unknown report format 'cvs'"),
+    ({}, ["--format", ","], "no report format"),
+    ({"input_dir": 3}, [], "input_dir must be a string, got 3"),
+])
+def test_evaluate_rejects_a_wrong_config_value(repro_files, tmp_path, capsys, config, argv, reason):
+    base, corpus, gold_path, paths = repro_files
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "rep"
+    code = main([
+        "evaluate", str(gold_path), str(paths["chat"]), "--config", str(path),
+        "--out", str(out), *argv, *([] if "input_dir" in config else ["--input", str(corpus)]),
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"fatal: {reason}")
+    assert captured.out == "" and not out.exists()
+
+
+def test_config_must_be_a_json_object(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(["csv"]))
+    assert main(["extract", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"fatal: config {path} must hold a JSON object\n"
+
+
 def test_llm_extract_names_each_unreadable_judgment_once(tmp_path, capsys):
     corpus = tmp_path / "S"
     corpus.mkdir()

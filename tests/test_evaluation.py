@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ReproFixture
+from polminer import evaluation
 from polminer.corpus import Document, Paragraph, load_document
 from polminer.errors import DocMismatch, GoldMismatch
 from polminer.evaluation import (
@@ -434,3 +435,63 @@ def test_merged_metrics_equal_corpus_metrics(repro_alignments):
         left = merge_counts(shuffled[:cut])
         right = merge_counts(shuffled[cut:])
         assert metrics(left + right, MetricsMode.PAPER) == metrics(merged, MetricsMode.PAPER)
+
+
+TRIAGE_TEXTS = [
+    "la corte di cassazione ribadisce che il contratto preliminare obbliga le parti",
+    "il ricorrente lamenta la violazione dell'art. 1351 c.c. (Cass. n. 123/2019)",
+    "ne consegue che il motivo va rigettato e le spese seguono la soccombenza",
+    "P.Q.M. la corte rigetta il ricorso",
+    "…",
+]
+
+
+def _rules_copies(texts: list[str], positions: list[int]) -> list[PoLCandidate]:
+    return [
+        PoLCandidate(doc_id="d.txt", paragraph_index=i, text=texts[i], quote="", trigger=None,
+                     pol_type=PoLType.IMPLICIT, citations=(), source=Source.RULES)
+        for i in positions
+    ]
+
+
+def test_triage_of_rules_candidates_builds_no_paragraph_index(monkeypatch):
+    # every rules FP copies its own paragraph, which settles its triage
+    texts = [f"{t} (rules only)" if t != "…" else t for t in TRIAGE_TEXTS]
+    document = _doc(texts)
+    paragraph_counters = [evaluation.raw_token_counts(t) for t in texts]
+    built = []
+
+    class SpyIndex(evaluation.TokenIndex):
+        def __init__(self, counters):
+            built.append(list(counters))
+            super().__init__(counters)
+
+    monkeypatch.setattr(evaluation, "TokenIndex", SpyIndex)
+    candidates = _rules_copies(texts, [0, 1, 2, 4])
+    result = align(candidates, [_gold(texts[0])], document)
+    assert [kind for _, kind in result.false_positives] == [
+        FpKind.NOT_POL, FpKind.NOT_POL, FpKind.HALLUCINATION,
+    ]
+    assert built and paragraph_counters not in built
+
+
+def test_aligning_three_candidate_sets_tokenizes_each_paragraph_once(monkeypatch):
+    texts = [f"{t} (three sets)" if t != "…" else t for t in TRIAGE_TEXTS]
+    document = _doc(texts)
+    tokenized = []
+    real = evaluation.raw_token_counts
+
+    def spy(text):
+        tokenized.append(text)
+        return real(text)
+
+    monkeypatch.setattr(evaluation, "raw_token_counts", spy)
+    broad = _rules_copies(texts, range(len(texts)))
+    refined = _rules_copies(texts, [0, 1])
+    # an unresolved passage and a fabricated one make triage probe every paragraph
+    llm = [_cand("la corte di cassazione ribadisce", -1), _cand("testo inventato di sana pianta", -1)]
+    gold = [_gold(texts[0])]
+    for candidates in (broad, refined, llm):
+        align(candidates, gold, document)
+    assert all(tokenized.count(text) <= 1 for text in texts)
+    assert set(texts) <= set(tokenized)
