@@ -172,19 +172,20 @@ def _load_and_align(
     that the file or gold names.
 
     Every ``doc_id`` is checked to be a plain file name before any judgment
-    is read. Alignment is judgment by judgment: each judgment is read from
-    ``cfg.input_dir`` once and aligned with every candidate file in turn,
-    which lets ``align`` index its paragraphs once.
+    is read. Gold is grouped by judgment in one pass. Alignment is judgment
+    by judgment: each judgment is read from ``cfg.input_dir`` once and
+    aligned with every candidate file in turn against the same gold tuple,
+    which lets ``align`` share its work across the files.
     """
     gold = goldstore.load_gold(gold_path)
-    gold_ids = set(gold.doc_ids())
+    gold_by_doc = gold.by_doc()
     by_doc_sets: list[dict[str, list[extractor.PoLCandidate]]] = []
     for path in candidate_paths:
         by_doc: dict[str, list[extractor.PoLCandidate]] = {}
         for cand in extractor.load_candidates_jsonl(path):
             by_doc.setdefault(cand.doc_id, []).append(cand)
         by_doc_sets.append(by_doc)
-    doc_ids = sorted(gold_ids.union(*by_doc_sets))
+    doc_ids = sorted(set(gold_by_doc).union(*by_doc_sets))
     for doc_id in doc_ids:
         if doc_id in ("", ".", "..") or "/" in doc_id or "\\" in doc_id:
             raise DocMismatch(f"doc_id {doc_id!r} is not a plain file name")
@@ -195,11 +196,12 @@ def _load_and_align(
         if not path.is_file():
             raise DocMismatch(f"document {doc_id!r} not found under {directory}")
         document = load_document(path)
+        doc_gold = gold_by_doc.get(doc_id, ())
         for by_doc, results in zip(by_doc_sets, alignments):
-            if doc_id in gold_ids or doc_id in by_doc:
+            if doc_gold or doc_id in by_doc:
                 results.append(evaluation.align(
                     by_doc.get(doc_id, []),
-                    gold.for_doc(doc_id),
+                    doc_gold,
                     document,
                     overlap_threshold=cfg.overlap_threshold,
                     hallucination_threshold=cfg.hallucination_threshold,

@@ -174,7 +174,7 @@ def _ends_with_ellipsis(text: str) -> bool:
 
 
 class _Normalized(NamedTuple):
-    """A gold span's or a candidate's text, normalized and tokenized once per ``align``."""
+    """A gold span's or a candidate's text, normalized and tokenized once per judgment."""
 
     text: str
     tokens: list[str]
@@ -188,18 +188,18 @@ def _normalized(text: str) -> _Normalized:
 
 
 def _classify_match(
-    gold: GoldAnnotation,
-    candidate: PoLCandidate,
     gold_text: _Normalized,
+    candidate: str,
     cand_text: _Normalized,
     overlap_threshold: float,
-    score: float,
-) -> MatchRecord:
+) -> tuple[Completeness, SimilarityClass]:
+    """Completeness and similarity of a match between a gold span and the
+    candidate text ``candidate``, both normalized and tokenized."""
     gold_counter, cand_counter = gold_text.counts, cand_text.counts
     coverage = containment(gold_counter, cand_counter)
     if coverage >= FULL_COVERAGE:
         completeness = Completeness.FULL
-    elif _ends_with_ellipsis(candidate.text):
+    elif _ends_with_ellipsis(candidate):
         completeness = Completeness.PARTIAL_ELLIPSIS
     else:
         completeness = Completeness.PARTIAL
@@ -222,10 +222,7 @@ def _classify_match(
             similarity = SimilarityClass.SUMMARY
         else:
             similarity = SimilarityClass.DIVERGENT
-    return MatchRecord(
-        gold=gold, candidate=candidate, completeness=completeness,
-        similarity=similarity, score=score,
-    )
+    return completeness, similarity
 
 
 class _SourceParagraphs:
@@ -274,11 +271,70 @@ class _SourceParagraphs:
         return bool(self._index.overlapping(probe, threshold))
 
 
+class _Judgment:
+    """The alignment work that the candidate sets of one judgment share.
+
+    A set's text is normalized and scored against every gold span the first
+    time any set holds it; a match of a gold span with a text is classified,
+    and an unmatched text under its own paragraph triaged, once. The
+    candidate sets of a ``compare`` repeat most of each other's texts.
+    """
+
+    def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
+                 overlap_threshold: float, hallucination_threshold: float):
+        self.source = _SourceParagraphs(document)
+        self.gold_texts = [_normalized(a.span_text) for a in gold]
+        self.overlap_threshold = overlap_threshold
+        self.hallucination_threshold = hallucination_threshold
+        # every text a set held, normalized; a classified text has been scored
+        self.texts: dict[str, _Normalized] = {}
+        # text -> (gold position, score) of every gold span it reaches overlap_threshold with
+        self.scores: dict[str, list[tuple[int, float]]] = {}
+        self.classes: dict[tuple[int, str], tuple[Completeness, SimilarityClass]] = {}
+        self.in_source: dict[tuple[str, int], bool] = {}
+
+    def score(self, texts: list[str]) -> None:
+        """Score the texts no earlier set held against every gold span.
+
+        Only texts sharing a token with a gold span are scored, through an
+        index over the new texts alone.
+        """
+        new = [text for text in dict.fromkeys(texts) if text not in self.scores]
+        if not new:
+            return
+        self.texts.update((text, _normalized(text)) for text in new)
+        counts = [self.texts[text].counts for text in new]
+        hits: list[list[tuple[int, float]]] = [[] for _ in new]
+        index = TokenIndex(counts)
+        for gi, gold_text in enumerate(self.gold_texts):
+            for position in index.overlapping(gold_text.counts, self.overlap_threshold):
+                hits[position].append((gi, overlap_coefficient(gold_text.counts, counts[position])))
+        self.scores.update(zip(new, hits))
+
+    def classify(self, gi: int, text: str) -> tuple[Completeness, SimilarityClass]:
+        classes = self.classes.get((gi, text))
+        if classes is None:
+            classes = self.classes[gi, text] = _classify_match(
+                self.gold_texts[gi], text, self.texts[text], self.overlap_threshold
+            )
+        return classes
+
+    def triage(self, text: str, own: int) -> FpKind:
+        in_source = self.in_source.get((text, own))
+        if in_source is None:
+            in_source = self.in_source[text, own] = self.source.contain(
+                text, own, self.hallucination_threshold
+            )
+        return FpKind.NOT_POL if in_source else FpKind.HALLUCINATION
+
+
 @functools.lru_cache(maxsize=1)
-def _source_paragraphs(document: Document) -> _SourceParagraphs:
-    """One entry: every candidate set of a judgment is aligned before the
-    next judgment, so each of its paragraphs is tokenized at most once."""
-    return _SourceParagraphs(document)
+def _judgment(document: Document, gold: tuple[GoldAnnotation, ...],
+              overlap_threshold: float, hallucination_threshold: float) -> _Judgment:
+    """One entry: every candidate set of a judgment is aligned with the same
+    gold before the next judgment, so each set reuses the work of the sets
+    before it and each paragraph is tokenized at most once."""
+    return _Judgment(document, gold, overlap_threshold, hallucination_threshold)
 
 
 def align(
@@ -297,7 +353,9 @@ def align(
     Not-PoL if any source paragraph reaches ``hallucination_threshold``
     against it, otherwise a Hallucination; its own paragraph is scored
     first, and the others it shares a token with only if that one falls
-    short.
+    short. Scores, classes and verdicts are kept for the next call with the
+    same judgment, gold and thresholds, so the candidate sets of one
+    judgment aligned in turn compute each only once.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):
@@ -307,16 +365,14 @@ def align(
     if len(doc_ids) > 1:
         raise DocMismatch(f"mixed doc_ids in one alignment: {sorted(doc_ids)}")
 
-    gold_texts = [_normalized(a.span_text) for a in gold]
-    cand_texts = [_normalized(c.text) for c in candidates]
-    cand_index = TokenIndex([t.counts for t in cand_texts])
-
-    scored = []
-    for gi, ann in enumerate(gold):
-        gold_counter = gold_texts[gi].counts
-        for ci in cand_index.overlapping(gold_counter, overlap_threshold):
-            score = overlap_coefficient(gold_counter, cand_texts[ci].counts)
-            scored.append((score, ann.paragraph_index, candidates[ci].paragraph_index, gi, ci))
+    judgment = _judgment(document, tuple(gold), overlap_threshold, hallucination_threshold)
+    judgment.score([c.text for c in candidates])
+    scores = judgment.scores
+    scored = [
+        (score, gold[gi].paragraph_index, cand.paragraph_index, gi, ci)
+        for ci, cand in enumerate(candidates)
+        for gi, score in scores[cand.text]
+    ]
     scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3], item[4]))
 
     matched_gold: set[int] = set()
@@ -327,21 +383,19 @@ def align(
             continue
         matched_gold.add(gi)
         matched_cand.add(ci)
-        matches.append(
-            (gi, _classify_match(gold[gi], candidates[ci], gold_texts[gi],
-                                 cand_texts[ci], overlap_threshold, score))
-        )
+        cand = candidates[ci]
+        completeness, similarity = judgment.classify(gi, cand.text)
+        matches.append((gi, MatchRecord(gold=gold[gi], candidate=cand, completeness=completeness,
+                                        similarity=similarity, score=score)))
     matches.sort(key=lambda item: item[0])
 
     # triage compares text as written: a candidate that is nothing but a
     # citation tail still exists in the source and must not read as fabricated
-    source = _source_paragraphs(document)
-    false_positives: list[tuple[PoLCandidate, FpKind]] = []
-    for ci, cand in enumerate(candidates):
-        if ci in matched_cand:
-            continue
-        in_source = source.contain(cand.text, cand.paragraph_index, hallucination_threshold)
-        false_positives.append((cand, FpKind.NOT_POL if in_source else FpKind.HALLUCINATION))
+    false_positives = [
+        (cand, judgment.triage(cand.text, cand.paragraph_index))
+        for ci, cand in enumerate(candidates)
+        if ci not in matched_cand
+    ]
 
     false_negatives = tuple(ann for gi, ann in enumerate(gold) if gi not in matched_gold)
     return AlignmentResult(

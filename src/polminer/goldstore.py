@@ -93,14 +93,12 @@ class GoldSet:
     def __len__(self) -> int:
         return len(self.annotations)
 
-    def for_doc(self, doc_id: str) -> list[GoldAnnotation]:
-        return [a for a in self.annotations if a.doc_id == doc_id]
-
-    def doc_ids(self) -> list[str]:
-        seen: dict[str, None] = {}
+    def by_doc(self) -> dict[str, tuple[GoldAnnotation, ...]]:
+        """Each judgment's annotations in gold order, grouped in one pass."""
+        grouped: dict[str, list[GoldAnnotation]] = {}
         for a in self.annotations:
-            seen.setdefault(a.doc_id, None)
-        return list(seen)
+            grouped.setdefault(a.doc_id, []).append(a)
+        return {doc_id: tuple(annotations) for doc_id, annotations in grouped.items()}
 
 
 def _run_highlight(run: ET.Element) -> str | None:

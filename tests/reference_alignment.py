@@ -6,8 +6,10 @@ are checked against. They score every gold span against every candidate and
 every unmatched candidate or passage against every source paragraph, so
 they take quadratic time; tests only feed them small documents. The match
 classification is the earlier one too, which normalized and tokenized both
-texts again for every match; the result types and the class thresholds are
-shared with the package.
+texts again for every match, and so is its ``token_edit_ratio``, the
+dynamic program over the whole edit table that the bit-parallel one in
+``polminer.textnorm`` is checked against; the result types and the class
+thresholds are shared with the package.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from polminer.textnorm import (
     normalize_text,
     overlap_coefficient,
     raw_token_counts,
-    token_edit_ratio,
 )
 
 
@@ -48,6 +49,22 @@ def tokens(text: str) -> list[str]:
 
 def token_counts(text: str) -> Counter[str]:
     return Counter(tokens(text))
+
+
+def token_edit_ratio(a: list[str], b: list[str]) -> float:
+    """Levenshtein distance over token sequences, scaled by the longer length."""
+    if not a and not b:
+        return 0.0
+    if not a or not b:
+        return 1.0
+    prev = list(range(len(b) + 1))
+    for i, ta in enumerate(a, start=1):
+        cur = [i]
+        for j, tb in enumerate(b, start=1):
+            cost = 0 if ta == tb else 1
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+        prev = cur
+    return prev[-1] / max(len(a), len(b))
 
 
 def _classify_match(

@@ -68,13 +68,14 @@ def repro(tmp_path_factory):
     corpus = fixture.write_corpus(tmp_path_factory.mktemp("acc_corpus"))
     documents = {doc_id: load_document(corpus / doc_id) for doc_id in fixture.paragraphs}
     gold = fixture.gold_set()
+    gold_by_doc = gold.by_doc()
 
     def _align(candidates):
         by_doc: dict[str, list] = {}
         for cand in candidates:
             by_doc.setdefault(cand.doc_id, []).append(cand)
         return [
-            align(by_doc.get(doc_id, []), gold.for_doc(doc_id), documents[doc_id])
+            align(by_doc.get(doc_id, []), gold_by_doc.get(doc_id, ()), documents[doc_id])
             for doc_id in sorted(documents)
         ]
 

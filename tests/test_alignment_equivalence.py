@@ -1,5 +1,5 @@
-"""Token-indexed alignment and passage resolution agree with the brute-force
-reference on small-vocabulary judgments.
+"""Token-indexed alignment, passage resolution and the bit-parallel edit
+distance agree with the brute-force reference on small-vocabulary inputs.
 
 A vocabulary of a few words makes shared tokens, repeated tokens and exact
 threshold hits (4 of 5 tokens at 0.8, 3 of 5 at 0.6) common, and citation
@@ -7,6 +7,8 @@ tails and quotation marks make the normalized and the as-written token
 counts differ. Some candidates copy a paragraph word for word, as every
 rules candidate does, and name that paragraph, another one or none, so FP
 triage is settled by the own paragraph, by the index, or by neither.
+Candidate sets aligned in turn against one judgment share its scores,
+classes and triage verdicts, and must each still equal the reference.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
 from polminer.llm import resolve_paragraph
-from polminer.textnorm import TokenIndex, overlap_coefficient, raw_token_counts
+from polminer.textnorm import TokenIndex, overlap_coefficient, raw_token_counts, token_edit_ratio
 
 DOC_ID = "d.txt"
 _WORDS = st.sampled_from(("corte", "legge", "corte", "diritto", "Corte", "“corte”", "(2019)", "…"))
@@ -92,26 +94,114 @@ class _CountingIndex(TokenIndex):
         return super().overlapping(probe, threshold)
 
 
+def _align_counting(candidates, gold, document, overlap, hallucination):
+    """``align``'s result, the gold-candidate scores it computed and the
+    probes of the judgment's paragraph index it made."""
+    scores = []
+
+    def counting_overlap(a, b):
+        scores.append((a, b))
+        return overlap_coefficient(a, b)
+
+    _CountingIndex.probed = []
+    real = evaluation.TokenIndex, evaluation.overlap_coefficient
+    evaluation.TokenIndex, evaluation.overlap_coefficient = _CountingIndex, counting_overlap
+    try:
+        result = align(candidates, gold, document, overlap, hallucination)
+    finally:
+        evaluation.TokenIndex, evaluation.overlap_coefficient = real
+    paragraph_index = evaluation._judgment(document, tuple(gold), overlap, hallucination).source._index
+    probes = sum(index is paragraph_index for index in _CountingIndex.probed)
+    return result, len(scores), probes
+
+
+def _unsettled(false_positives, paragraphs: list[str], threshold: float) -> set[tuple[str, int]]:
+    """The distinct (text, own paragraph) of FPs whose own paragraph leaves triage open."""
+    return {
+        (cand.text, cand.paragraph_index)
+        for cand, _ in false_positives
+        if not _own_paragraph_settles(cand, paragraphs, threshold)
+    }
+
+
 @settings(max_examples=500, deadline=None)
 @given(_cases())
 def test_indexed_align_equals_reference(case):
     paragraphs, gold, candidates, overlap, hallucination = case
     document = _document(paragraphs)
-    evaluation._source_paragraphs.cache_clear()
-    _CountingIndex.probed = []
-    real, evaluation.TokenIndex = evaluation.TokenIndex, _CountingIndex
-    try:
-        result = align(candidates, gold, document, overlap, hallucination)
-    finally:
-        evaluation.TokenIndex = real
+    evaluation._judgment.cache_clear()
+    result, _, probes = _align_counting(candidates, gold, document, overlap, hallucination)
     assert result == ref.align(candidates, gold, document, overlap, hallucination)
-    # the paragraph index is probed once for each unmatched candidate whose
-    # own paragraph leaves its triage open, and for no other
-    paragraph_index = evaluation._source_paragraphs(document)._index
-    assert sum(index is paragraph_index for index in _CountingIndex.probed) == sum(
-        not _own_paragraph_settles(cand, paragraphs, hallucination)
-        for cand, _ in result.false_positives
-    )
+    # the paragraph index is probed once for each distinct unmatched text and
+    # own paragraph that the own paragraph leaves open, and for no other
+    assert probes == len(_unsettled(result.false_positives, paragraphs, hallucination))
+
+
+@st.composite
+def _set_sequences(draw):
+    """A judgment, its gold, and candidate sets drawn from one pool: subsets
+    of it, reorderings of it, and its texts under other own paragraphs; and
+    before each set, whether another alignment comes first: of another
+    judgment, or of this one with other gold or at another threshold."""
+    paragraphs, gold, pool, overlap, hallucination = draw(_cases())
+    index = st.integers(-1, len(paragraphs))
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(("subset", "reordered", "moved")), min_size=2, max_size=4)):
+        if kind == "subset":
+            kept = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+            sets.append([cand for cand, keep in zip(pool, kept) if keep])
+        elif kind == "reordered":
+            sets.append(draw(st.permutations(pool)))
+        else:
+            sets.append([_candidate(draw(index), cand.text) for cand in pool])
+    evictions = draw(st.lists(st.sampled_from((None, "document", "gold", "overlap", "hallucination")),
+                              min_size=len(sets), max_size=len(sets)))
+    return paragraphs, gold, sets, evictions, overlap, hallucination
+
+
+@settings(max_examples=300, deadline=None)
+@given(_set_sequences())
+def test_candidate_sets_aligned_in_turn_equal_reference(case):
+    paragraphs, gold, sets, evictions, overlap, hallucination = case
+    document = _document(paragraphs)
+    other = Document(doc_id="e.txt", paragraphs=(Paragraph(index=0, text="corte", char_offset=0),),
+                     page_count=None, source_path="e.txt")
+    other_candidates = [PoLCandidate(doc_id="e.txt", paragraph_index=0, text="legge", quote="",
+                                     trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)]
+    other_gold = gold + [GoldAnnotation(doc_id=DOC_ID, paragraph_index=0, span_text="corte legge",
+                                        pol_type=PoLType.IMPLICIT)]
+    other_overlap = 0.5 if overlap != 0.5 else 1.0
+    other_hallucination = 0.5 if hallucination != 0.5 else 1.0
+    evaluation._judgment.cache_clear()
+    gold_counts = [ref.token_counts(a.span_text) for a in gold]
+    scored_texts: set[str] = set()
+    triaged: set[tuple[str, int]] = set()
+    for candidates, evict in zip(sets, evictions):
+        if evict == "document":
+            align(other_candidates, [], other, overlap, hallucination)
+        elif evict == "gold":
+            align(candidates, other_gold, document, overlap, hallucination)
+        elif evict == "overlap":
+            align(candidates, gold, document, other_overlap, hallucination)
+        elif evict == "hallucination":
+            align(candidates, gold, document, overlap, other_hallucination)
+        if evict:
+            scored_texts, triaged = set(), set()
+        result, scores, probes = _align_counting(candidates, gold, document, overlap, hallucination)
+        assert result == ref.align(candidates, gold, document, overlap, hallucination)
+        # a gold span and a text are scored once per judgment, by the first
+        # set holding the text, and only when the pair reaches the threshold
+        new_texts = {cand.text for cand in candidates} - scored_texts
+        assert scores == sum(
+            overlap_coefficient(g, ref.token_counts(text)) >= overlap
+            for text in new_texts
+            for g in gold_counts
+        )
+        scored_texts |= new_texts
+        # an unmatched text under its own paragraph is triaged once per judgment
+        unsettled = _unsettled(result.false_positives, paragraphs, hallucination)
+        assert probes == len(unsettled - triaged)
+        triaged |= {(cand.text, cand.paragraph_index) for cand, _ in result.false_positives}
 
 
 @settings(max_examples=500, deadline=None)
@@ -133,13 +223,13 @@ def test_exact_threshold_hits_match():
                      pol_type=PoLType.IMPLICIT, source=Source.LLM)
         for i, text in enumerate(["a b c d e", "a b c q r"])
     ]
-    evaluation._source_paragraphs.cache_clear()
+    evaluation._judgment.cache_clear()
     result = align(candidates, gold, document, 0.8, 0.6)
     assert result == ref.align(candidates, gold, document, 0.8, 0.6)
     assert len(result.matches) == 1 and result.matches[0].score == 0.8
     assert [kind for _, kind in result.false_positives] == [FpKind.NOT_POL]
     # the FP's own paragraph reaches 0.6 exactly, which settles its triage
-    assert evaluation._source_paragraphs(document)._index is None
+    assert evaluation._judgment(document, tuple(gold), 0.8, 0.6).source._index is None
 
 
 def test_resolve_paragraph_tie_keeps_the_first_paragraph():
@@ -147,3 +237,40 @@ def test_resolve_paragraph_tie_keeps_the_first_paragraph():
     counters = [raw_token_counts(text) for text in ("legge", "corte")]
     assert resolve_paragraph("corte legge", TokenIndex(counters), 0.5) == 0
     assert ref.resolve_paragraph("corte legge", list(enumerate(counters)), 0.5) == 0
+
+
+_TOKENS = st.sampled_from(("a", "b", "c"))
+
+
+@st.composite
+def _edited(draw, tokens: list[str]) -> list[str]:
+    """``tokens`` after a few insertions, deletions and substitutions."""
+    edited = list(tokens)
+    for _ in range(draw(st.integers(0, 6))):
+        position = draw(st.integers(0, len(edited)))
+        op = draw(st.sampled_from(("insert", "delete", "substitute")))
+        if op == "insert":
+            edited.insert(position, draw(_TOKENS))
+        elif position < len(edited):
+            if op == "delete":
+                del edited[position]
+            else:
+                edited[position] = draw(_TOKENS)
+    return edited
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(_TOKENS, max_size=12), st.lists(_TOKENS, max_size=12))
+def test_bit_parallel_edit_ratio_equals_reference_on_small_alphabets(a, b):
+    assert token_edit_ratio(a, b) == ref.token_edit_ratio(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from((65, 129)))
+def test_bit_parallel_edit_ratio_equals_reference_past_word_sizes(data, minimum):
+    # past 64 and 128 tokens the pattern spans several machine words, and
+    # a near copy keeps carries running across them
+    a = data.draw(st.lists(_TOKENS, min_size=minimum, max_size=minimum + 40))
+    b = data.draw(st.one_of(_edited(a), st.lists(_TOKENS, max_size=minimum + 40)))
+    assert token_edit_ratio(a, b) == ref.token_edit_ratio(a, b)
+    assert token_edit_ratio(b, a) == ref.token_edit_ratio(b, a)

@@ -8,10 +8,10 @@ import pytest
 from docxbuild import make_docx, truncate_file
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from repro import ReproFixture
-from polminer import cli
+from polminer import cli, evaluation
 from polminer.cli import main
 from polminer.extractor import PoLCandidate, PoLType, save_candidates_jsonl
-from polminer.goldstore import GoldAnnotation, GoldSet, save_gold
+from polminer.goldstore import GoldAnnotation, GoldSet, load_gold, save_gold
 
 
 def test_extract_fixture_corpus_matches_golden_files(tmp_path, capsys):
@@ -443,6 +443,29 @@ def test_compare_reads_each_judgment_once(repro_files, tmp_path, monkeypatch):
         "--input", str(corpus), "--out", str(tmp_path / "cmp"),
     ]) == 0
     assert opened and sorted(opened) == sorted(set(opened))
+
+
+def test_compare_groups_gold_once_and_gives_every_set_the_same_tuple(repro_files, tmp_path, monkeypatch):
+    base, corpus, gold_path, paths = repro_files
+    aligned = []
+    real_align = evaluation.align
+
+    def spy(candidates, gold, document, **kwargs):
+        aligned.append((document.doc_id, gold))
+        return real_align(candidates, gold, document, **kwargs)
+
+    monkeypatch.setattr(evaluation, "align", spy)
+    assert main([
+        "compare", str(gold_path), str(paths["chat"]), str(paths["regex"]), str(paths["annotators"]),
+        "--input", str(corpus), "--out", str(tmp_path / "cmp"),
+    ]) == 0
+    annotations = load_gold(gold_path).annotations
+    for doc_id in {doc_id for doc_id, _ in aligned}:
+        golds = [gold for aligned_id, gold in aligned if aligned_id == doc_id]
+        assert len(golds) == 3
+        # one tuple per judgment, built before its first alignment, in gold order
+        assert all(gold is golds[0] for gold in golds)
+        assert golds[0] == tuple(a for a in annotations if a.doc_id == doc_id)
 
 
 REPORT_FLAGS = {"--config", "--input", "--out", "--format", "--overlap", "--hallucination-threshold"}

@@ -319,13 +319,14 @@ def repro_alignments(tmp_path_factory):
     for doc_id in fixture.paragraphs:
         documents[doc_id] = load_document(corpus_dir / doc_id)
     gold = fixture.gold_set()
+    gold_by_doc = gold.by_doc()
 
     def _align_method(candidates):
         by_doc = {}
         for cand in candidates:
             by_doc.setdefault(cand.doc_id, []).append(cand)
         return [
-            align(by_doc.get(doc_id, []), gold.for_doc(doc_id), documents[doc_id])
+            align(by_doc.get(doc_id, []), gold_by_doc.get(doc_id, ()), documents[doc_id])
             for doc_id in sorted(documents)
         ]
 

@@ -1,5 +1,6 @@
 """Each detector and the citation locator take linear time on adversarial
-lines, and alignment takes linear time on a judgment of disjoint paragraphs.
+lines, alignment takes linear time on a judgment of disjoint paragraphs,
+and the token edit distance takes linear time on paragraph-length texts.
 
 Every detector test times one line at n and at 4n characters, n about 2,000
 (the length of a long plaintext paragraph) unless the test says otherwise. A
@@ -23,6 +24,7 @@ from polminer.evaluation import align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
+from polminer.textnorm import token_edit_ratio
 
 V1 = PROFILES["v1_broad"]
 V2 = PROFILES["v2_refined"]
@@ -126,3 +128,17 @@ def test_align_linear_on_disjoint_paragraphs():
     # every gold span matches its copy and every other candidate is a
     # Not-PoL; scoring all pairs would make n = 200 take 16 times n = 50
     assert _ratio(lambda args: align(*args), _judgment(50), _judgment(200)) < MAX_RATIO
+
+
+def _near_copies(n: int) -> tuple[list[str], list[str]]:
+    """Two texts of n tokens over 50 words, the second with every tenth token replaced."""
+    a = [f"w{i % 50}" for i in range(n)]
+    return a, [t if i % 10 else "x" for i, t in enumerate(a)]
+
+
+def test_token_edit_ratio_linear_up_to_paragraph_length():
+    # 75 and 300 tokens, up to a long paragraph: the bit-parallel distance
+    # spends a few operations on words of 64 pattern tokens per token of the
+    # other text, so its column fits a handful of words at both lengths;
+    # the dynamic program over the whole table takes 16 times as long at 4n
+    assert _ratio(lambda pair: token_edit_ratio(*pair), _near_copies(75), _near_copies(300)) < MAX_RATIO
