@@ -1,7 +1,7 @@
 """Toolkit for extracting principle-of-law passages from Italian court
 judgments and evaluating any extractor's output against gold annotations."""
 
-from .corpus import Document, Paragraph, load_corpus, load_document
+from .corpus import Document, Paragraph, load_document
 from .evaluation import ConfusionCounts, MetricsMode, align, confusion, metrics
 from .extractor import PoLCandidate, PoLType, extract_candidates
 from .goldstore import GoldAnnotation, GoldSet
@@ -24,7 +24,6 @@ __all__ = [
     "confusion",
     "extract_candidates",
     "get_profile",
-    "load_corpus",
     "load_document",
     "metrics",
     "parse_citation",

@@ -19,6 +19,7 @@ from pathlib import Path
 from . import evaluation, extractor, goldstore, llm
 from .corpus import LoadWarning, is_docx, list_judgments, load_document
 from .errors import DocMismatch, PolminerError, UnreadableJudgment
+from .outfile import atomic_write
 from .patterns import PROFILES, get_profile
 
 EXIT_OK = 0
@@ -26,6 +27,13 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 2
 
 REPORT_FORMATS = ("csv", "md", "json")
+
+
+def _read_json(path: str, what: str) -> object:
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise PolminerError(f"cannot read {what}: {exc}") from exc
 
 
 @dataclass
@@ -41,10 +49,7 @@ class RunConfig:
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         cfg = cls()
         if getattr(args, "config", None):
-            try:
-                data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError) as exc:
-                raise PolminerError(f"cannot read config {args.config}: {exc}") from exc
+            data = _read_json(args.config, f"config {args.config}")
             if not isinstance(data, dict):
                 raise PolminerError(f"config {args.config} must hold a JSON object")
             known = {f.name for f in fields(cls)}
@@ -210,16 +215,10 @@ def _load_and_align(
 
 
 def _write_report(out_dir: Path, basename: str, table: evaluation.Table, formats: tuple[str, ...]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if "csv" in formats:
-        (out_dir / f"{basename}.csv").write_text(table.to_csv(), encoding="utf-8")
-    if "md" in formats:
-        (out_dir / f"{basename}.md").write_text(table.to_markdown(), encoding="utf-8")
-    if "json" in formats:
-        payload = {"rows": table.to_records(), "footnotes": table.footnotes}
-        (out_dir / f"{basename}.json").write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+    rendered = {"csv": table.to_csv, "md": table.to_markdown, "json": table.to_json}
+    for name in formats:
+        with atomic_write(out_dir / f"{basename}.{name}") as fh:
+            fh.write(rendered[name]())
 
 
 def _print_metrics(summary: dict) -> None:
@@ -239,10 +238,8 @@ def cmd_evaluate(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
     _print_metrics(summary)
     out_dir = Path(cfg.output_dir)
     if "json" in cfg.report_formats:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "evaluation.json").write_text(
-            json.dumps(summary, ensure_ascii=False, indent=2) + "\n", encoding="utf-8"
-        )
+        with atomic_write(out_dir / "evaluation.json") as fh:
+            fh.write(json.dumps(summary, ensure_ascii=False, indent=2) + "\n")
     _write_report(out_dir, "tracking", evaluation.tracking_table(alignments), cfg.report_formats)
     return EXIT_OK
 
@@ -286,11 +283,7 @@ def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
 def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     paths, skipped = list_judgments(cfg.input_dir)
     if args.mock:
-        try:
-            responses = json.loads(Path(args.mock).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise PolminerError(f"cannot read mock fixtures: {exc}") from exc
-        transport: llm.Transport = llm.ScriptedTransport(responses=responses)
+        transport: llm.Transport = llm.ScriptedTransport(responses=_read_json(args.mock, "mock fixtures"))
     elif args.endpoint:
         transport = llm.HttpChatTransport(
             endpoint=args.endpoint,
@@ -321,6 +314,12 @@ def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     ok, failed = _each_judgment(extract, paths, skipped)
     extractor.save_candidates_jsonl(candidates, args.out_file)
     return _finish(f"{ok} ok, {failed} failed; wrote {args.out_file}", ok, failed)
+
+
+def _positive_int(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a whole number of at least 1, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -378,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_llm.add_argument("--endpoint", help="chat-completions endpoint URL")
     p_llm.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
     p_llm.add_argument("--temperature", type=float, help="sampling temperature")
-    p_llm.add_argument("--budget", type=int, default=5, help="queries per session before reset")
+    p_llm.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
     p_llm.add_argument("--language", choices=["it", "en"], default="it", help="prompt language")
     p_llm.add_argument("--audit", help="JSONL audit log of requests and responses")
     p_llm.add_argument("--out-file", default="llm_candidates.jsonl", help="candidates JSONL output")

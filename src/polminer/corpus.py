@@ -8,11 +8,11 @@ stored, since downstream pattern matching depends on them.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .errors import DirectoryNotFound, EncodingError, MalformedArchive, UnreadableJudgment
+from .errors import DirectoryNotFound, EncodingError, MalformedArchive
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = "{%s}" % W_NS
@@ -48,12 +48,6 @@ class Document:
 class LoadWarning:
     path: str
     reason: str
-
-
-@dataclass
-class CorpusLoadResult:
-    documents: list[Document]
-    warnings: list[LoadWarning] = field(default_factory=list)
 
 
 def is_docx(path: str | Path) -> bool:
@@ -211,21 +205,3 @@ def load_document(path: str | Path) -> Document:
     else:
         texts, pages = _plaintext_paragraphs(p), None
     return _assemble(p.name, texts, pages, p)
-
-
-def load_corpus(directory: str | Path) -> CorpusLoadResult:
-    """Load every judgment ``list_judgments`` finds in ``directory``.
-
-    Other files and per-file load failures become warning records; they
-    never abort the batch.
-    """
-    paths, warnings = list_judgments(directory)
-    result = CorpusLoadResult(documents=[], warnings=warnings)
-    for path in paths:
-        try:
-            result.documents.append(load_document(path))
-        except UnreadableJudgment as exc:
-            result.warnings.append(LoadWarning(exc.path, exc.reason))
-        except OSError as exc:
-            result.warnings.append(LoadWarning(str(path), str(exc)))
-    return result

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 from collections import Counter
 from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
@@ -432,6 +433,10 @@ class Table:
         writer.writerows(self.rows)
         return buf.getvalue()
 
+    def to_json(self) -> str:
+        payload = {"rows": self.to_records(), "footnotes": self.footnotes}
+        return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
+
     def to_markdown(self) -> str:
         cells = [self.columns] + [[_fmt_cell(v) for v in row] for row in self.rows]
         widths = [max(len(row[i]) for row in cells) for i in range(len(self.columns))]
@@ -524,16 +529,6 @@ class ComparisonReport:
     error_share: Table
 
 
-def _gold_keys(alignments: Sequence[AlignmentResult]) -> set:
-    keys = set()
-    for a in alignments:
-        for m in a.matches:
-            keys.add(m.gold.key())
-        for ann in a.false_negatives:
-            keys.add(ann.key())
-    return keys
-
-
 def comparison_table(
     gold: GoldSet,
     methods: Mapping[str, Sequence[AlignmentResult]],
@@ -546,9 +541,10 @@ def comparison_table(
     """
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")
-    gold_keys = {a.key() for a in gold.annotations}
+    annotations = set(gold.annotations)
     for name, alignments in methods.items():
-        if _gold_keys(alignments) != gold_keys:
+        aligned = {m.gold for a in alignments for m in a.matches}
+        if aligned.union(*(a.false_negatives for a in alignments)) != annotations:
             raise GoldMismatch(f"method {name!r} is not aligned against the given gold set")
 
     whole = len(gold)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .corpus import Document
 from .errors import SchemaError
+from .outfile import atomic_write
 from .patterns import CitationRef, RuleProfile, citation_at_end, find_citations, find_quotes, match_keywords
 
 
@@ -90,10 +91,6 @@ def classify(quote: str, citations: tuple[CitationRef, ...] | list[CitationRef])
     return PoLType.IMPLICIT
 
 
-def classify_candidate(candidate: PoLCandidate) -> PoLType:
-    return classify(candidate.quote, candidate.citations)
-
-
 def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCandidate]:
     """Run the profile over every paragraph and return typed candidates,
     at most one per paragraph."""
@@ -144,24 +141,20 @@ def emit_csv(
     """Write ``<output_directory>/<basename>.csv`` and return its path.
 
     UTF-8, LF line endings, header ``Paragraph,Quote``, one row per candidate
-    in paragraph order, minimal CSV quoting.
+    in paragraph order, minimal CSV quoting. The file is replaced whole.
     """
-    out_dir = Path(output_directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / (Path(input_filename).stem + ".csv")
-    rows = sorted(candidates, key=lambda c: c.paragraph_index)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    out_path = Path(output_directory) / (Path(input_filename).stem + ".csv")
+    with atomic_write(out_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for cand in rows:
+        for cand in sorted(candidates, key=lambda c: c.paragraph_index):
             writer.writerow([cand.text, cand.quote])
     return out_path
 
 
 def save_candidates_jsonl(candidates: list[PoLCandidate], path: str | Path) -> Path:
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
-    with open(p, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(p) as fh:
         for cand in candidates:
             fh.write(json.dumps(cand.to_dict(), ensure_ascii=False) + "\n")
     return p

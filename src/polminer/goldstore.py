@@ -17,6 +17,7 @@ from xml.etree import ElementTree as ET
 from .corpus import W, docx_paragraphs
 from .errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
 from .extractor import PoLCandidate, PoLType
+from .outfile import atomic_write
 from .textnorm import normalize_text
 
 HIGHLIGHT_TYPE_MAP = {
@@ -168,12 +169,9 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
 
 def save_gold(gold: GoldSet, path: str | Path) -> Path:
     p = Path(path)
-    p.parent.mkdir(parents=True, exist_ok=True)
     payload = {"annotations": [a.to_dict() for a in gold.annotations]}
-    p.write_text(
-        json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    with atomic_write(p) as fh:
+        fh.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return p
 
 

@@ -149,25 +149,21 @@ class Transport(Protocol):
         ...
 
 
+@dataclass(eq=False)
 class HttpChatTransport:
     """Minimal JSON-over-HTTP chat-completions client."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_name: str,
-        temperature: float | None = None,
-        api_key: str | None = None,
-        timeout: float = 120.0,
-    ):
-        self.endpoint = endpoint
-        self.model_name = model_name
-        self.temperature = temperature
-        self.api_key = api_key
-        self.timeout = timeout
+    endpoint: str
+    model_name: str
+    temperature: float | None = None
+    api_key: str | None = field(default=None, repr=False)
+    timeout: float = 120.0
 
     def send(self, prompt: str, document: Document) -> str:
-        import requests
+        # imported on first use: urllib.request loads ssl and email, tens of ms
+        import http.client
+        import urllib.error
+        import urllib.request
 
         payload: dict = {
             "model": self.model_name,
@@ -179,13 +175,21 @@ class HttpChatTransport:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = requests.post(self.endpoint, json=payload, headers=headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+            # NaN and infinity are not JSON: refuse them rather than send them
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+            request = urllib.request.Request(self.endpoint, body, headers, method="POST")
+            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
+                status, answer = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            raise TransportError(f"{self.endpoint} returned HTTP {exc.code}") from None
+        # a read timeout is a bare TimeoutError, an OSError outside URLError
+        except (OSError, ValueError, http.client.HTTPException) as exc:
             raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise TransportError(f"{self.endpoint} returned HTTP {resp.status_code}")
+        if status != 200:
+            raise TransportError(f"{self.endpoint} returned HTTP {status}")
         try:
-            return resp.json()["choices"][0]["message"]["content"]
+            return json.loads(answer)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected response shape from {self.endpoint}") from exc
 

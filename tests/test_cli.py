@@ -346,6 +346,26 @@ def test_llm_extract_with_mock(tmp_path, capsys):
     assert record["source"] == "LLM" and record["paragraph_index"] == 0
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_llm_extract_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, budget):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": "Il giudice"}), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
+    out_file = tmp_path / "llm.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "llm-extract", "--input", str(corpus), "--mock", str(mock),
+            "--out-file", str(out_file), "--budget", budget,
+        ])
+    assert exit_info.value.code == 2
+    assert opened == [] and not out_file.exists()
+    assert f"--budget: must be a whole number of at least 1, got '{budget}'" in capsys.readouterr().err
+
+
 def test_llm_extract_requires_transport_choice(tmp_path):
     corpus = tmp_path / "S"
     corpus.mkdir()

@@ -5,7 +5,7 @@ import zipfile
 import pytest
 
 from docxbuild import make_docx, truncate_file
-from polminer.corpus import load_corpus, load_document
+from polminer.corpus import list_judgments, load_document
 from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
 
 
@@ -115,33 +115,22 @@ def test_load_is_idempotent(sample_docx):
     assert load_document(sample_docx) == load_document(sample_docx)
 
 
-def test_load_corpus_order_and_warnings(tmp_path):
+def test_list_judgments_order_and_warnings(tmp_path):
     make_docx(tmp_path / "s02.docx", ["B"])
     make_docx(tmp_path / "s01.docx", ["A"])
     (tmp_path / "notes.txt").write_text("appunti\n", encoding="utf-8")
     (tmp_path / "ignora.pdf").write_bytes(b"%PDF-")
-    result = load_corpus(tmp_path)
-    assert [d.doc_id for d in result.documents] == ["s01.docx", "s02.docx", "notes.txt"]
-    assert len(result.warnings) == 1
-    assert "ignora.pdf" in result.warnings[0].path
+    paths, warnings = list_judgments(tmp_path)
+    assert [p.name for p in paths] == ["s01.docx", "s02.docx", "notes.txt"]
+    assert len(warnings) == 1
+    assert "ignora.pdf" in warnings[0].path
+    assert warnings[0].reason == "unrecognized extension"
 
 
-def test_load_corpus_collects_per_file_errors(tmp_path):
-    make_docx(tmp_path / "a.docx", ["A"])
-    make_docx(tmp_path / "b.docx", ["B"])
-    corrupt = make_docx(tmp_path / "c.docx", ["C"])
-    truncate_file(corrupt)
-    result = load_corpus(tmp_path)
-    assert [d.doc_id for d in result.documents] == ["a.docx", "b.docx"]
-    assert len(result.warnings) == 1
-    assert "c.docx" in result.warnings[0].path
+def test_list_judgments_empty_dir(tmp_path):
+    assert list_judgments(tmp_path) == ([], [])
 
 
-def test_load_corpus_empty_dir(tmp_path):
-    result = load_corpus(tmp_path)
-    assert result.documents == [] and result.warnings == []
-
-
-def test_load_corpus_missing_dir(tmp_path):
+def test_list_judgments_missing_dir(tmp_path):
     with pytest.raises(DirectoryNotFound):
-        load_corpus(tmp_path / "assente")
+        list_judgments(tmp_path / "assente")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -416,6 +417,17 @@ def test_comparison_rejects_mismatched_gold(repro_alignments):
     truncated = GoldSet(annotations=gold.annotations[:-1])
     with pytest.raises(GoldMismatch):
         comparison_table(truncated, methods)
+
+
+def test_comparison_rejects_gold_with_the_same_keys_but_another_type(repro_alignments):
+    gold, methods = repro_alignments
+    first = gold.annotations[0]
+    other = next(t for t in PoLType if t != first.pol_type)
+    retyped = GoldSet(annotations=(dataclasses.replace(first, pol_type=other),) + gold.annotations[1:])
+    assert {a.key() for a in retyped.annotations} == {a.key() for a in gold.annotations}
+    # the methods aligned against ``first`` as typed in ``gold``, so none covers ``retyped``
+    with pytest.raises(GoldMismatch):
+        comparison_table(retyped, methods)
 
 
 def test_comparison_needs_two_methods(repro_alignments):

@@ -15,7 +15,7 @@ from polminer.extractor import (
     PoLType,
     Source,
     Trigger,
-    classify_candidate,
+    classify,
     emit_csv,
     extract_candidates,
     load_candidates_jsonl,
@@ -75,7 +75,7 @@ def test_keyword_hit_without_citation_is_implicit():
     doc = _doc(["la giurisprudenza ha sostenuto che nulla rileva"])
     cands = extract_candidates(doc, V1)
     assert cands[0].pol_type == PoLType.IMPLICIT
-    assert classify_candidate(cands[0]) == PoLType.IMPLICIT
+    assert classify(cands[0].quote, cands[0].citations) == PoLType.IMPLICIT
 
 
 def test_classification_is_stable_under_citation_reordering():
@@ -91,7 +91,7 @@ def test_classification_is_stable_under_citation_reordering():
         citations=tuple(reversed(cand.citations)),
         source=cand.source,
     )
-    assert classify_candidate(reordered) == classify_candidate(cand)
+    assert classify(reordered.quote, reordered.citations) == classify(cand.quote, cand.citations)
 
 
 def test_extraction_is_deterministic():

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import socket
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -215,23 +218,42 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
 @pytest.fixture
 def chat_server(monkeypatch):
     """A chat-completions stub on 127.0.0.1: records each request's
-    Authorization header and JSON body, and answers with ``reply``."""
+    Authorization header and JSON body, and answers with ``reply``, after
+    sleeping ``reply["stall"]`` seconds before the ``reply["stall_at"]``
+    part ("headers" or "body") of the answer.
+
+    ``requests`` cannot be imported while it runs: the transport needs only
+    the standard library."""
+    monkeypatch.setitem(sys.modules, "requests", None)
     for var in ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "http_proxy", "https_proxy", "all_proxy"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     seen = []
-    reply = {"status": 200, "body": {"choices": [{"message": {"content": "passaggio copiato"}}]}}
+    reply = {
+        "status": 200,
+        "body": {"choices": [{"message": {"content": "passaggio copiato"}}]},
+        "stall": 0.0,
+        "stall_at": "headers",
+    }
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             body = self.rfile.read(int(self.headers["Content-Length"]))
             seen.append((self.headers.get("Authorization"), json.loads(body)))
             answer = json.dumps(reply["body"]).encode("utf-8")
-            self.send_response(reply["status"])
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(answer)))
-            self.end_headers()
-            self.wfile.write(answer)
+            try:
+                if reply["stall_at"] == "headers":
+                    time.sleep(reply["stall"])
+                self.send_response(reply["status"])
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(answer)))
+                self.end_headers()
+                if reply["stall_at"] == "body":
+                    time.sleep(reply["stall"])
+                self.wfile.write(answer)
+            except ConnectionError:
+                if not reply["stall"]:
+                    raise  # only a client that timed out may hang up
 
         def log_message(self, *args):
             pass
@@ -280,3 +302,37 @@ def test_http_transport_body_without_choices_is_transport_error(chat_server):
     reply["body"] = {"error": "nessuna scelta"}
     with pytest.raises(TransportError, match="unexpected response shape"):
         HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+
+
+@pytest.mark.parametrize("status", [500, 201])
+def test_http_transport_other_status_is_transport_error(chat_server, status):
+    url, _, reply = chat_server
+    reply["status"] = status
+    with pytest.raises(TransportError, match=f"HTTP {status}"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+
+
+def test_http_transport_refused_connection_is_transport_error(chat_server):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    # nothing listens on ``port`` once its socket is closed
+    url = f"http://127.0.0.1:{port}/v1/chat/completions"
+    with pytest.raises(TransportError, match="failed"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+
+
+@pytest.mark.parametrize("stall_at", ["headers", "body"])
+def test_http_transport_read_timeout_is_transport_error(chat_server, stall_at):
+    url, _, reply = chat_server
+    reply["stall"], reply["stall_at"] = 0.6, stall_at
+    with pytest.raises(TransportError, match="failed"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=0.2).send("p", _doc())
+
+
+def test_http_transport_nan_temperature_is_never_sent(chat_server):
+    url, seen, _ = chat_server
+    transport = HttpChatTransport(endpoint=url, model_name="m", temperature=float("nan"), timeout=10)
+    with pytest.raises(TransportError):
+        transport.send("p", _doc())
+    assert seen == []
