@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -322,6 +323,18 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_float(text: str) -> float:
+    # float() reads "nan" and "inf", which the audit log would write as
+    # NaN and Infinity, neither of them JSON
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polminer",
@@ -376,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_llm.add_argument("--mock", help="JSON file mapping doc_id to canned response")
     p_llm.add_argument("--endpoint", help="chat-completions endpoint URL")
     p_llm.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
-    p_llm.add_argument("--temperature", type=float, help="sampling temperature")
+    p_llm.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
     p_llm.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
     p_llm.add_argument("--language", choices=["it", "en"], default="it", help="prompt language")
     p_llm.add_argument("--audit", help="JSONL audit log of requests and responses")

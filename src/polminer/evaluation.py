@@ -460,11 +460,6 @@ def _fmt_cell(value: object) -> str:
     return "" if value is None else str(value)
 
 
-def _type_counts(annotations: Sequence[GoldAnnotation]) -> dict[PoLType, int]:
-    counts = Counter(a.pol_type for a in annotations)
-    return {t: counts.get(t, 0) for t in PoLType}
-
-
 TRACKING_COLUMNS = [
     "Judgment",
     "ANN", "ANN Implicit", "ANN Ex. Direct", "ANN Ex. Indirect",
@@ -485,8 +480,8 @@ def tracking_table(alignments: Sequence[AlignmentResult]) -> Table:
     rows: list[list[object]] = []
     for a in alignments:
         gold_all = [m.gold for m in a.matches] + list(a.false_negatives)
-        ann_types = _type_counts(gold_all)
-        tool_types = _type_counts([m.gold for m in a.matches])
+        ann_types = GoldSet(tuple(gold_all)).counts_by_type
+        tool_types = GoldSet(tuple(m.gold for m in a.matches)).counts_by_type
         comp = Counter(m.completeness for m in a.matches)
         sim = Counter(m.similarity for m in a.matches)
         fp_kinds = Counter(kind for _, kind in a.false_positives)
@@ -568,7 +563,7 @@ def comparison_table(
     err_rows: list[list[object]] = []
     for name, alignments in methods.items():
         found = [m.gold for a in alignments for m in a.matches]
-        found_types = _type_counts(found)
+        found_types = GoldSet(tuple(found)).counts_by_type
         tp = len(found)
         fp_kinds = Counter(kind for a in alignments for _, kind in a.false_positives)
         fp = sum(fp_kinds.values())

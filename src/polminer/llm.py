@@ -103,29 +103,23 @@ _EXAMPLES_EN = (
 )
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    body: str
-    few_shot_examples: tuple[str, ...]
-    directives: str
-    example_label: str = "Esempio:"
+# language -> (body, few-shot examples, directives, example label)
+_PROMPTS = {
+    "it": (_BODY_IT, _EXAMPLES_IT, _DIRECTIVES_IT, "Esempio:"),
+    "en": (_BODY_EN, _EXAMPLES_EN, _DIRECTIVES_EN, "Example:"),
+}
 
-    @classmethod
-    def for_language(cls, language: str) -> "PromptTemplate":
-        if language == "it":
-            return cls(_BODY_IT, _EXAMPLES_IT, _DIRECTIVES_IT, "Esempio:")
-        if language == "en":
-            return cls(_BODY_EN, _EXAMPLES_EN, _DIRECTIVES_EN, "Example:")
-        raise ValueError(f"unsupported prompt language {language!r}")
+# least share of a passage's tokens its paragraph must hold to resolve it
+RESOLUTION_THRESHOLD = 0.6
 
 
-def build_prompt(template: PromptTemplate | None = None, language: str = "it") -> str:
-    """Deterministic concatenation: body, few-shot examples, directives."""
-    tpl = template or PromptTemplate.for_language(language)
-    blocks = [tpl.body]
-    blocks.extend(f"{tpl.example_label} {example}" for example in tpl.few_shot_examples)
-    blocks.append(tpl.directives)
-    return "\n\n".join(blocks)
+def build_prompt(language: str = "it") -> str:
+    """The canonical prompt: body, few-shot examples, directives."""
+    try:
+        body, examples, directives, label = _PROMPTS[language]
+    except KeyError:
+        raise ValueError(f"unsupported prompt language {language!r}") from None
+    return "\n\n".join([body, *(f"{label} {example}" for example in examples), directives])
 
 
 @dataclass
@@ -234,7 +228,7 @@ def split_passages(response: str) -> list[str]:
     return [p for p in passages if p]
 
 
-def resolve_paragraph(passage: str, index: TokenIndex, threshold: float = 0.6) -> int:
+def resolve_paragraph(passage: str, index: TokenIndex, threshold: float = RESOLUTION_THRESHOLD) -> int:
     """Index of the paragraph best containing the passage, or -1.
 
     ``index`` holds the document's paragraphs' ``raw_token_counts`` in
@@ -257,9 +251,7 @@ def run_extraction(
     document: Document,
     session: LlmSession,
     transport: Transport,
-    template: PromptTemplate | None = None,
     language: str = "it",
-    resolution_threshold: float = 0.6,
 ) -> list[PoLCandidate]:
     """Submit one document and parse the response into LLM-source candidates.
 
@@ -272,7 +264,7 @@ def run_extraction(
             f"session sent {session.queries_sent} of "
             f"{session.max_queries_per_session} queries; reset it first"
         )
-    prompt = build_prompt(template, language)
+    prompt = build_prompt(language)
     response = transport.send(prompt, document)
     session.queries_sent += 1
     _audit(session, document, prompt, response)
@@ -288,7 +280,7 @@ def run_extraction(
         candidates.append(
             PoLCandidate(
                 doc_id=document.doc_id,
-                paragraph_index=resolve_paragraph(passage, index, resolution_threshold),
+                paragraph_index=resolve_paragraph(passage, index),
                 text=passage,
                 quote=quote,
                 trigger=None,

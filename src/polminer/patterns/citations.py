@@ -175,36 +175,29 @@ class _Tokens:
 
 
 def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
-    """Tokens of ``text[start:stop]`` read a character at a time."""
+    """Tokens of ``text[start:stop]`` read a character at a time.
+
+    The slice is one ``[^\\W\\d_]+[.'’]?`` match that is not all letters:
+    letters, word characters that are neither letters nor decimal digits
+    (such as ``²``), and an optional ``.``, ``'`` or ``’`` at the end. It
+    holds no whitespace and no decimal digit.
+    """
     tokens: list[_Token] = []
     i = start
-    n = stop
-    while i < n:
+    while i < stop:
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch.isalpha():
             j = i + 1
-            while j < n and text[j].isalpha():
+            while j < stop and text[j].isalpha():
                 j += 1
-            if j < n and text[j] in ".'’":
+            if j < stop and text[j] in ".'’":
                 j += 1
             raw = text[i:j]
             tokens.append(_Token("WORD", raw, raw.rstrip(".'’").casefold(), i))
             i = j
-        elif ch.isdecimal():
-            j = i + 1
-            while j < n and text[j].isdecimal():
-                j += 1
-            raw = text[i:j]
-            tokens.append(_Token("NUM", raw, raw, i))
-            i = j
-        elif ch in ",/.;()-":
-            tokens.append(_Token("PUNCT", ch, ch, i))
-            i += 1
         else:
-            tokens.append(_Token("OTHER", ch, ch, i))
+            kind = "PUNCT" if ch in ",/.;()-" else "OTHER"
+            tokens.append(_Token(kind, ch, ch, i))
             i += 1
     return tokens
 

@@ -1,4 +1,4 @@
-"""Quote, keyword, and end-citation detectors under pinned rule profiles.
+"""Quote, keyword, and end-citation detectors under three fixed rule profiles.
 
 The ``v1_broad`` and ``v2_refined`` profiles replicate the original generated
 patterns bit for bit, quirks included:
@@ -12,25 +12,27 @@ patterns bit for bit, quirks included:
   parenthesis but nothing else.
 
 The ``extended`` profile fixes exactly those three sharp edges and nothing
-else, so the effect of each fix is measurable against the baseline.
+else, so the effect of each fix is measurable against the baseline. The
+quote characters and the keyword lexicon are the published ones for every
+profile; a profile is only its name and two switches.
 
 Every detector takes time linear in the paragraph length. The keyword
-matcher is one compiled alternation per lexicon, with the original
-pattern's ``\b`` boundaries written as lookarounds, so for the published
-profiles it matches exactly what the original pattern matches. The quote
-scan and the end-citation search are single passes that jump between
-compiled character-class hits; the original quote and citation patterns
-are quadratic on long lines of unclosed quotes or open parentheses. The
-test suite replays the original regex patterns as an independent oracle
-and checks 100% agreement, and fuzzes the detectors against the earlier
-character scanners.
+matcher is a compiled alternation (one for the published profiles, one
+for ``extended``), with the original pattern's ``\\b`` boundaries written
+as lookarounds, so for the published profiles it matches exactly what the
+original pattern matches. The quote scan and the end-citation search are
+single passes that jump between compiled character-class hits; the
+original quote and citation patterns are quadratic on long lines of
+unclosed quotes or open parentheses. The test suite replays the original
+regex patterns as an independent oracle and checks 100% agreement, and
+fuzzes the detectors against the earlier character scanners.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # Opening and closing character classes of the original quote pattern.
 PUBLISHED_QUOTE_OPEN = frozenset("“\"«‘")  # “ " « ‘
@@ -60,33 +62,25 @@ PUBLISHED_KEYWORDS = (
 
 @dataclass(frozen=True)
 class RuleProfile:
-    """A pinned set of matching semantics for the three detectors.
+    """One of the three fixed rule sets of the detectors.
 
-    ``conjunctive`` selects the extraction combination logic: quote AND
-    keyword, else end-citation (refined script) versus quote OR citation OR
-    keyword (first script).
+    ``conjunctive`` selects the extraction combination logic and the
+    end-citation anchor, which the original scripts tie together: quote AND
+    keyword, else a citation at the paragraph's end (refined script) versus
+    quote OR a citation anywhere OR keyword (first script). ``extended``
+    turns on the three fixes: style-matched quote pairs, abbreviations
+    ended by their period alone, and trailing ``.``/``;``/whitespace after
+    an end citation.
     """
 
     name: str
-    quote_open_set: frozenset[str] = PUBLISHED_QUOTE_OPEN
-    quote_close_set: frozenset[str] = PUBLISHED_QUOTE_CLOSE
-    keyword_lexicon: tuple[str, ...] = PUBLISHED_KEYWORDS
-    citation_anchored: bool = True
-    fix_abbrev_boundaries: bool = False
-    allow_trailing_punct_after_citation: bool = False
-    match_quote_styles: bool = False
-    conjunctive: bool = True
+    conjunctive: bool
+    extended: bool
 
 
-V1_BROAD = RuleProfile(name="v1_broad", citation_anchored=False, conjunctive=False)
-V2_REFINED = RuleProfile(name="v2_refined")
-EXTENDED = replace(
-    V2_REFINED,
-    name="extended",
-    fix_abbrev_boundaries=True,
-    allow_trailing_punct_after_citation=True,
-    match_quote_styles=True,
-)
+V1_BROAD = RuleProfile(name="v1_broad", conjunctive=False, extended=False)
+V2_REFINED = RuleProfile(name="v2_refined", conjunctive=True, extended=False)
+EXTENDED = RuleProfile(name="extended", conjunctive=True, extended=True)
 
 PROFILES = {p.name: p for p in (V1_BROAD, V2_REFINED, EXTENDED)}
 
@@ -107,12 +101,14 @@ class QuoteSpan:
     close_char: str
 
 
-@functools.lru_cache(maxsize=64)
-def _char_class(chars: frozenset[str]) -> re.Pattern[str]:
-    """A pattern matching any one of ``chars``; never matches when empty."""
-    if not chars:
-        return re.compile("(?!)")
+def _char_class(chars: set[str] | frozenset[str]) -> re.Pattern[str]:
     return re.compile("[" + "".join(re.escape(c) for c in sorted(chars)) + "]")
+
+
+_OPENERS = _char_class(PUBLISHED_QUOTE_OPEN)
+# where the search for a closer stops: at a closer, or at the newline
+_PUBLISHED_STOP = _char_class(PUBLISHED_QUOTE_CLOSE | {"\n"})
+_STYLE_STOPS = {opener: _char_class({closer, "\n"}) for opener, closer in QUOTE_PAIRS.items()}
 
 
 def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
@@ -123,27 +119,23 @@ def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
 
     One pass: when an opener finds no closer before its newline, every later
     opener waiting for the same closers on that line fails too, so openers
-    of that closer set are skipped up to the newline.
+    with that stop pattern are skipped up to the newline.
     """
     text = paragraph_text
-    openers = _char_class(profile.quote_open_set)
     spans: list[QuoteSpan] = []
-    # closer set -> offset of the newline before which it cannot close
-    dead_until: dict[frozenset[str], int] = {}
+    # stop pattern -> offset of the newline before which it finds no closer
+    dead_until: dict[re.Pattern[str], int] = {}
     i = 0
-    while (opened := openers.search(text, i)) is not None:
+    while (opened := _OPENERS.search(text, i)) is not None:
         i = opened.start()
         ch = text[i]
-        if profile.match_quote_styles:
-            closers = frozenset(QUOTE_PAIRS[ch])
-        else:
-            closers = profile.quote_close_set
-        if dead_until.get(closers, -1) > i:
+        stop_pattern = _STYLE_STOPS[ch] if profile.extended else _PUBLISHED_STOP
+        if dead_until.get(stop_pattern, -1) > i:
             i += 1
             continue
-        stop = _char_class(closers | {"\n"}).search(text, i + 1)
+        stop = stop_pattern.search(text, i + 1)
         if stop is None or text[stop.start()] == "\n":
-            dead_until[closers] = len(text) if stop is None else stop.start()
+            dead_until[stop_pattern] = len(text) if stop is None else stop.start()
             i += 1
             continue
         close_at = stop.start()
@@ -160,22 +152,21 @@ def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
     return spans
 
 
-@functools.lru_cache(maxsize=64)
-def _keyword_pattern(lexicon: tuple[str, ...], fix_abbrev_boundaries: bool) -> re.Pattern[str]:
+@functools.cache
+def _keyword_pattern(extended: bool) -> re.Pattern[str]:
     """One case-insensitive alternation over the lexicon, in lexicon order.
 
     Group k + 1 captures lexicon token k. A hit starts at a word start; it
     ends at a word end, except that a token ending in a period needs a word
-    character next (the published ``\\b`` after ``.``) unless
-    ``fix_abbrev_boundaries`` lets the period alone end it.
+    character next (the published ``\\b`` after ``.``) unless ``extended``
+    lets the period alone end it. Compiled on first use, so a run that never
+    reads the extended profile never compiles its pattern.
     """
-    if not lexicon:
-        return re.compile("(?!)")
     alternatives = []
-    for token in lexicon:
+    for token in PUBLISHED_KEYWORDS:
         if not token.endswith("."):
             end = r"(?!\w)"
-        elif fix_abbrev_boundaries:
+        elif extended:
             end = ""
         else:
             end = r"(?=\w)"
@@ -187,28 +178,26 @@ def match_keywords(paragraph_text: str, profile: RuleProfile) -> list[tuple[str,
     """Case-insensitive, non-overlapping keyword hits as (lexicon token, offset).
 
     Lexicon tokens ending in a period keep the original boundary behavior
-    (next character must be a word character) unless the profile sets
-    ``fix_abbrev_boundaries``, in which case the trailing period alone ends
-    the hit.
+    (next character must be a word character) unless the profile is
+    ``extended``, in which case the trailing period alone ends the hit.
     """
-    lexicon = profile.keyword_lexicon
-    pattern = _keyword_pattern(lexicon, profile.fix_abbrev_boundaries)
-    return [(lexicon[m.lastindex - 1], m.start()) for m in pattern.finditer(paragraph_text)]
+    pattern = _keyword_pattern(profile.extended)
+    return [(PUBLISHED_KEYWORDS[m.lastindex - 1], m.start()) for m in pattern.finditer(paragraph_text)]
 
 
 def citation_at_end(paragraph_text: str, profile: RuleProfile) -> str | None:
     """Matched citation substring, or None.
 
-    ``citation_anchored`` profiles require the closing parenthesis at the end
-    of the paragraph (a single trailing newline is tolerated, mirroring the
-    original anchor); unanchored profiles accept it anywhere. The extended
-    profile additionally ignores trailing periods, semicolons, and
+    ``conjunctive`` profiles require the closing parenthesis at the end of
+    the paragraph (a single trailing newline is tolerated, mirroring the
+    original anchor); the disjunctive ``v1_broad`` accepts it anywhere. The
+    extended profile additionally ignores trailing periods, semicolons, and
     whitespace after the closing parenthesis.
     """
     text = paragraph_text
-    if not profile.citation_anchored:
+    if not profile.conjunctive:
         return _search_citation(text)
-    if profile.allow_trailing_punct_after_citation:
+    if profile.extended:
         end = len(text)
         while end > 0 and (text[end - 1] in ".;" or text[end - 1].isspace()):
             end -= 1

@@ -6,7 +6,11 @@ verbatim as the reference that the linear-time engine in
 ``polminer.patterns`` is fuzzed against. They are quadratic on adversarial
 paragraphs, so tests only feed them bounded input. The citation grammar
 itself (``_Parser``, ``parse_citation``) is shared with the package; only
-the way ``_parse_prefix`` hands it tokens is adapted here.
+the way ``_parse_prefix`` hands it tokens is adapted here, and the
+profile fields the scanners read: the published quote characters and
+keyword lexicon are now module constants, and the three sharp-edge fixes
+and the end-citation anchor read the profile's ``extended`` and
+``conjunctive`` switches.
 """
 
 from __future__ import annotations
@@ -20,7 +24,14 @@ from polminer.patterns.citations import (
     _Tokens,
     parse_citation,
 )
-from polminer.patterns.rules import QUOTE_PAIRS, QuoteSpan, RuleProfile
+from polminer.patterns.rules import (
+    PUBLISHED_KEYWORDS,
+    PUBLISHED_QUOTE_CLOSE,
+    PUBLISHED_QUOTE_OPEN,
+    QUOTE_PAIRS,
+    QuoteSpan,
+    RuleProfile,
+)
 
 
 def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
@@ -35,11 +46,11 @@ def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
     i = 0
     while i < n:
         ch = text[i]
-        if ch in profile.quote_open_set:
-            if profile.match_quote_styles:
+        if ch in PUBLISHED_QUOTE_OPEN:
+            if profile.extended:
                 closers: frozenset[str] = frozenset((QUOTE_PAIRS[ch],))
             else:
-                closers = profile.quote_close_set
+                closers = PUBLISHED_QUOTE_CLOSE
             close_at = None
             j = i + 1
             while j < n and text[j] != "\n":
@@ -84,13 +95,13 @@ def match_keywords(paragraph_text: str, profile: RuleProfile) -> list[tuple[str,
     while i < n:
         if _is_word_char(text[i]) and (i == 0 or not _is_word_char(text[i - 1])):
             matched_end = None
-            for token in profile.keyword_lexicon:
+            for token in PUBLISHED_KEYWORDS:
                 end = i + len(token)
                 if end > n or text[i:end].casefold() != token.casefold():
                     continue
                 nxt = text[end] if end < n else None
                 if token.endswith("."):
-                    ok = profile.fix_abbrev_boundaries or (
+                    ok = profile.extended or (
                         nxt is not None and _is_word_char(nxt)
                     )
                 else:
@@ -121,9 +132,9 @@ def citation_at_end(paragraph_text: str, profile: RuleProfile) -> str | None:
     whitespace after the closing parenthesis.
     """
     text = paragraph_text
-    if not profile.citation_anchored:
+    if not profile.conjunctive:
         return _search_citation(text)
-    if profile.allow_trailing_punct_after_citation:
+    if profile.extended:
         end = len(text)
         while end > 0 and (text[end - 1] in ".;" or text[end - 1].isspace()):
             end -= 1

@@ -154,7 +154,7 @@ def test_criterion_04_oracle_equivalence_of_rule_engine():
                 assert [s.text for s in find_quotes(text, profile)] == oracles.oracle_quotes(text)
                 assert match_keywords(text, profile) == oracles.oracle_keywords(text)
                 assert citation_at_end(text, profile) == oracles.oracle_citation_end(
-                    text, profile.citation_anchored
+                    text, profile.conjunctive
                 )
         assert time.perf_counter() - start < 10.0
 

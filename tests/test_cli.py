@@ -366,6 +366,26 @@ def test_llm_extract_budget_below_one_is_a_usage_error(tmp_path, capsys, monkeyp
     assert f"--budget: must be a whole number of at least 1, got '{budget}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+def test_llm_extract_non_finite_temperature_is_a_usage_error(tmp_path, capsys, monkeypatch, temperature):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": "Il giudice"}), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
+    out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "llm-extract", "--input", str(corpus), "--mock", str(mock), "--audit", str(audit),
+            "--out-file", str(out_file), f"--temperature={temperature}",
+        ])
+    assert exit_info.value.code == 2
+    assert opened == [] and not out_file.exists() and not audit.exists()
+    assert f"--temperature: must be a finite number, got '{temperature}'" in capsys.readouterr().err
+
+
 def test_llm_extract_requires_transport_choice(tmp_path):
     corpus = tmp_path / "S"
     corpus.mkdir()

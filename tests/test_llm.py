@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
 import sys
@@ -18,7 +19,6 @@ from polminer.goldstore import GoldAnnotation
 from polminer.llm import (
     HttpChatTransport,
     LlmSession,
-    PromptTemplate,
     ScriptedTransport,
     build_prompt,
     reset_session,
@@ -55,9 +55,17 @@ def test_english_prompt_variant():
     assert "DO NOT SUMMARIZE" in prompt
 
 
-def test_empty_few_shot_leaves_body_and_directives():
-    template = PromptTemplate(body="CORPO", few_shot_examples=(), directives="DIRETTIVE")
-    assert build_prompt(template) == "CORPO\n\nDIRETTIVE"
+@pytest.mark.parametrize(
+    "language, digest",
+    [
+        ("it", "eb1b17e391f12002a8dd0fab340c857bca9b5d8f32660bb3758d15a5b4af59be"),
+        ("en", "e46959cc78a67a2edfe60141efc2041a54bd5e5db773a9b4b708d9aa29a15243"),
+    ],
+)
+def test_canonical_prompt_bytes_are_pinned(language, digest):
+    # the prompt is the LLM protocol under evaluation: any edit to its
+    # wording, examples, labels or separators changes the digest
+    assert hashlib.sha256(build_prompt(language).encode("utf-8")).hexdigest() == digest
 
 
 def test_build_prompt_is_deterministic():

@@ -13,6 +13,12 @@ from polminer.patterns import (
     get_profile,
     match_keywords,
 )
+from polminer.patterns.rules import (
+    PUBLISHED_KEYWORDS,
+    PUBLISHED_QUOTE_CLOSE,
+    PUBLISHED_QUOTE_OPEN,
+    QUOTE_PAIRS,
+)
 
 V1 = PROFILES["v1_broad"]
 V2 = PROFILES["v2_refined"]
@@ -97,7 +103,7 @@ def test_detectors_agree_with_published_patterns(profile):
     for text in synth.generate_paragraphs(400, seed=7):
         assert [s.text for s in find_quotes(text, profile)] == oracles.oracle_quotes(text), text
         assert match_keywords(text, profile) == oracles.oracle_keywords(text), text
-        anchored = profile.citation_anchored
+        anchored = profile.conjunctive
         assert citation_at_end(text, profile) == oracles.oracle_citation_end(text, anchored), text
 
 
@@ -115,7 +121,7 @@ def test_fuzzed_agreement_with_published_patterns(text):
         assert [s.text for s in find_quotes(text, profile)] == oracles.oracle_quotes(text)
         assert match_keywords(text, profile) == oracles.oracle_keywords(text)
         assert citation_at_end(text, profile) == oracles.oracle_citation_end(
-            text, profile.citation_anchored
+            text, profile.conjunctive
         )
 
 
@@ -130,9 +136,12 @@ def test_extended_is_superset_for_keywords_and_citations(text):
 
 
 def test_v1_and_v2_share_published_character_classes():
-    assert V1.quote_open_set == V2.quote_open_set
-    assert V1.keyword_lexicon == V2.keyword_lexicon
-    assert not V1.citation_anchored and V2.citation_anchored
+    # the published profiles differ only in combination logic and anchoring
+    text = "La Corte: «ab” e “cd” (Cass. 217/2019) poi Cass. n. 1 e TRIB.x"
+    assert find_quotes(text, V1) == find_quotes(text, V2)
+    assert match_keywords(text, V1) == match_keywords(text, V2)
+    assert not V1.extended and not V2.extended and EXT.extended
+    assert not V1.conjunctive and V2.conjunctive and EXT.conjunctive
 
 
 def test_profile_classes_equal_the_original_pattern_strings():
@@ -140,10 +149,13 @@ def test_profile_classes_equal_the_original_pattern_strings():
     # strings so a typo in either side cannot go unnoticed
     open_class = oracles.QUOTE_PATTERN.split("]")[0].split("[")[1]
     close_class = oracles.QUOTE_PATTERN.split("[")[2].split("]")[0]
-    assert V2.quote_open_set == frozenset(open_class)
-    assert V2.quote_close_set == frozenset(close_class)
+    assert PUBLISHED_QUOTE_OPEN == frozenset(open_class)
+    assert PUBLISHED_QUOTE_CLOSE == frozenset(close_class)
+    # the extended profile pairs the same characters, style by style
+    assert set(QUOTE_PAIRS) == PUBLISHED_QUOTE_OPEN
+    assert set(QUOTE_PAIRS.values()) == PUBLISHED_QUOTE_CLOSE
     alternation = oracles.KEYWORD_PATTERN.split("(")[1].split(")")[0]
-    assert V2.keyword_lexicon == tuple(t.replace("\\.", ".") for t in alternation.split("|"))
+    assert PUBLISHED_KEYWORDS == tuple(t.replace("\\.", ".") for t in alternation.split("|"))
 
 
 def test_unknown_profile_name():

@@ -3,27 +3,12 @@ character scanners on long adversarial paragraphs."""
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_scanners as ref
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
 from polminer.patterns.citations import _Tokens
-
-CUSTOM_LEXICON = replace(
-    PROFILES["v2_refined"],
-    name="custom_lexicon",
-    keyword_lexicon=("SEZ.", "CASS", "N.", "CASSAZIONE", "SENT", "Corte di"),
-)
-CUSTOM_QUOTES = replace(
-    PROFILES["v1_broad"],
-    name="custom_quotes",
-    quote_open_set=frozenset("“(<"),
-    quote_close_set=frozenset("”)>\n"),
-)
-PROFILES_UNDER_TEST = (*PROFILES.values(), CUSTOM_LEXICON, CUSTOM_QUOTES)
 
 # Pieces that drive the reference scanners into their quadratic paths:
 # unclosed openers, parentheses far from their closer, citation heads that
@@ -48,7 +33,7 @@ _PARAGRAPHS = st.lists(_RUNS, max_size=6).map(lambda runs: "".join(u * n for u, 
 @settings(max_examples=100, deadline=None)
 @given(_PARAGRAPHS)
 def test_detectors_match_reference_scanners(text):
-    for profile in PROFILES_UNDER_TEST:
+    for profile in PROFILES.values():
         assert find_quotes(text, profile) == ref.find_quotes(text, profile), profile.name
         assert match_keywords(text, profile) == ref.match_keywords(text, profile), profile.name
         assert citation_at_end(text, profile) == ref.citation_at_end(text, profile), profile.name
