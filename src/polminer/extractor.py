@@ -67,10 +67,17 @@ class PoLCandidate:
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "PoLCandidate":
         try:
+            doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
+            if not isinstance(doc_id, str):
+                raise SchemaError(f"{pointer}/doc_id", "must be a string")
+            if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
+                raise SchemaError(f"{pointer}/paragraph_index", "must be an integer")
+            if not isinstance(text, str):
+                raise SchemaError(f"{pointer}/text", "must be a string")
             return cls(
-                doc_id=str(data["doc_id"]),
-                paragraph_index=int(data["paragraph_index"]),
-                text=str(data["text"]),
+                doc_id=doc_id,
+                paragraph_index=paragraph_index,
+                text=text,
                 quote=str(data.get("quote", "")),
                 trigger=Trigger(data["trigger"]) if data.get("trigger") else None,
                 pol_type=PoLType(data["pol_type"]),

@@ -60,7 +60,8 @@ class GoldAnnotation:
                 raise SchemaError(f"{pointer}/{fieldname}", "missing field")
         if not isinstance(data["span_text"], str) or not data["span_text"].strip():
             raise SchemaError(f"{pointer}/span_text", "must be a non-empty string")
-        if not isinstance(data["paragraph_index"], int) or data["paragraph_index"] < 0:
+        index = data["paragraph_index"]
+        if isinstance(index, bool) or not isinstance(index, int) or index < 0:
             raise SchemaError(f"{pointer}/paragraph_index", "must be a non-negative integer")
         try:
             pol_type = PoLType(data["pol_type"])

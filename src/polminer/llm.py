@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -257,8 +258,11 @@ def run_extraction(
 
     One document per request; the payload never contains text from a
     previously processed document. Raises BudgetExceeded once the session's
-    query budget is spent.
+    query budget is spent, and ValueError for a NaN or infinite temperature,
+    which the audit log could not write as JSON, before anything is sent.
     """
+    if session.temperature is not None and not math.isfinite(session.temperature):
+        raise ValueError(f"temperature must be a finite number, got {session.temperature!r}")
     if session.queries_sent >= session.max_queries_per_session:
         raise BudgetExceeded(
             f"session sent {session.queries_sent} of "
@@ -307,4 +311,4 @@ def _audit(session: LlmSession, document: Document, prompt: str, response: str) 
     path = Path(session.audit_path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        fh.write(json.dumps(record, ensure_ascii=False, allow_nan=False) + "\n")

@@ -508,8 +508,13 @@ def _parse_inline(
 
 _PAREN_RE = re.compile(r"[()]")
 _DIGIT_RE = re.compile(r"\d")
-# a run of letters (and other non-digit alphanumerics) at a word start
-_WORD_START_RE = re.compile(r"(?<!\w)[^\W\d_]+")
+# everything up to and including the last decimal digit
+_UP_TO_LAST_DIGIT_RE = re.compile(r".*\d", re.DOTALL)
+# a run of letters (and other non-digit alphanumerics) at a word start whose
+# first character casefolds to the start of an inline head word: under
+# IGNORECASE [cost] matches c, o, s, t, their capitals and "ſ", exactly the
+# characters whose casefold is a prefix of one
+_HEAD_START_RE = re.compile(r"(?<!\w)(?=[cost])[^\W\d_]+", re.IGNORECASE)
 
 
 def find_citations(paragraph_text: str) -> list[CitationRef]:
@@ -524,8 +529,22 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
     ``parse_citation``. An inline attempt reads tokens from its head on
     only as far as it parses, and failed attempts are memoized (see
     ``_Parser``).
+
+    Every citation needs a number, and numbers are read only from runs of
+    decimal digits (regex ``\\d``), so a paragraph without one has no
+    citation, and no inline head after its last one is tried: from there
+    no parse can reach a number. Heads are tried in order, so the failed
+    states such a parse would memoize could only serve other heads past
+    the last digit. Only words whose first character matches
+    ``_HEAD_START_RE``'s lead class are looked up as heads; that class
+    holds exactly the characters whose casefold is a prefix of a head
+    word, so no head is missed.
     """
     text = paragraph_text
+    up_to_last_digit = _UP_TO_LAST_DIGIT_RE.match(text)
+    if up_to_last_digit is None:
+        return []
+    last_digit = up_to_last_digit.end() - 1
     opens: list[int] = []
     closes: list[int] = []
     for m in _PAREN_RE.finditer(text):
@@ -556,7 +575,9 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
     dead: set[tuple[int, bool, int]] = set()
     g = 0  # first group ending after the current head
     resume = 0
-    for m in _WORD_START_RE.finditer(text):
+    # a run of head letters ends before any digit, so a head starting before
+    # the last digit lies whole within text[:last_digit]
+    for m in _HEAD_START_RE.finditer(text, 0, last_digit):
         i = m.start()
         if i < resume:
             continue

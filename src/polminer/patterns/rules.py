@@ -152,6 +152,10 @@ def find_quotes(paragraph_text: str, profile: RuleProfile) -> list[QuoteSpan]:
     return spans
 
 
+# The first letters of the lexicon tokens, matched under IGNORECASE.
+_KEYWORD_LEAD = "[cgt]"
+
+
 @functools.cache
 def _keyword_pattern(extended: bool) -> re.Pattern[str]:
     """One case-insensitive alternation over the lexicon, in lexicon order.
@@ -161,6 +165,13 @@ def _keyword_pattern(extended: bool) -> re.Pattern[str]:
     character next (the published ``\\b`` after ``.``) unless ``extended``
     lets the period alone end it. Compiled on first use, so a run that never
     reads the extended profile never compiles its pattern.
+
+    The lead ``(?=[cgt])`` (``_KEYWORD_LEAD``) stands where the published
+    ``\\b`` asks for a word character. Every lexicon token starts with C, G
+    or T, and under ``IGNORECASE`` the class matches exactly the characters
+    those three letters match, so the pattern matches what it matched with
+    ``(?=\\w)``. Tested before the word-start lookbehind, it rejects most
+    positions with one class test.
     """
     alternatives = []
     for token in PUBLISHED_KEYWORDS:
@@ -171,7 +182,8 @@ def _keyword_pattern(extended: bool) -> re.Pattern[str]:
         else:
             end = r"(?=\w)"
         alternatives.append(f"({re.escape(token)}){end}")
-    return re.compile(r"(?<!\w)(?=\w)(?:" + "|".join(alternatives) + ")", re.IGNORECASE)
+    lead = "(?=" + _KEYWORD_LEAD + r")(?<!\w)"
+    return re.compile(lead + "(?:" + "|".join(alternatives) + ")", re.IGNORECASE)
 
 
 def match_keywords(paragraph_text: str, profile: RuleProfile) -> list[tuple[str, int]]:

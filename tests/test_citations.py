@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import datetime as dt
+import sys
 
 import pytest
 
+import reference_scanners as ref
 from polminer.errors import UnparseableCitation
 from polminer.patterns import CitationRef, Court, find_citations, parse_citation
+from polminer.patterns.citations import _HEAD_START_RE, _INLINE_HEAD_WORDS
 
 # the citation formats the parser must cover, with their structured fields
 CANONICAL = [
@@ -128,3 +131,38 @@ def test_find_citations_orders_by_position():
     text = "prima (Corte Cost. 217/2019) poi (Cass. n. 26972/2008)"
     refs = find_citations(text)
     assert [r.number for r in refs] == [217, 26972]
+
+
+def test_head_lead_class_is_exactly_the_head_word_starts():
+    # a word is looked up as an inline head only when _HEAD_START_RE finds
+    # it, so its lead must take every character whose casefold starts a
+    # head word, on every code point, and nothing else
+    prefixes = {word[:k] for word in _INLINE_HEAD_WORDS for k in range(1, len(word) + 1)}
+    every_char = [chr(cp) for cp in range(sys.maxunicode + 1)]
+    starts = {ch for ch in every_char if ch.casefold() in prefixes}
+    found = {m.group()[0] for m in _HEAD_START_RE.finditer(" ".join(every_char))}
+    assert found == starts
+    assert "ſ" in found  # casefolds to "s"
+
+
+@pytest.mark.parametrize(
+    "text, numbers",
+    [
+        # a head spelled with a long s, which casefolds to "sent"
+        ("come deciso con ſent. n. 12/2019, il ricorso va respinto", [12]),
+        ("lo afferma la Caſſazione n. 7/2020 e lo conferma ſentenza 8/2021", [7, 8]),
+        # Arabic-Indic digits are decimal digits: the last one ends the scan
+        ("come chiarito da Cass. n. ١٢٣/٢٠١٩ il diritto sussiste", [123]),
+        ("(Corte Cost. ٢١٧/٢٠١٩) e Trib. Milano ١٥/٢٠٢٠", [217, 15]),
+        # "²" is a word character but not a decimal digit
+        ("come chiarito da Cass. n. ²", []),
+        ("Cass. n. 12/2019 e poi Cass. ²/²", [12]),
+        ("(Cass. ²/²) e Trib. ²", []),
+    ],
+    ids=["long_s_kind", "long_s_court", "arabic_indic", "arabic_indic_group",
+         "superscript_only", "superscript_after_a_digit", "superscript_group"],
+)
+def test_find_citations_on_unusual_characters_matches_reference(text, numbers):
+    refs = find_citations(text)
+    assert refs == ref.find_citations(text)
+    assert [r.number for r in refs] == numbers

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import csv
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import synth
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from polminer import extractor
 from polminer.corpus import Document, Paragraph, load_document
+from polminer.errors import SchemaError
 from polminer.extractor import (
     PoLCandidate,
     PoLType,
@@ -177,6 +180,40 @@ def test_jsonl_schema_error(tmp_path):
 
     with pytest.raises(SchemaError):
         load_candidates_jsonl(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("paragraph_index", True),
+        ("paragraph_index", 2.9),
+        ("paragraph_index", "3"),
+        ("paragraph_index", None),
+        ("doc_id", 7),
+        ("doc_id", None),
+        ("text", None),
+        ("text", ["x"]),
+    ],
+    ids=["index_bool", "index_float", "index_str", "index_null", "doc_id_int", "doc_id_null", "text_null",
+         "text_list"],
+)
+def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    good = extract_candidates(doc, V2)[0].to_dict()
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == f"/1/{field}"
+
+
+def test_jsonl_keeps_the_unresolved_paragraph_index(tmp_path):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    cand = replace(extract_candidates(doc, V2)[0], paragraph_index=-1)
+    path = save_candidates_jsonl([cand], tmp_path / "c.jsonl")
+    assert load_candidates_jsonl(path) == [cand]
 
 
 def test_candidate_source_enum():

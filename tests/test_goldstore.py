@@ -164,6 +164,16 @@ def test_load_gold_schema_error_has_pointer(tmp_path):
     assert "/annotations/0/pol_type" in str(exc.value)
 
 
+@pytest.mark.parametrize("index", [True, False, -1, 2.9, "3", None], ids=repr)
+def test_load_gold_rejects_a_paragraph_index_that_is_not_a_non_negative_integer(tmp_path, index):
+    ann = {**_ann(0).to_dict(), "paragraph_index": index}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"annotations": [_ann(1).to_dict(), ann]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_gold(path)
+    assert exc.value.pointer == "/annotations/1/paragraph_index"
+
+
 def test_load_gold_rejects_duplicates(tmp_path):
     ann = _ann(0).to_dict()
     path = tmp_path / "dup.json"

@@ -93,10 +93,14 @@ def test_match_keywords_linear():
     [
         # groups that all reach one far ")" and inline heads without a number
         ("(nota Cass. sez. ", "(Cass. 1234/2019)"),
-        # inline heads whose parses would each run to the end of the line
+        # inline heads whose parses would each run to the end of the line;
+        # with no digit on the line none is parsed
         ("Cass. ", ""),
+        # inline heads before the line's one number: every head is parsed,
+        # and each would read on to the number
+        ("Cass. sez. la ", " 7"),
     ],
-    ids=["groups_and_heads", "repeated_heads"],
+    ids=["groups_and_heads", "repeated_heads", "heads_before_a_number"],
 )
 def test_find_citations_linear(unit, tail):
     assert _growth(find_citations, unit, tail) < MAX_RATIO

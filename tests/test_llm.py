@@ -192,6 +192,19 @@ def test_audit_log_records_model_and_temperature(tmp_path):
     assert record["response"] == "una riga"
 
 
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_temperature_is_rejected_before_sending(tmp_path, temperature):
+    doc = _doc()
+    audit = tmp_path / "audit.jsonl"
+    session = LlmSession(temperature=temperature, audit_path=str(audit))
+    transport = ScriptedTransport(responses={doc.doc_id: "una riga"})
+    with pytest.raises(ValueError, match="finite"):
+        run_extraction(doc, session, transport)
+    assert transport.requests_seen == []
+    assert not audit.exists()
+    assert session.queries_sent == 0
+
+
 def test_llm_candidates_are_typed_from_passage_evidence():
     doc = _doc()
     passage = 'Il Collegio ha affermato “regola chiara” (Cass. n. 26972/2008)'

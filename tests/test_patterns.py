@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,8 @@ from polminer.patterns.rules import (
     PUBLISHED_QUOTE_CLOSE,
     PUBLISHED_QUOTE_OPEN,
     QUOTE_PAIRS,
+    _KEYWORD_LEAD,
+    _keyword_pattern,
 )
 
 V1 = PROFILES["v1_broad"]
@@ -75,6 +80,24 @@ def test_keywords_with_dotted_and_dotless_i_match_the_published_pattern(text, ex
     # compare offsets with it and lexicon tokens with the expected hits
     assert match_keywords(text, V2) == expected
     assert [offset for _, offset in expected] == [offset for _, offset in oracles.oracle_keywords(text)]
+
+
+def test_keyword_lead_class_is_exactly_the_lexicon_first_letters():
+    # the lead stands in for the published "(?=\w)": it must match every
+    # character a lexicon token's first letter matches under IGNORECASE, on
+    # every code point, and nothing else
+    every_char = "".join(map(chr, range(sys.maxunicode + 1)))
+    lead = {m.group() for m in re.finditer(_KEYWORD_LEAD, every_char, re.IGNORECASE)}
+    first_letters = {
+        m.group()
+        for token in PUBLISHED_KEYWORDS
+        for m in re.finditer(re.escape(token[0]), every_char, re.IGNORECASE)
+    }
+    assert lead == first_letters
+    for extended in (False, True):
+        pattern = _keyword_pattern(extended)
+        assert pattern.pattern.startswith("(?=" + _KEYWORD_LEAD + r")(?<!\w)")
+        assert pattern.flags & re.IGNORECASE
 
 
 def test_citation_at_end_basic():
