@@ -28,7 +28,6 @@ JUDGMENT_SUFFIXES = (DOCX_SUFFIX, ".txt")
 class Paragraph:
     index: int
     text: str
-    char_offset: int
 
 
 @dataclass(frozen=True)
@@ -40,7 +39,7 @@ class Document:
 
     @property
     def text(self) -> str:
-        """Full document text; paragraph ``char_offset`` values index into it."""
+        """Full document text: the paragraphs joined by newlines."""
         return "\n".join(p.text for p in self.paragraphs)
 
 
@@ -176,14 +175,9 @@ def _plaintext_paragraphs(path: Path) -> list[str]:
 
 
 def _assemble(doc_id: str, texts: list[str], page_count: int | None, source: Path) -> Document:
-    paragraphs = []
-    offset = 0
-    for i, text in enumerate(texts):
-        paragraphs.append(Paragraph(index=i, text=text, char_offset=offset))
-        offset += len(text) + 1  # separator in Document.text
     return Document(
         doc_id=doc_id,
-        paragraphs=tuple(paragraphs),
+        paragraphs=tuple(Paragraph(index=i, text=text) for i, text in enumerate(texts)),
         page_count=page_count,
         source_path=str(source),
     )

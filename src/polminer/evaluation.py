@@ -30,7 +30,9 @@ from .extractor import PoLCandidate, PoLType
 from .goldstore import GoldAnnotation, GoldSet
 from .textnorm import (
     TokenIndex,
+    TokenScreen,
     containment,
+    has_token,
     normalize_text,
     overlap_coefficient,
     raw_token_counts,
@@ -227,16 +229,22 @@ def _classify_match(
 
 
 class _SourceParagraphs:
-    """A judgment's paragraphs as written, tokenized for FP triage on first use.
+    """A judgment's paragraphs as written, tokenized for FP triage only where needed.
 
-    Each paragraph's counter is built the first time a candidate needs it,
-    and the index over all of them only when some candidate's own paragraph
-    does not settle its triage.
+    A copy of its own paragraph needs no counter: it overlaps that
+    paragraph fully when the text holds a token, and nothing otherwise.
+    Any other text is scored against its own paragraph's counter, built
+    the first time a candidate needs it. Only when that misses is the
+    judgment's text case-folded, once, to screen the candidate: one that
+    shares no token with any paragraph is settled there, and the index
+    over every paragraph's counter is built, once, only for a candidate
+    that passes the screen.
     """
 
     def __init__(self, document: Document):
         self._texts = [p.text for p in document.paragraphs]
         self._counters: list[Counter[str] | None] = [None] * len(self._texts)
+        self._screen: TokenScreen | None = None
         self._index: TokenIndex | None = None
 
     def _counter(self, position: int) -> Counter[str]:
@@ -249,14 +257,16 @@ class _SourceParagraphs:
         """Whether some paragraph's overlap coefficient with ``text`` reaches ``threshold``.
 
         The paragraph at ``own`` is tried first. Any paragraph reaching the
-        threshold gives the same answer, so a hit there settles it; only a
-        miss probes the index over every paragraph.
+        threshold gives the same answer, so a hit there settles it; a miss
+        is settled by the screen when no paragraph shares a token with the
+        text, since the threshold is above 0, and only otherwise probes the
+        index over every paragraph.
         """
         if 0 <= own < len(self._texts):
-            counter = self._counter(own)
             if text == self._texts[own]:
                 # a copy overlaps its paragraph fully; a text without tokens overlaps nothing
-                return bool(counter)
+                return has_token(text)
+            counter = self._counter(own)
             probe = raw_token_counts(text)
             # overlap_coefficient's expression, computed here so that
             # evaluation.overlap_coefficient scores only matches
@@ -266,6 +276,11 @@ class _SourceParagraphs:
         else:
             probe = raw_token_counts(text)
         if not probe:
+            return False
+        if self._screen is None:
+            # "\n" is no token character, so no hit spans two paragraphs
+            self._screen = TokenScreen("\n".join(self._texts))
+        if not self._screen.may_share(probe):
             return False
         if self._index is None:
             self._index = TokenIndex([self._counter(i) for i in range(len(self._texts))])
@@ -298,10 +313,14 @@ class _Judgment:
         """Score the texts no earlier set held against every gold span.
 
         Only texts sharing a token with a gold span are scored, through an
-        index over the new texts alone.
+        index over the new texts alone. Without gold spans no text can
+        match, so none is normalized or scored.
         """
         new = [text for text in dict.fromkeys(texts) if text not in self.scores]
         if not new:
+            return
+        if not self.gold_texts:
+            self.scores.update((text, []) for text in new)
             return
         self.texts.update((text, _normalized(text)) for text in new)
         counts = [self.texts[text].counts for text in new]
@@ -352,11 +371,14 @@ def align(
     then lowest candidate paragraph index. Only pairs sharing a token are
     scored, since any other pair scores 0. An unmatched candidate is a
     Not-PoL if any source paragraph reaches ``hallucination_threshold``
-    against it, otherwise a Hallucination; its own paragraph is scored
-    first, and the others it shares a token with only if that one falls
-    short. Scores, classes and verdicts are kept for the next call with the
-    same judgment, gold and thresholds, so the candidate sets of one
-    judgment aligned in turn compute each only once.
+    against it, otherwise a Hallucination. A copy of its own paragraph is a
+    Not-PoL when it holds a token, with no paragraph tokenized; any other
+    text is scored against its own paragraph first. If that falls short, a
+    text sharing no token with the judgment's case-folded text is a
+    Hallucination, and only one that does is scored against the paragraphs
+    it shares a token with. Scores, classes and verdicts are kept for the
+    next call with the same judgment, gold and thresholds, so the candidate
+    sets of one judgment aligned in turn compute each only once.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):

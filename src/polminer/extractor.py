@@ -68,17 +68,20 @@ class PoLCandidate:
     def from_dict(cls, data: dict, pointer: str = "") -> "PoLCandidate":
         try:
             doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
+            quote = data.get("quote", "")
             if not isinstance(doc_id, str):
                 raise SchemaError(f"{pointer}/doc_id", "must be a string")
             if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
                 raise SchemaError(f"{pointer}/paragraph_index", "must be an integer")
             if not isinstance(text, str):
                 raise SchemaError(f"{pointer}/text", "must be a string")
+            if not isinstance(quote, str):
+                raise SchemaError(f"{pointer}/quote", "must be a string")
             return cls(
                 doc_id=doc_id,
                 paragraph_index=paragraph_index,
                 text=text,
-                quote=str(data.get("quote", "")),
+                quote=quote,
                 trigger=Trigger(data["trigger"]) if data.get("trigger") else None,
                 pol_type=PoLType(data["pol_type"]),
                 citations=tuple(CitationRef.from_dict(c) for c in data.get("citations", [])),

@@ -58,6 +58,8 @@ class GoldAnnotation:
         for fieldname in ("doc_id", "paragraph_index", "span_text", "pol_type"):
             if fieldname not in data:
                 raise SchemaError(f"{pointer}/{fieldname}", "missing field")
+        if not isinstance(data["doc_id"], str):
+            raise SchemaError(f"{pointer}/doc_id", "must be a string")
         if not isinstance(data["span_text"], str) or not data["span_text"].strip():
             raise SchemaError(f"{pointer}/span_text", "must be a non-empty string")
         index = data["paragraph_index"]
@@ -74,7 +76,7 @@ class GoldAnnotation:
         if origin not in ("Human", "ToolConfirmed"):
             raise SchemaError(f"{pointer}/origin", f"unknown origin {origin!r}")
         return cls(
-            doc_id=str(data["doc_id"]),
+            doc_id=data["doc_id"],
             paragraph_index=data["paragraph_index"],
             span_text=data["span_text"],
             pol_type=pol_type,

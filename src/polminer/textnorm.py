@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import chain
+from typing import Iterable
 
 # Curly/angle/straight quotation marks plus apostrophes, stripped from span edges.
 _EDGE_QUOTE_CHARS = "“”‘’«»\"'`"
@@ -56,6 +57,70 @@ def raw_token_counts(text: str) -> Counter[str]:
     quotation marks and citation tails are evidence rather than noise.
     """
     return Counter(token.casefold() for token in _TOKEN_RE.findall(text))
+
+
+def has_token(text: str) -> bool:
+    """Whether ``raw_token_counts(text)`` is non-empty, without building it."""
+    return _TOKEN_RE.search(text) is not None
+
+
+# The code points whose casefold holds a character of the other token class
+# (``[^\W_]``, the same test as ``str.isalnum``): U+0130 and the Greek and
+# Latin letters that fold to a letter plus a combining mark, and U+0345,
+# a combining mark that folds to a letter. The set is the same on Python
+# 3.10 to 3.13; the tests pin it over every code point.
+_FOLD_CLASS_CHANGERS = (
+    "\u0130\u01F0\u0345\u0390\u03B0\u1E96\u1E97\u1E98\u1E99\u1F50\u1F52\u1F54\u1F56\u1FB6"
+    "\u1FB7\u1FC6\u1FC7\u1FD2\u1FD3\u1FD6\u1FD7\u1FE2\u1FE3\u1FE4\u1FE6\u1FE7\u1FF6\u1FF7"
+)
+# compiled on first use, through the re module's cache, and not at import
+_FOLD_CLASS_CHANGER_CLASS = f"[{_FOLD_CLASS_CHANGERS}]"
+# Occurrences of a token checked one by one before the regex engine takes
+# over: most tokens settle at their first occurrence, where a check costs
+# less than compiling a pattern, while a token inside many longer ones would
+# cost a Python step per occurrence.
+_WHOLE_SCAN_STEPS = 4
+
+
+class TokenScreen:
+    """Whether some of a probe's tokens may be tokens of a text, read off
+    the text case-folded, without tokenizing it.
+
+    ``str.casefold`` maps each code point on its own, so every token of
+    ``raw_token_counts(text)`` occurs in ``text.casefold()``. Where the text
+    holds no code point whose casefold changes token class, each character
+    of the folded text has the class of the one it came from, so the folded
+    text's maximal token runs are exactly the text's tokens: a probe token
+    is one of them when it is all token characters and occurs with no token
+    character on either side, and the answer is exact. Otherwise any
+    occurrence counts, and only a ``False`` is exact: the probe shares no
+    token with the text.
+    """
+
+    def __init__(self, text: str):
+        self._folded = text.casefold()
+        self._bounded = re.search(_FOLD_CLASS_CHANGER_CLASS, text) is None
+
+    def may_share(self, tokens: Iterable[str]) -> bool:
+        """``False`` only when none of ``tokens`` is a token of the text."""
+        if not self._bounded:
+            return any(token in self._folded for token in tokens)
+        return any(token.isalnum() and self._occurs_whole(token) for token in tokens)
+
+    def _occurs_whole(self, token: str) -> bool:
+        """Whether ``token`` occurs in the folded text with no token character on either side."""
+        folded = self._folded
+        start = folded.find(token)
+        for _ in range(_WHOLE_SCAN_STEPS):
+            if start < 0:
+                return False
+            stop = start + len(token)
+            if not (start and folded[start - 1].isalnum()) and not (stop < len(folded) and folded[stop].isalnum()):
+                return True
+            start = folded.find(token, start + 1)
+        # the lookbehind also sees the text before ``start``
+        word = re.escape(token)
+        return start >= 0 and re.compile(rf"{word}(?![^\W_])(?<![^\W_]{word})").search(folded, start) is not None
 
 
 def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:

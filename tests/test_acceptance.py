@@ -135,9 +135,7 @@ def test_criterion_04_oracle_equivalence_of_rule_engine():
     with criterion(4, "rule-engine oracle equivalence"):
         start = time.perf_counter()
         texts = synth.generate_paragraphs(1200, seed=20240917)
-        paragraphs = tuple(
-            Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(texts)
-        )
+        paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
         doc = Document(doc_id="synthetic.txt", paragraphs=paragraphs, page_count=None,
                        source_path="synthetic.txt")
 
@@ -264,7 +262,7 @@ def test_criterion_10_llm_adapter_offline():
             "Il giudice deve garantire la tutela effettiva dei diritti fondamentali.",
             "La liquidazione segue la soccombenza secondo le regole ordinarie.",
         ]
-        paragraphs = tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(texts))
+        paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
         doc = Document(doc_id="j.txt", paragraphs=paragraphs, page_count=None, source_path="j.txt")
         gold = [
             GoldAnnotation(doc_id="j.txt", paragraph_index=1, span_text=texts[1],

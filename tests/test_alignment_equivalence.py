@@ -9,6 +9,14 @@ rules candidate does, and name that paragraph, another one or none, so FP
 triage is settled by the own paragraph, by the index, or by neither.
 Candidate sets aligned in turn against one judgment share its scores,
 classes and triage verdicts, and must each still equal the reference.
+
+Words that differ as written but fold alike (``straße`` and ``STRASSE``,
+``ŉ`` and ``ʼn``, the ligature ``ﬁne`` and ``fine``), a word inside another
+(``viola`` in ``violazione``), an underscore between two tokens, and code
+points whose casefold changes token class (``İ`` folds to ``i`` and a
+combining dot; the combining U+0345 in ``aͅb`` folds to the letter ``ι``)
+test the screen that settles a candidate sharing no token with its
+judgment before the paragraph index is built.
 """
 
 from __future__ import annotations
@@ -23,10 +31,20 @@ from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
 from polminer.llm import resolve_paragraph
-from polminer.textnorm import TokenIndex, overlap_coefficient, raw_token_counts, token_edit_ratio
+from polminer.textnorm import (
+    _FOLD_CLASS_CHANGERS,
+    TokenIndex,
+    overlap_coefficient,
+    raw_token_counts,
+    token_edit_ratio,
+)
 
 DOC_ID = "d.txt"
-_WORDS = st.sampled_from(("corte", "legge", "corte", "diritto", "Corte", "“corte”", "(2019)", "…"))
+_WORDS = st.sampled_from((
+    "corte", "legge", "corte", "diritto", "Corte", "“corte”", "(2019)", "…",
+    "viola", "violazione", "\u0130stanbul", "i\u0307stanbul", "straße", "STRASSE", "\u0149", "\u02bcn",
+    "a\u0345b", "a\u03b9b", "x_y", "\ufb01ne", "fine",
+))
 _TEXTS = st.lists(_WORDS, max_size=7).map(" ".join)
 # a paragraph may hold no token at all
 _PARAGRAPHS = st.one_of(_TEXTS, st.sampled_from(("", "…", "“…” (…)")))
@@ -34,7 +52,7 @@ _THRESHOLDS = st.sampled_from((0.5, 0.6, 0.75, 0.8, 1.0))
 
 
 def _document(texts: list[str]) -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(texts))
+    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
     return Document(doc_id=DOC_ID, paragraphs=paragraphs, page_count=None, source_path=DOC_ID)
 
 
@@ -84,6 +102,18 @@ def _own_paragraph_settles(candidate: PoLCandidate, paragraphs: list[str], thres
     )
 
 
+def _passes_screen(candidate: PoLCandidate, paragraphs: list[str]) -> bool:
+    """Some paragraph shares a token with the candidate, or, in a judgment
+    holding a code point whose casefold changes token class, some token of
+    the candidate occurs anywhere in the judgment's case-folded text."""
+    probe = raw_token_counts(candidate.text)
+    if any(probe & raw_token_counts(text) for text in paragraphs):
+        return True
+    joined = "\n".join(paragraphs)
+    changes_class = any(c in _FOLD_CLASS_CHANGERS for c in joined)
+    return changes_class and any(token in joined.casefold() for token in probe)
+
+
 class _CountingIndex(TokenIndex):
     """A ``TokenIndex`` that records which instance each probe went to."""
 
@@ -116,11 +146,12 @@ def _align_counting(candidates, gold, document, overlap, hallucination):
 
 
 def _unsettled(false_positives, paragraphs: list[str], threshold: float) -> set[tuple[str, int]]:
-    """The distinct (text, own paragraph) of FPs whose own paragraph leaves triage open."""
+    """The distinct (text, own paragraph) of FPs whose own paragraph leaves
+    triage open and that pass the screen."""
     return {
         (cand.text, cand.paragraph_index)
         for cand, _ in false_positives
-        if not _own_paragraph_settles(cand, paragraphs, threshold)
+        if not _own_paragraph_settles(cand, paragraphs, threshold) and _passes_screen(cand, paragraphs)
     }
 
 
@@ -133,7 +164,8 @@ def test_indexed_align_equals_reference(case):
     result, _, probes = _align_counting(candidates, gold, document, overlap, hallucination)
     assert result == ref.align(candidates, gold, document, overlap, hallucination)
     # the paragraph index is probed once for each distinct unmatched text and
-    # own paragraph that the own paragraph leaves open, and for no other
+    # own paragraph that the own paragraph leaves open and the screen
+    # passes, and for no other
     assert probes == len(_unsettled(result.false_positives, paragraphs, hallucination))
 
 
@@ -164,7 +196,7 @@ def _set_sequences(draw):
 def test_candidate_sets_aligned_in_turn_equal_reference(case):
     paragraphs, gold, sets, evictions, overlap, hallucination = case
     document = _document(paragraphs)
-    other = Document(doc_id="e.txt", paragraphs=(Paragraph(index=0, text="corte", char_offset=0),),
+    other = Document(doc_id="e.txt", paragraphs=(Paragraph(index=0, text="corte"),),
                      page_count=None, source_path="e.txt")
     other_candidates = [PoLCandidate(doc_id="e.txt", paragraph_index=0, text="legge", quote="",
                                      trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)]

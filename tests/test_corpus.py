@@ -104,11 +104,10 @@ def test_malformed_archive(tmp_path):
         load_document(path)
 
 
-def test_char_offsets_reconstruct_document_text(tmp_path):
+def test_document_text_joins_paragraphs(tmp_path):
     doc = load_document(make_docx(tmp_path / "o.docx", ["uno", "due tre", "quattro"]))
-    full = doc.text
-    for para in doc.paragraphs:
-        assert full[para.char_offset : para.char_offset + len(para.text)] == para.text
+    assert [p.text for p in doc.paragraphs] == ["uno", "due tre", "quattro"]
+    assert doc.text == "uno\ndue tre\nquattro"
 
 
 def test_load_is_idempotent(sample_docx):

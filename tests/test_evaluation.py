@@ -31,10 +31,7 @@ from polminer.goldstore import GoldAnnotation, GoldSet
 
 
 def _doc(texts: list[str], doc_id: str = "d.txt", pages: int | None = None) -> Document:
-    paragraphs = tuple(
-        Paragraph(index=i, text=t, char_offset=sum(len(x) + 1 for x in texts[:i]))
-        for i, t in enumerate(texts)
-    )
+    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
     return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=pages, source_path=doc_id)
 
 

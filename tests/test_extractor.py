@@ -31,12 +31,8 @@ V2 = PROFILES["v2_refined"]
 
 
 def _doc(texts: list[str], doc_id: str = "t.docx") -> Document:
-    paragraphs = []
-    offset = 0
-    for i, text in enumerate(texts):
-        paragraphs.append(Paragraph(index=i, text=text, char_offset=offset))
-        offset += len(text) + 1
-    return Document(doc_id=doc_id, paragraphs=tuple(paragraphs), page_count=None, source_path=doc_id)
+    paragraphs = tuple(Paragraph(index=i, text=text) for i, text in enumerate(texts))
+    return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=None, source_path=doc_id)
 
 
 def test_conjunction_captures_first_quote():
@@ -193,9 +189,11 @@ def test_jsonl_schema_error(tmp_path):
         ("doc_id", None),
         ("text", None),
         ("text", ["x"]),
+        ("quote", None),
+        ("quote", ["x"]),
     ],
     ids=["index_bool", "index_float", "index_str", "index_null", "doc_id_int", "doc_id_null", "text_null",
-         "text_list"],
+         "text_list", "quote_null", "quote_list"],
 )
 def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
@@ -230,7 +228,7 @@ def test_find_citations_runs_once_per_kept_paragraph(monkeypatch):
 
     monkeypatch.setattr(extractor, "find_citations", counting_find_citations)
     text = "La Corte richiama “a”, “b” e “c” (Cass. n. 26972/2008)."
-    doc = Document("d.txt", (Paragraph(0, text, 0),), 1, "d.txt")
+    doc = Document("d.txt", (Paragraph(0, text),), 1, "d.txt")
     candidates = extract_candidates(doc, V2)
     assert [c.quote for c in candidates] == ["“a”"]
     assert len(candidates[0].citations) == 1

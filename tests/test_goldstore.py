@@ -174,6 +174,16 @@ def test_load_gold_rejects_a_paragraph_index_that_is_not_a_non_negative_integer(
     assert exc.value.pointer == "/annotations/1/paragraph_index"
 
 
+@pytest.mark.parametrize("doc_id", [7, None, ["d.txt"]], ids=repr)
+def test_load_gold_rejects_a_doc_id_that_is_not_a_string(tmp_path, doc_id):
+    ann = {**_ann(0).to_dict(), "doc_id": doc_id}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"annotations": [_ann(1).to_dict(), ann]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_gold(path)
+    assert exc.value.pointer == "/annotations/1/doc_id"
+
+
 def test_load_gold_rejects_duplicates(tmp_path):
     ann = _ann(0).to_dict()
     path = tmp_path / "dup.json"

@@ -1,6 +1,8 @@
 """Each detector and the citation locator take linear time on adversarial
 lines, alignment takes linear time on a judgment of disjoint paragraphs,
-and the token edit distance takes linear time on paragraph-length texts.
+FP triage takes linear time in the paragraph count for a fixed number of
+unresolved candidates, and the token edit distance takes linear time on
+paragraph-length texts.
 
 Every detector test times one line at n and at 4n characters, n about 2,000
 (the length of a long plaintext paragraph) unless the test says otherwise. A
@@ -19,6 +21,7 @@ import time
 
 import pytest
 
+from polminer import evaluation
 from polminer.corpus import Document, Paragraph
 from polminer.evaluation import align
 from polminer.extractor import PoLCandidate, PoLType, Source
@@ -112,7 +115,7 @@ def _judgment(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Documen
     texts = [" ".join(f"w{p}x{k}" for k in range(8)) for p in range(2 * n)]
     document = Document(
         doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=p, text=t, char_offset=0) for p, t in enumerate(texts)),
+        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
         page_count=None,
         source_path="d.txt",
     )
@@ -132,6 +135,39 @@ def test_align_linear_on_disjoint_paragraphs():
     # every gold span matches its copy and every other candidate is a
     # Not-PoL; scoring all pairs would make n = 200 take 16 times n = 50
     assert _ratio(lambda args: align(*args), _judgment(50), _judgment(200)) < MAX_RATIO
+
+
+def _unresolved(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:
+    """n paragraphs sharing common words, each also holding words that
+    start with "viola" but are not "viola"; 8 candidates resolved to no
+    paragraph, each made of "viola", common words and words of no
+    paragraph."""
+    texts = [f"la violazione n. {p} della corte viola{p} di legge" for p in range(n)]
+    document = Document(
+        doc_id="d.txt",
+        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
+        page_count=None,
+        source_path="d.txt",
+    )
+    candidates = [
+        PoLCandidate(doc_id="d.txt", paragraph_index=-1, text=f"viola la corte assente{k} mai{k}",
+                     quote="", trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)
+        for k in range(8)
+    ]
+    return candidates, [], document
+
+
+def _triage(args) -> None:
+    # a fresh judgment each time: align keeps the last one's verdicts
+    evaluation._judgment.cache_clear()
+    align(*args)
+
+
+def test_triage_linear_in_paragraphs_for_unresolved_candidates():
+    # every candidate passes the screen, which reads past each paragraph's
+    # "violazione" and "viola<p>" before a common word settles it, and the
+    # index over every paragraph answers; each is a Hallucination
+    assert _ratio(_triage, _unresolved(50), _unresolved(200)) < MAX_RATIO
 
 
 def _near_copies(n: int) -> tuple[list[str], list[str]]:

@@ -35,10 +35,7 @@ PARAGRAPHS = [
 
 
 def _doc(doc_id: str = "j01.txt") -> Document:
-    paragraphs = tuple(
-        Paragraph(index=i, text=t, char_offset=sum(len(x) + 1 for x in PARAGRAPHS[:i]))
-        for i, t in enumerate(PARAGRAPHS)
-    )
+    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(PARAGRAPHS))
     return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=3, source_path=doc_id)
 
 
@@ -153,7 +150,7 @@ def test_requests_are_stateless_across_documents():
     text_b_only = "contenuto esclusivo del secondo documento"
     doc_b = Document(
         doc_id="b.txt",
-        paragraphs=(Paragraph(index=0, text=text_b_only, char_offset=0),),
+        paragraphs=(Paragraph(index=0, text=text_b_only),),
         page_count=None,
         source_path="b.txt",
     )
@@ -225,7 +222,7 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     paragraphs = (PARAGRAPHS[0], PARAGRAPHS[1], PARAGRAPHS[1])
     doc = Document(
         doc_id="j01.txt",
-        paragraphs=tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(paragraphs)),
+        paragraphs=tuple(Paragraph(index=i, text=t) for i, t in enumerate(paragraphs)),
         page_count=1,
         source_path="j01.txt",
     )

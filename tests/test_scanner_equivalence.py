@@ -22,6 +22,9 @@ _PIECES = st.sampled_from(
         "tribunale ", "sent. ", "n. ", "nota ", "cfr. ", "dell'11 novembre ",
         "1234", "2019", "12", "7", "/", ".", ",", ";", " ", "  ", "\n",
         "la ", "osserva ", "xyz",
+        # a whole inline citation, so that a line often holds a number
+        # past the first one an inline head must read on to
+        "Cass. n. 12/2019 ",
     )
 )
 # Long lines come from runs of one repeated unit, as in a paragraph that

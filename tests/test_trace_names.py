@@ -69,7 +69,7 @@ def test_align_scores_every_match_through_evaluation(monkeypatch):
     texts = ["la corte afferma il principio", "altro testo", "la corte tace"]
     document = Document(
         doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=i, text=t, char_offset=0) for i, t in enumerate(texts)),
+        paragraphs=tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts)),
         page_count=None,
         source_path="d.txt",
     )
