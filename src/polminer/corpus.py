@@ -71,24 +71,31 @@ def list_judgments(directory: str | Path) -> tuple[list[Path], list[LoadWarning]
     return judgments, [LoadWarning(str(p), "unrecognized extension") for p in others]
 
 
-def _open_docx_part(path: Path, part: str) -> bytes | None:
+def open_docx(path: Path) -> zipfile.ZipFile:
+    """The .docx archive at ``path``, open for reading; the caller closes it."""
     try:
-        with zipfile.ZipFile(path) as zf:
-            try:
-                return zf.read(part)
-            except KeyError:
-                return None
+        return zipfile.ZipFile(path)
     except (zipfile.BadZipFile, OSError) as exc:
         raise MalformedArchive(path, f"not a readable .docx archive ({exc})") from exc
 
 
-def docx_paragraph_elements(path: Path) -> list[ET.Element]:
+def _docx_part(archive: zipfile.ZipFile, part: str) -> bytes | None:
+    try:
+        return archive.read(part)
+    except KeyError:
+        return None
+    except (zipfile.BadZipFile, OSError) as exc:
+        raise MalformedArchive(archive.filename, f"not a readable .docx archive ({exc})") from exc
+
+
+def docx_paragraph_elements(archive: zipfile.ZipFile) -> list[ET.Element]:
     """Body-level w:p elements of the main document part, in document order.
 
     Word stores a text box twice, as a DrawingML mc:Choice and a VML
     mc:Fallback; every mc:Fallback is removed, so its text is read once.
     """
-    data = _open_docx_part(path, "word/document.xml")
+    path = archive.filename
+    data = _docx_part(archive, "word/document.xml")
     if data is None:
         raise MalformedArchive(path, "missing word/document.xml")
     try:
@@ -122,24 +129,24 @@ def run_text(run: ET.Element) -> str:
     return "".join(parts)
 
 
-def docx_paragraphs(path: Path) -> list[list[tuple[ET.Element, str]]]:
-    """The body paragraphs of a .docx that hold more than whitespace, in
-    order, each as its runs (nested ones included) with their run text.
+def docx_paragraphs(archive: zipfile.ZipFile) -> list[list[tuple[ET.Element, str]]]:
+    """The body paragraphs of an open .docx that hold more than whitespace,
+    in order, each as its runs (nested ones included) with their run text.
 
     A paragraph's index is its position in the list, and its text joins its
     runs' text. Loading and gold import both read paragraphs here, so
     highlight spans line up with the loaded text.
     """
     paragraphs = []
-    for p_elem in docx_paragraph_elements(path):
+    for p_elem in docx_paragraph_elements(archive):
         runs = [(r, run_text(r)) for r in p_elem.iter(W + "r")]
         if any(text.strip() for _, text in runs):
             paragraphs.append(runs)
     return paragraphs
 
 
-def _docx_page_count(path: Path) -> int | None:
-    data = _open_docx_part(path, "docProps/app.xml")
+def _docx_page_count(archive: zipfile.ZipFile) -> int | None:
+    data = _docx_part(archive, "docProps/app.xml")
     if data is None:
         return None
     try:
@@ -194,8 +201,10 @@ def load_document(path: str | Path) -> Document:
     if not p.is_file():
         raise FileNotFoundError(f"no such file: {p}")
     if is_docx(p):
-        texts = ["".join(text for _, text in runs) for runs in docx_paragraphs(p)]
-        pages = _docx_page_count(p)
+        # both parts come from one open of the archive
+        with open_docx(p) as archive:
+            texts = ["".join(text for _, text in runs) for runs in docx_paragraphs(archive)]
+            pages = _docx_page_count(archive)
     else:
         texts, pages = _plaintext_paragraphs(p), None
     return _assemble(p.name, texts, pages, p)

@@ -14,11 +14,15 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
+from typing import TypeVar
 
 from .corpus import Document
 from .errors import SchemaError
 from .outfile import atomic_write
 from .patterns import CitationRef, RuleProfile, citation_at_end, find_citations, find_quotes, match_keywords
+
+
+_E = TypeVar("_E", bound=Enum)
 
 
 class PoLType(str, Enum):
@@ -68,7 +72,7 @@ class PoLCandidate:
     def from_dict(cls, data: dict, pointer: str = "") -> "PoLCandidate":
         try:
             doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
-            quote = data.get("quote", "")
+            quote, trigger = data.get("quote", ""), data.get("trigger")
             if not isinstance(doc_id, str):
                 raise SchemaError(f"{pointer}/doc_id", "must be a string")
             if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
@@ -82,15 +86,23 @@ class PoLCandidate:
                 paragraph_index=paragraph_index,
                 text=text,
                 quote=quote,
-                trigger=Trigger(data["trigger"]) if data.get("trigger") else None,
-                pol_type=PoLType(data["pol_type"]),
+                trigger=None if trigger is None else _member(Trigger, trigger, f"{pointer}/trigger"),
+                pol_type=_member(PoLType, data["pol_type"], f"{pointer}/pol_type"),
                 citations=tuple(CitationRef.from_dict(c) for c in data.get("citations", [])),
-                source=Source(data.get("source", "Rules")),
+                source=_member(Source, data.get("source", "Rules"), f"{pointer}/source"),
             )
         except KeyError as exc:
             raise SchemaError(f"{pointer}/{exc.args[0]}", "missing field") from exc
         except (ValueError, TypeError) as exc:
             raise SchemaError(pointer or "/", str(exc)) from exc
+
+
+def _member(kind: type[_E], value: object, pointer: str) -> _E:
+    """The member of ``kind`` whose value is ``value``; a SchemaError at ``pointer`` otherwise."""
+    try:
+        return kind(value)
+    except (ValueError, TypeError) as exc:
+        raise SchemaError(pointer, str(exc)) from None
 
 
 def classify(quote: str, citations: tuple[CitationRef, ...] | list[CitationRef]) -> PoLType:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from xml.etree import ElementTree as ET
 
-from .corpus import W, docx_paragraphs
+from .corpus import W, docx_paragraphs, open_docx
 from .errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
 from .extractor import PoLCandidate, PoLType
 from .outfile import atomic_write
@@ -75,12 +75,15 @@ class GoldAnnotation:
         origin = data.get("origin", "Human")
         if origin not in ("Human", "ToolConfirmed"):
             raise SchemaError(f"{pointer}/origin", f"unknown origin {origin!r}")
+        annotator_id = data.get("annotator_id")
+        if annotator_id is not None and not isinstance(annotator_id, str):
+            raise SchemaError(f"{pointer}/annotator_id", "must be a string or null")
         return cls(
             doc_id=data["doc_id"],
             paragraph_index=data["paragraph_index"],
             span_text=data["span_text"],
             pol_type=pol_type,
-            annotator_id=data.get("annotator_id"),
+            annotator_id=annotator_id,
             origin=origin,
         )
 
@@ -127,7 +130,9 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
     p = Path(path)
     annotations: list[GoldAnnotation] = []
     seen: set[tuple[str, int, str]] = set()
-    for index, runs in enumerate(docx_paragraphs(p)):
+    with open_docx(p) as archive:
+        paragraphs = docx_paragraphs(archive)
+    for index, runs in enumerate(paragraphs):
         spans: list[tuple[str, str]] = []  # (color, text)
         current_color: str | None = None
         for run, text in runs:

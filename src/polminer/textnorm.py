@@ -95,10 +95,13 @@ class TokenScreen:
     character on either side, and the answer is exact. Otherwise any
     occurrence counts, and only a ``False`` is exact: the probe shares no
     token with the text.
+
+    ``folded`` is ``text.casefold()``, passed by a caller that already has
+    it; the class-changing code points are looked for in ``text``.
     """
 
-    def __init__(self, text: str):
-        self._folded = text.casefold()
+    def __init__(self, text: str, folded: str | None = None):
+        self._folded = text.casefold() if folded is None else folded
         self._bounded = re.search(_FOLD_CLASS_CHANGER_CLASS, text) is None
 
     def may_share(self, tokens: Iterable[str]) -> bool:

@@ -11,12 +11,22 @@ Candidate sets aligned in turn against one judgment share its scores,
 classes and triage verdicts, and must each still equal the reference.
 
 Words that differ as written but fold alike (``straße`` and ``STRASSE``,
-``ŉ`` and ``ʼn``, the ligature ``ﬁne`` and ``fine``), a word inside another
-(``viola`` in ``violazione``), an underscore between two tokens, and code
-points whose casefold changes token class (``İ`` folds to ``i`` and a
-combining dot; the combining U+0345 in ``aͅb`` folds to the letter ``ι``)
-test the screen that settles a candidate sharing no token with its
-judgment before the paragraph index is built.
+``ŉ`` and ``ʼn``, the ligature ``ﬁne`` and ``fine``), words that start or
+end with another word (``violazione`` and ``sviola``, ``cortese``), an
+underscore between two tokens, and code points whose casefold changes token
+class (``İ`` folds to ``i`` and a combining dot; the combining U+0345 in
+``aͅb`` folds to the letter ``ι``) test the screen that settles a candidate
+sharing no token with its judgment before the paragraph index is built.
+Some paragraphs hold ``viola`` inside longer words more often than the
+screen checks occurrences one by one, so that its regex step decides, and
+some candidates are ``viola`` or ``İstanbul`` alone, which share a token
+with such a judgment only where it holds the word whole.
+
+Passages are resolved in turn against one judgment whose paragraphs repeat
+and extend each other: copies, cut and reordered copies of a paragraph, and
+texts with no token. A passage is often contained in several paragraphs,
+and in about one judgment in ten the passages outrun the search's budget,
+so the index takes over mid-way.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from polminer.corpus import Document, Paragraph
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
-from polminer.llm import resolve_paragraph
+from polminer.llm import SourceParagraphs, resolve_paragraph
 from polminer.textnorm import (
     _FOLD_CLASS_CHANGERS,
     TokenIndex,
@@ -43,11 +53,19 @@ DOC_ID = "d.txt"
 _WORDS = st.sampled_from((
     "corte", "legge", "corte", "diritto", "Corte", "“corte”", "(2019)", "…",
     "viola", "violazione", "\u0130stanbul", "i\u0307stanbul", "straße", "STRASSE", "\u0149", "\u02bcn",
-    "a\u0345b", "a\u03b9b", "x_y", "\ufb01ne", "fine",
+    "a\u0345b", "a\u03b9b", "x_y", "\ufb01ne", "fine", "sviola", "cortese",
 ))
 _TEXTS = st.lists(_WORDS, max_size=7).map(" ".join)
+# "viola" inside longer words at the first _WHOLE_SCAN_STEPS (4) occurrences
+# and past them, where the screen's regex step decides, and sometimes whole
+_CROWDED = st.lists(st.sampled_from(("violazione", "sviola", "viola")), min_size=1, max_size=4).map(
+    lambda tail: " ".join(["violazione", "sviola"] * 2 + tail)
+)
 # a paragraph may hold no token at all
-_PARAGRAPHS = st.one_of(_TEXTS, st.sampled_from(("", "…", "“…” (…)")))
+_PARAGRAPHS = st.one_of(_TEXTS, st.sampled_from(("", "…", "“…” (…)")), _CROWDED)
+# candidates that share a token with a judgment only where it holds
+# "viola" whole, or "İstanbul" itself rather than "i̇stanbul"
+_PROBES = st.sampled_from(("viola", "viola mai", "\u0130stanbul", "\u0130stanbul mai"))
 _THRESHOLDS = st.sampled_from((0.5, 0.6, 0.75, 0.8, 1.0))
 
 
@@ -86,7 +104,8 @@ def _cases(draw):
                        pol_type=PoLType.EXPLICIT_DIRECT)
         for text in draw(st.lists(_TEXTS, max_size=5))
     ]
-    candidates = [_candidate(draw(index), text) for text in draw(st.lists(_TEXTS, max_size=6))]
+    texts = draw(st.lists(st.one_of(_TEXTS, _PROBES), max_size=6))
+    candidates = [_candidate(draw(index), text) for text in texts]
     candidates += draw(_copies(paragraphs))
     return paragraphs, gold, draw(st.permutations(candidates)), draw(_THRESHOLDS), draw(_THRESHOLDS)
 
@@ -236,13 +255,52 @@ def test_candidate_sets_aligned_in_turn_equal_reference(case):
         triaged |= {(cand.text, cand.paragraph_index) for cand, _ in result.false_positives}
 
 
+@st.composite
+def _passage(draw, paragraphs: list[str]) -> str:
+    """A copy of a paragraph holding a token, cut short or reordered, a text
+    of any words or of "viola" beside words inside which it hides, or a text
+    with no token."""
+    sources = [text for text in paragraphs if raw_token_counts(text)]
+    kinds = ["text", "viola", "none"] + ["copy", "cut", "reordered"] * 2 * bool(sources)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "text":
+        return draw(_TEXTS)
+    if kind == "viola":
+        return draw(st.sampled_from(("viola", "viola la", "la viola corte")))
+    if kind == "none":
+        return draw(st.sampled_from(("", "…", "“…” (…)")))
+    words = draw(st.sampled_from(sources)).split()
+    if kind == "cut":
+        return " ".join(words[: draw(st.integers(1, len(words)))]) + "…"
+    if kind == "reordered":
+        return " ".join(draw(st.permutations(words)))
+    return " ".join(words)
+
+
+@st.composite
+def _resolutions(draw):
+    """Paragraphs, some of them copies or extensions of others, as written
+    or in upper case, and up to 12 passages resolved in turn against them,
+    at one threshold."""
+    paragraphs = draw(st.lists(_PARAGRAPHS, max_size=6))
+    for _ in range(draw(st.integers(0, 3)) if paragraphs else 0):
+        copied = draw(st.sampled_from((str, str.upper)))(draw(st.sampled_from(paragraphs)))
+        copied += draw(st.sampled_from(("", " corte", " mai legge")))
+        paragraphs.insert(draw(st.integers(0, len(paragraphs))), copied)
+    passages = [draw(_passage(paragraphs)) for _ in range(draw(st.integers(1, 12)))]
+    return paragraphs, passages, draw(_THRESHOLDS)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(_TEXTS, max_size=6), _TEXTS, _THRESHOLDS)
-def test_indexed_resolve_paragraph_equals_reference(paragraphs, passage, threshold):
-    counters = [raw_token_counts(text) for text in paragraphs]
-    assert resolve_paragraph(passage, TokenIndex(counters), threshold) == ref.resolve_paragraph(
-        passage, list(enumerate(counters)), threshold
-    )
+@given(_resolutions())
+def test_indexed_resolve_paragraph_equals_reference(case):
+    paragraphs, passages, threshold = case
+    source = SourceParagraphs(paragraphs)
+    counters = list(enumerate(raw_token_counts(text) for text in paragraphs))
+    for passage in passages:
+        assert resolve_paragraph(passage, source, threshold) == ref.resolve_paragraph(
+            passage, counters, threshold
+        ), passage
 
 
 def test_exact_threshold_hits_match():
@@ -266,9 +324,9 @@ def test_exact_threshold_hits_match():
 
 def test_resolve_paragraph_tie_keeps_the_first_paragraph():
     # the passage's first token is only in paragraph 1, yet both contain half
-    counters = [raw_token_counts(text) for text in ("legge", "corte")]
-    assert resolve_paragraph("corte legge", TokenIndex(counters), 0.5) == 0
-    assert ref.resolve_paragraph("corte legge", list(enumerate(counters)), 0.5) == 0
+    texts = ("legge", "corte")
+    assert resolve_paragraph("corte legge", SourceParagraphs(list(texts)), 0.5) == 0
+    assert ref.resolve_paragraph("corte legge", list(enumerate(map(raw_token_counts, texts))), 0.5) == 0
 
 
 _TOKENS = st.sampled_from(("a", "b", "c"))

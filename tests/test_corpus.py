@@ -5,7 +5,7 @@ import zipfile
 import pytest
 
 from docxbuild import make_docx, truncate_file
-from polminer.corpus import list_judgments, load_document
+from polminer.corpus import W_NS, list_judgments, load_document
 from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
 
 
@@ -102,6 +102,60 @@ def test_malformed_archive(tmp_path):
     truncate_file(path)
     with pytest.raises(MalformedArchive):
         load_document(path)
+
+
+def test_docx_archive_opened_once_per_load(sample_docx, monkeypatch):
+    opened = []
+
+    class CountingZipFile(zipfile.ZipFile):
+        def __init__(self, file, *args, **kwargs):
+            opened.append(file)
+            super().__init__(file, *args, **kwargs)
+
+    monkeypatch.setattr(zipfile, "ZipFile", CountingZipFile)
+    doc = load_document(sample_docx)
+    # the paragraphs and the page count both come from the one open
+    assert doc.page_count == 5 and doc.paragraphs
+    assert opened == [sample_docx]
+
+
+_BODY = f'<w:document xmlns:w="{W_NS}"><w:body><w:p><w:r><w:t>Testo.</w:t></w:r></w:p></w:body></w:document>'
+_APP = "<Properties><Pages>3</Pages></Properties>"
+
+
+def _zip(path, parts: dict[str, str], corrupt: str | None = None):
+    """A zip of ``parts``, stored uncompressed; the data of the part named
+    ``corrupt`` is altered after writing, so that reading it fails its CRC."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+        for name, text in parts.items():
+            zf.writestr(name, text)
+    if corrupt is not None:
+        data = path.read_bytes()
+        at = data.index(parts[corrupt].encode("utf-8"))
+        path.write_bytes(data[:at] + b"X" + data[at + 1:])
+    return path
+
+
+@pytest.mark.parametrize(
+    "parts, corrupt, reason",
+    [
+        ({"docProps/app.xml": _APP}, None, "missing word/document.xml"),
+        ({"word/document.xml": "<w:document"}, None, "unparseable document XML"),
+        ({"word/document.xml": f'<w:document xmlns:w="{W_NS}"/>'}, None, "document XML has no body"),
+        ({"word/document.xml": _BODY}, "word/document.xml", "not a readable .docx archive (Bad CRC-32"),
+        ({"word/document.xml": _BODY, "docProps/app.xml": _APP}, "docProps/app.xml",
+         "not a readable .docx archive (Bad CRC-32"),
+        # the main part is checked before the page count is read
+        ({"docProps/app.xml": _APP}, "docProps/app.xml", "missing word/document.xml"),
+    ],
+    ids=["no_document", "bad_xml", "no_body", "bad_document_crc", "bad_app_crc", "no_document_bad_app"],
+)
+def test_malformed_docx_reasons_in_order(tmp_path, parts, corrupt, reason):
+    path = _zip(tmp_path / "m.docx", parts, corrupt)
+    with pytest.raises(MalformedArchive) as exc:
+        load_document(path)
+    assert exc.value.path == str(path)
+    assert str(exc.value).startswith(f"{path}: {reason}")
 
 
 def test_document_text_joins_paragraphs(tmp_path):

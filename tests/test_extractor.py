@@ -191,9 +191,16 @@ def test_jsonl_schema_error(tmp_path):
         ("text", ["x"]),
         ("quote", None),
         ("quote", ["x"]),
+        ("trigger", ""),
+        ("trigger", 0),
+        ("trigger", "Sometimes"),
+        ("pol_type", None),
+        ("source", None),
+        ("source", ["LLM"]),
     ],
     ids=["index_bool", "index_float", "index_str", "index_null", "doc_id_int", "doc_id_null", "text_null",
-         "text_list", "quote_null", "quote_list"],
+         "text_list", "quote_null", "quote_list", "trigger_empty", "trigger_zero", "trigger_unknown",
+         "pol_type_null", "source_null", "source_list"],
 )
 def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")

@@ -184,6 +184,23 @@ def test_load_gold_rejects_a_doc_id_that_is_not_a_string(tmp_path, doc_id):
     assert exc.value.pointer == "/annotations/1/doc_id"
 
 
+@pytest.mark.parametrize("annotator_id", [7, ["ann"], {"name": "ann"}], ids=repr)
+def test_load_gold_rejects_an_annotator_id_that_is_not_a_string(tmp_path, annotator_id):
+    ann = {**_ann(0).to_dict(), "annotator_id": annotator_id}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"annotations": [_ann(1).to_dict(), ann]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_gold(path)
+    assert exc.value.pointer == "/annotations/1/annotator_id"
+
+
+def test_load_gold_keeps_a_string_or_null_annotator_id(tmp_path):
+    anns = [{**_ann(0).to_dict(), "annotator_id": "ann"}, {**_ann(1).to_dict(), "annotator_id": None}]
+    path = tmp_path / "gold.json"
+    path.write_text(json.dumps({"annotations": anns}), encoding="utf-8")
+    assert [a.annotator_id for a in load_gold(path).annotations] == ["ann", None]
+
+
 def test_load_gold_rejects_duplicates(tmp_path):
     ann = _ann(0).to_dict()
     path = tmp_path / "dup.json"

@@ -1,8 +1,8 @@
 """Each detector and the citation locator take linear time on adversarial
 lines, alignment takes linear time on a judgment of disjoint paragraphs,
-FP triage takes linear time in the paragraph count for a fixed number of
-unresolved candidates, and the token edit distance takes linear time on
-paragraph-length texts.
+FP triage and LLM passage resolution take linear time in the paragraph
+count for a fixed number of unresolved candidates or passages, and the
+token edit distance takes linear time on paragraph-length texts.
 
 Every detector test times one line at n and at 4n characters, n about 2,000
 (the length of a long plaintext paragraph) unless the test says otherwise. A
@@ -26,6 +26,7 @@ from polminer.corpus import Document, Paragraph
 from polminer.evaluation import align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
+from polminer.llm import SourceParagraphs, resolve_paragraph
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
 from polminer.textnorm import token_edit_ratio
 
@@ -168,6 +169,30 @@ def test_triage_linear_in_paragraphs_for_unresolved_candidates():
     # "violazione" and "viola<p>" before a common word settles it, and the
     # index over every paragraph answers; each is a Hallucination
     assert _ratio(_triage, _unresolved(50), _unresolved(200)) < MAX_RATIO
+
+
+def _passages_against(n: int) -> tuple[list[str], list[str]]:
+    """n paragraphs that all hold the passages' two longest words, and
+    "viola" only inside a longer word; 8 passages of those words and "viola"
+    or a word of no paragraph, so that no paragraph contains one fully."""
+    paragraphs = [f"giurisprudenza costituzionale violazione{p} della corte" for p in range(n)]
+    passages = [f"giurisprudenza costituzionale della {f'assente{k}' if k % 2 else 'viola'}" for k in range(8)]
+    return paragraphs, passages
+
+
+def _resolve_all(args) -> None:
+    # a fresh judgment each time: the source keeps what its passages found
+    paragraphs, passages = args
+    source = SourceParagraphs(paragraphs)
+    for passage in passages:
+        resolve_paragraph(passage, source)
+
+
+def test_passage_resolution_linear_in_paragraphs_without_a_full_container():
+    # every paragraph is a candidate for the first passage, and its counter
+    # is compared, which spends the search's budget; the index, built from
+    # those counters, answers that passage and the rest
+    assert _ratio(_resolve_all, _passages_against(50), _passages_against(200)) < MAX_RATIO
 
 
 def _near_copies(n: int) -> tuple[list[str], list[str]]:

@@ -230,7 +230,29 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     candidates = run_extraction(doc, LlmSession(), transport)
     # two equally good paragraphs: the first one wins
     assert [c.paragraph_index for c in candidates] == [1, 0]
-    assert len(calls) == len(paragraphs) + len(candidates)
+    # each passage, then the one paragraph its search reached; paragraph 2,
+    # a copy of paragraph 1, is never reached and never tokenized
+    assert calls == [PARAGRAPHS[1], PARAGRAPHS[1], PARAGRAPHS[0], PARAGRAPHS[0]]
+
+
+def test_search_hands_over_to_the_index_once_its_budget_is_spent(monkeypatch):
+    calls = []
+
+    def counting_raw_token_counts(text):
+        calls.append(text)
+        return raw_token_counts(text)
+
+    monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
+    texts = ["alfa beta", "gamma delta", "alfa beta epsilon"]
+    source = llm.SourceParagraphs(texts)
+    # each copy compares one candidate: three paragraphs allow three
+    assert [llm.resolve_paragraph(p, source) for p in ("beta alfa", "gamma delta", "epsilon")] == [0, 1, 2]
+    assert not source.indexed
+    # a fourth would be one more than the judgment has paragraphs: the index
+    # answers it and every later passage, from the counters already built
+    assert [llm.resolve_paragraph(p, source) for p in ("delta", "alfa beta zeta")] == [1, 0]
+    assert source.indexed
+    assert sorted(calls) == sorted(texts + ["beta alfa", "gamma delta", "epsilon", "delta", "alfa beta zeta"])
 
 
 @pytest.fixture
