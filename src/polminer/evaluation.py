@@ -278,8 +278,7 @@ class _SourceParagraphs:
         if not probe:
             return False
         if self._screen is None:
-            # "\n" is no token character, so no hit spans two paragraphs
-            self._screen = TokenScreen("\n".join(self._texts))
+            self._screen = TokenScreen(*self._texts)
         if not self._screen.may_share(probe):
             return False
         if self._index is None:

@@ -72,7 +72,7 @@ class PoLCandidate:
     def from_dict(cls, data: dict, pointer: str = "") -> "PoLCandidate":
         try:
             doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
-            quote, trigger = data.get("quote", ""), data.get("trigger")
+            quote, trigger, citations = data.get("quote", ""), data.get("trigger"), data.get("citations", [])
             if not isinstance(doc_id, str):
                 raise SchemaError(f"{pointer}/doc_id", "must be a string")
             if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
@@ -81,6 +81,8 @@ class PoLCandidate:
                 raise SchemaError(f"{pointer}/text", "must be a string")
             if not isinstance(quote, str):
                 raise SchemaError(f"{pointer}/quote", "must be a string")
+            if not isinstance(citations, list):
+                raise SchemaError(f"{pointer}/citations", "must be a list")
             return cls(
                 doc_id=doc_id,
                 paragraph_index=paragraph_index,
@@ -88,7 +90,7 @@ class PoLCandidate:
                 quote=quote,
                 trigger=None if trigger is None else _member(Trigger, trigger, f"{pointer}/trigger"),
                 pol_type=_member(PoLType, data["pol_type"], f"{pointer}/pol_type"),
-                citations=tuple(CitationRef.from_dict(c) for c in data.get("citations", [])),
+                citations=tuple(CitationRef.from_dict(c, f"{pointer}/citations/{i}") for i, c in enumerate(citations)),
                 source=_member(Source, data.get("source", "Rules"), f"{pointer}/source"),
             )
         except KeyError as exc:

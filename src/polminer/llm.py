@@ -329,7 +329,7 @@ class SourceParagraphs:
     def may_share(self, counts: Counter[str]) -> bool:
         """``TokenScreen.may_share`` over the judgment's text."""
         if self._screen is None:
-            self._screen = TokenScreen("\n".join(self._texts), self._joined)
+            self._screen = TokenScreen(*self._texts, folded=self._joined)
         return self._screen.may_share(counts)
 
     def index(self) -> TokenIndex:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
-from ..errors import UnparseableCitation
+from ..errors import SchemaError, UnparseableCitation
 
 # Two-digit years at or below this resolve to 2000+yy, others to 1900+yy
 # ("12193/19" must mean 2019; nothing in scope predates 1930).
@@ -110,17 +110,43 @@ class CitationRef:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "CitationRef":
-        return cls(
-            raw=data["raw"],
-            court=Court(data.get("court", "Other")),
-            court_label=data.get("court_label"),
-            section=data.get("section"),
-            number=data.get("number"),
-            year=data.get("year"),
-            date=dt.date.fromisoformat(data["date"]) if data.get("date") else None,
-            marker=data.get("marker"),
-        )
+    def from_dict(cls, data: dict, pointer: str = "") -> "CitationRef":
+        """The citation ``to_dict`` wrote; a ``SchemaError`` at the pointer of
+        the first field that is missing or of the wrong type otherwise."""
+        if not isinstance(data, dict):
+            raise SchemaError(pointer or "/", "must be an object")
+        if "raw" not in data:
+            raise SchemaError(f"{pointer}/raw", "missing field")
+        if not isinstance(data["raw"], str):
+            raise SchemaError(f"{pointer}/raw", "must be a string")
+        for name in ("court_label", "section", "date", "marker"):
+            if not isinstance(data.get(name), (str, type(None))):
+                raise SchemaError(f"{pointer}/{name}", "must be a string or null")
+        for name in ("number", "year"):
+            value = data.get(name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise SchemaError(f"{pointer}/{name}", "must be an integer or null")
+        try:
+            court = Court(data.get("court", "Other"))
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"{pointer}/court", str(exc)) from None
+        try:
+            date = dt.date.fromisoformat(data["date"]) if data.get("date") else None
+        except ValueError as exc:
+            raise SchemaError(f"{pointer}/date", str(exc)) from None
+        try:
+            return cls(
+                raw=data["raw"],
+                court=court,
+                court_label=data.get("court_label"),
+                section=data.get("section"),
+                number=data.get("number"),
+                year=data.get("year"),
+                date=date,
+                marker=data.get("marker"),
+            )
+        except UnparseableCitation as exc:
+            raise SchemaError(pointer or "/", str(exc)) from None
 
 
 class _Token(NamedTuple):

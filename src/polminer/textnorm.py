@@ -8,6 +8,7 @@ rather than raw strings.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain
 from typing import Iterable
@@ -86,23 +87,26 @@ class TokenScreen:
     """Whether some of a probe's tokens may be tokens of a text, read off
     the text case-folded, without tokenizing it.
 
-    ``str.casefold`` maps each code point on its own, so every token of
-    ``raw_token_counts(text)`` occurs in ``text.casefold()``. Where the text
-    holds no code point whose casefold changes token class, each character
-    of the folded text has the class of the one it came from, so the folded
-    text's maximal token runs are exactly the text's tokens: a probe token
-    is one of them when it is all token characters and occurs with no token
-    character on either side, and the answer is exact. Otherwise any
-    occurrence counts, and only a ``False`` is exact: the probe shares no
-    token with the text.
+    The text is ``paragraphs`` joined by ``"\\n"``, which is no token
+    character, so no token spans two paragraphs. ``str.casefold`` maps each
+    code point on its own, so every token of ``raw_token_counts(text)``
+    occurs in ``text.casefold()``. Where the text holds no code point whose
+    casefold changes token class, each character of the folded text has the
+    class of the one it came from, so the folded text's maximal token runs
+    are exactly the text's tokens: a probe token is one of them when it is
+    all token characters and occurs with no token character on either side,
+    and the answer is exact. Otherwise any occurrence counts, and only a
+    ``False`` is exact: the probe shares no token with the text.
 
     ``folded`` is ``text.casefold()``, passed by a caller that already has
-    it; the class-changing code points are looked for in ``text``.
+    it. The class-changing code points are all non-ASCII, so they are
+    looked for only in the paragraphs that are not ASCII.
     """
 
-    def __init__(self, text: str, folded: str | None = None):
-        self._folded = text.casefold() if folded is None else folded
-        self._bounded = re.search(_FOLD_CLASS_CHANGER_CLASS, text) is None
+    def __init__(self, *paragraphs: str, folded: str | None = None):
+        self._folded = "\n".join(paragraphs).casefold() if folded is None else folded
+        search = re.compile(_FOLD_CLASS_CHANGER_CLASS).search
+        self._bounded = not any(search(paragraph) for paragraph in paragraphs if not paragraph.isascii())
 
     def may_share(self, tokens: Iterable[str]) -> bool:
         """``False`` only when none of ``tokens`` is a token of the text."""
@@ -141,19 +145,23 @@ class TokenIndex:
     Overlap coefficient and containment are 0 for two texts that share no
     token, and every threshold is above 0, so only the positions a probe
     co-occurs with in some posting list can pass one (Chaudhuri, Ganti &
-    Kaushik, ICDE 2006).
+    Kaushik, ICDE 2006). Positions are ranked by size, ties by position,
+    and each posting list holds the ranks of the positions holding its
+    token in ascending order, so the positions up to a size are one prefix
+    of it. The counters are kept, not copied.
     """
 
     def __init__(self, counters: list[Counter[str]]):
-        self._sizes = [sum(c.values()) for c in counters]
-        # token -> positions holding it; token -> (position, count) where it repeats
+        self._counters = counters
+        sizes = [sum(c.values()) for c in counters]
+        # rank -> position, and the size at each rank, ascending
+        self._order = sorted(range(len(counters)), key=sizes.__getitem__)
+        self._ranked_sizes = [sizes[position] for position in self._order]
+        # token -> ranks of the positions holding it, ascending
         self._postings: dict[str, list[int]] = {}
-        self._repeats: dict[str, list[tuple[int, int]]] = {}
-        for position, counter in enumerate(counters):
-            for token, count in counter.items():
-                self._postings.setdefault(token, []).append(position)
-                if count > 1:
-                    self._repeats.setdefault(token, []).append((position, count))
+        for rank, position in enumerate(self._order):
+            for token in counters[position]:
+                self._postings.setdefault(token, []).append(rank)
 
     def shared(self, probe: Counter[str]) -> Counter[int]:
         """``|probe & counters[i]|`` for every position ``i`` sharing a token with the probe.
@@ -162,23 +170,94 @@ class TokenIndex:
         posting lists; a token both sides repeat adds the rest of its
         ``min`` count.
         """
-        postings = self._postings
-        shared = Counter(chain.from_iterable(postings.get(token, ()) for token in probe))
+        postings, order, counters = self._postings, self._order, self._counters
+        ranks = Counter(chain.from_iterable(postings.get(token, ()) for token in probe))
+        shared = Counter({order[rank]: count for rank, count in ranks.items()})
         for token, count in probe.items():
             if count > 1:
-                for position, indexed in self._repeats.get(token, ()):
-                    shared[position] += min(count, indexed) - 1
+                for rank in postings.get(token, ()):
+                    position = order[rank]
+                    indexed = counters[position][token]
+                    if indexed > 1:
+                        shared[position] += min(count, indexed) - 1
         return shared
 
     def overlapping(self, probe: Counter[str], threshold: float) -> list[int]:
-        """Positions whose ``overlap_coefficient`` with the probe is at least ``threshold``.
+        """Positions whose ``overlap_coefficient`` with the probe is at least
+        ``threshold``, in no particular order.
 
         ``threshold`` must be above 0: positions sharing no token are not
-        listed. Each score is ``overlap_coefficient``'s own expression, so a
-        pair at exactly the threshold passes here as it does there.
+        listed. Each listed position is verified with the exact shared
+        count and ``overlap_coefficient``'s own expression, so a pair at
+        exactly the threshold passes here as it does there. Only the
+        positions that could still pass are visited (prefix filtering:
+        Bayardo, Ma & Srikant, WWW 2007; Xiao et al., WWW 2008), bounded
+        per size because of the ``min`` denominator:
+
+        - Let ``p`` be the probe's size and ``s`` a text's, both with
+          multiplicity, and ``m = min(p, s)``. Let ``need(m)`` be the
+          least integer ``x`` with ``x / m >= threshold`` in floating point,
+          as the score divides; not ``ceil(threshold * m)``, since
+          ``0.56 * 25`` is ``14.000000000000002`` while ``14 / 25`` is
+          ``0.56``. A correctly rounded
+          quotient never falls as its numerator rises, so a pair passes
+          exactly when ``shared >= need(m)``, and ``need(m) <= r`` exactly
+          when ``r / m >= threshold``: the walk tests the latter.
+        - The probe's tokens are walked rarest first (shortest posting
+          list; any fixed order is exact). Let ``before(t)`` be the probe
+          occurrences ahead of token ``t``. A text's shared tokens all come
+          at or after the first probe token it holds, ``t``, so
+          ``shared <= p - before(t)``: a text whose first held token has
+          ``p - before(t) < need(m)`` fails, and only those with
+          ``need(m) <= p - before(t)`` are taken from ``t``'s list.
+        - ``need`` never falls as ``m`` rises, since ``x / m`` never rises.
+          So every text is taken while ``need(p) <= p - before(t)``, and
+          after that only texts with ``s < p`` and
+          ``need(s) <= p - before(t)``: the ranks up to the largest such
+          size, one ``bisect`` into each list.
         """
-        total, sizes = sum(probe.values()), self._sizes
-        return [i for i, shared in self.shared(probe).items() if shared / min(total, sizes[i]) >= threshold]
+        total = sum(probe.values())
+        postings = self._postings
+        sizes = self._ranked_sizes
+        # ranks below bound may still pass; remaining is p - before(t)
+        bound, remaining = len(sizes), total
+        candidates: set[int] = set()
+        for token in sorted(probe, key=lambda token: len(postings.get(token, ()))):
+            ranks = postings.get(token)
+            if ranks:
+                if remaining / total < threshold:
+                    bound = bisect_right(sizes, _largest_size(remaining, threshold), 0, bound)
+                    if not bound:
+                        break
+                    candidates.update(ranks[: bisect_left(ranks, bound)])
+                else:
+                    candidates.update(ranks)
+            remaining -= probe[token]
+        order, counters = self._order, self._counters
+        items = probe.items()
+        overlapping = []
+        for rank in candidates:
+            counter = counters[order[rank]]
+            shared = 0
+            for token, count in items:
+                indexed = counter.get(token)
+                if indexed:
+                    shared += count if count < indexed else indexed
+            if shared / min(total, sizes[rank]) >= threshold:
+                overlapping.append(order[rank])
+        return overlapping
+
+
+def _largest_size(shared: int, threshold: float) -> int:
+    """The largest size ``s`` with ``shared / s >= threshold`` as
+    ``overlap_coefficient`` divides, or 0, stepped to from
+    ``shared / threshold`` rounded down."""
+    size = int(shared / threshold)
+    while size and shared / size < threshold:
+        size -= 1
+    while shared / (size + 1) >= threshold:
+        size += 1
+    return size
 
 
 def containment(a: Counter[str], b: Counter[str]) -> float:

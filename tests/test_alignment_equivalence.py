@@ -27,9 +27,19 @@ and extend each other: copies, cut and reordered copies of a paragraph, and
 texts with no token. A passage is often contained in several paragraphs,
 and in about one judgment in ten the passages outrun the search's budget,
 so the index takes over mid-way.
+
+The index's size-bounded prefix filter is checked on its own against every
+position: probes and texts built from a few words, each text keeping part of
+the probe's occurrences and filled up to a size below, at or above the
+probe's, so that scores land exactly on the threshold and the first shared
+token often leaves exactly as many occurrences as a pass needs. 0.56 of 25
+is one such threshold: 14 / 25 reaches it, though ``0.56 * 25`` is
+``14.000000000000002``.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -327,6 +337,68 @@ def test_resolve_paragraph_tie_keeps_the_first_paragraph():
     texts = ("legge", "corte")
     assert resolve_paragraph("corte legge", SourceParagraphs(list(texts)), 0.5) == 0
     assert ref.resolve_paragraph("corte legge", list(enumerate(map(raw_token_counts, texts))), 0.5) == 0
+
+
+_INDEXED = ("a", "b", "c", "d")
+# probe tokens that no indexed text holds
+_ABSENT = ("x", "y")
+
+
+def _need(size: int, threshold: float) -> int:
+    """The least shared count that reaches ``threshold`` against ``size``,
+    by the score's own division, or ``size + 1`` when none does."""
+    return next((x for x in range(1, size + 1) if x / size >= threshold), size + 1)
+
+
+@st.composite
+def _overlap_cases(draw):
+    """A probe, texts of sizes below, at and above its size that keep part
+    or all of its occurrences, and a threshold. Often the probe's words
+    that no text holds leave just enough occurrences for a pass, so a text
+    keeping all the others passes exactly at the threshold."""
+    threshold = draw(st.sampled_from((0.56, 0.6, 0.7, 0.8, 1.0)))
+    size = draw(st.sampled_from((0, 1, 2, 3, 5, 10, 20, 25, 25)))
+    absent = draw(st.one_of(st.just(max(0, size - _need(size, threshold))), st.integers(0, size)))
+    indexed = draw(st.lists(st.sampled_from(_INDEXED), min_size=size - absent, max_size=size - absent))
+    probe = draw(st.lists(st.sampled_from(_ABSENT), min_size=absent, max_size=absent)) + indexed
+    texts = []
+    for _ in range(draw(st.integers(0, 6))):
+        text_size = max(0, size + draw(st.integers(-4, 4)))
+        if draw(st.booleans()):
+            kept = indexed[:text_size]
+        else:
+            kept = [token for token in indexed if draw(st.booleans())][:text_size]
+        fill = draw(st.lists(st.sampled_from(_INDEXED + ("e",)),
+                             min_size=text_size - len(kept), max_size=text_size - len(kept)))
+        texts.append(kept + fill)
+    return Counter(probe), [Counter(text) for text in texts], threshold
+
+
+@settings(max_examples=500, deadline=None)
+@given(_overlap_cases())
+def test_overlapping_equals_brute_force(case):
+    probe, counters, threshold = case
+    index = TokenIndex(counters)
+    assert sorted(index.overlapping(probe, threshold)) == [
+        i for i, counter in enumerate(counters) if overlap_coefficient(probe, counter) >= threshold
+    ]
+    assert index.shared(probe) == {
+        i: sum((probe & counter).values()) for i, counter in enumerate(counters) if probe & counter
+    }
+
+
+def test_overlapping_keeps_passes_at_exactly_the_threshold():
+    # "a" is in no text, so "b" is walked with exactly 14 of the probe's 25
+    # occurrences left; 14 / 25 reaches 0.56, though 0.56 * 25 rounds up
+    # to more than 14
+    probe = Counter({"a": 11, "b": 14})
+    counters = [Counter({"b": 14, "c": 11}), Counter({"b": 14, "c": 30})]
+    assert sorted(TokenIndex(counters).overlapping(probe, 0.56)) == [0, 1]
+    # "b" is walked with 5 of the probe's 10 occurrences left, so only
+    # texts of up to 7 tokens can pass: 5 / 7 does, 5 / 8 does not
+    probe = Counter({"a": 5, "b": 5})
+    counters = [Counter({"b": 5, "c": 2}), Counter({"b": 5, "c": 3}), Counter({"b": 4})]
+    assert sorted(TokenIndex(counters).overlapping(probe, 0.7)) == [0, 2]
 
 
 _TOKENS = st.sampled_from(("a", "b", "c"))

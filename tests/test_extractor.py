@@ -214,6 +214,60 @@ def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     assert exc.value.pointer == f"/1/{field}"
 
 
+@pytest.mark.parametrize(
+    "field, value, pointer",
+    [
+        ("raw", 7, "/raw"),
+        ("raw", None, "/raw"),
+        ("year", "2019", "/year"),
+        ("year", 2019.0, "/year"),
+        ("number", True, "/number"),
+        ("court", None, "/court"),
+        ("court", "Bogus", "/court"),
+        ("court_label", 3, "/court_label"),
+        ("section", ["I"], "/section"),
+        ("date", 20190101, "/date"),
+        ("date", "22/06/2016", "/date"),
+        ("marker", False, "/marker"),
+        # no number, year or date left: a citation with nothing to cite
+        ("year", None, ""),
+    ],
+    ids=["raw_int", "raw_null", "year_str", "year_float", "number_bool", "court_null", "court_unknown",
+         "court_label_int", "section_list", "date_int", "date_not_iso", "marker_bool", "nothing_cited"],
+)
+def test_jsonl_rejects_a_citation_field_of_the_wrong_type(tmp_path, field, value, pointer):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    good = extract_candidates(doc, V2)[0].to_dict()
+    citation = {**good["citations"][0], field: value}
+    if pointer == "":
+        citation["number"] = None
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(good) + "\n" + json.dumps({**good, "citations": [citation]}) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == f"/1/citations/0{pointer}"
+
+
+@pytest.mark.parametrize(
+    "citations, pointer",
+    [("Trib. Milano 15/2020", "/1/citations"), (["Trib. Milano 15/2020"], "/1/citations/0"),
+     ([{"court": "Tribunale", "year": 2020}], "/1/citations/0/raw")],
+    ids=["not_a_list", "entry_not_an_object", "raw_missing"],
+)
+def test_jsonl_rejects_malformed_citations(tmp_path, citations, pointer):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    good = extract_candidates(doc, V2)[0].to_dict()
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        json.dumps(good) + "\n" + json.dumps({**good, "citations": citations}) + "\n", encoding="utf-8"
+    )
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == pointer
+
+
 def test_jsonl_keeps_the_unresolved_paragraph_index(tmp_path):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
     cand = replace(extract_candidates(doc, V2)[0], paragraph_index=-1)

@@ -132,10 +132,48 @@ def _judgment(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Documen
     return candidates, gold, document
 
 
+def _align_afresh(args) -> None:
+    # a fresh judgment each time: align keeps the last one's scores and verdicts
+    evaluation._judgment.cache_clear()
+    align(*args)
+
+
 def test_align_linear_on_disjoint_paragraphs():
     # every gold span matches its copy and every other candidate is a
     # Not-PoL; scoring all pairs would make n = 200 take 16 times n = 50
-    assert _ratio(lambda args: align(*args), _judgment(50), _judgment(200)) < MAX_RATIO
+    assert _ratio(_align_afresh, _judgment(50), _judgment(200)) < MAX_RATIO
+
+
+def _common_words(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:
+    """n paragraphs of ten words, six of them in every paragraph and two
+    its own; a candidate copying each paragraph and a gold span of its six
+    common and two own words on each."""
+    texts = [f"la corte di cassazione ritiene che il principio sia parola{p} termine{p}" for p in range(n)]
+    document = Document(
+        doc_id="d.txt",
+        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
+        page_count=None,
+        source_path="d.txt",
+    )
+    gold = [
+        GoldAnnotation(doc_id="d.txt", paragraph_index=p, pol_type=PoLType.IMPLICIT,
+                       span_text=f"la corte di cassazione ritiene che parola{p} termine{p}")
+        for p in range(n)
+    ]
+    candidates = [
+        PoLCandidate(doc_id="d.txt", paragraph_index=p, text=t, quote="", trigger=None,
+                     pol_type=PoLType.IMPLICIT, source=Source.RULES)
+        for p, t in enumerate(texts)
+    ]
+    return candidates, gold, document
+
+
+def test_align_linear_when_every_text_shares_common_words():
+    # each gold span shares its six common words, 6 of 8 and short of 0.8,
+    # with every candidate, and its own two with one; walking every
+    # candidate holding a common word would make n = 400 take 16 times
+    # n = 100
+    assert _ratio(_align_afresh, _common_words(100), _common_words(400)) < MAX_RATIO
 
 
 def _unresolved(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:
@@ -158,17 +196,11 @@ def _unresolved(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Docum
     return candidates, [], document
 
 
-def _triage(args) -> None:
-    # a fresh judgment each time: align keeps the last one's verdicts
-    evaluation._judgment.cache_clear()
-    align(*args)
-
-
 def test_triage_linear_in_paragraphs_for_unresolved_candidates():
     # every candidate passes the screen, which reads past each paragraph's
     # "violazione" and "viola<p>" before a common word settles it, and the
     # index over every paragraph answers; each is a Hallucination
-    assert _ratio(_triage, _unresolved(50), _unresolved(200)) < MAX_RATIO
+    assert _ratio(_align_afresh, _unresolved(50), _unresolved(200)) < MAX_RATIO
 
 
 def _passages_against(n: int) -> tuple[list[str], list[str]]:

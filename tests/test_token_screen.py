@@ -89,6 +89,15 @@ def test_screen_passes_any_occurrence_beside_a_fold_class_changer():
     assert not TokenScreen("a\u0345b").may_share(raw_token_counts("c"))
 
 
+def test_screen_finds_a_fold_class_changer_in_any_paragraph():
+    # only the paragraphs that are not ASCII are searched for one
+    assert not any(c.isascii() for c in _FOLD_CLASS_CHANGERS)
+    assert TokenScreen("la corte", "\u0130stanbul", "legge").may_share(raw_token_counts("i\u0307stanbul"))
+    assert not TokenScreen("la corte", "i\u0307stanbul", "legge").may_share(raw_token_counts("\u0130stanbul"))
+    # "\n" joins the paragraphs, so a token ending one and one starting the next stay apart
+    assert not TokenScreen("la corte", "legge").may_share(raw_token_counts("cortelegge"))
+
+
 DOC_ID = "d.txt"
 TEXTS = ["La corte decide.", "Violazione di legge.", "…"]
 
