@@ -33,7 +33,8 @@ REPORT_FORMATS = ("csv", "md", "json")
 def _read_json(path: str, what: str) -> object:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError covers invalid JSON and bytes that are not UTF-8
+    except (OSError, ValueError) as exc:
         raise PolminerError(f"cannot read {what}: {exc}") from exc
 
 
@@ -284,7 +285,10 @@ def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
 def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     paths, skipped = list_judgments(cfg.input_dir)
     if args.mock:
-        transport: llm.Transport = llm.ScriptedTransport(responses=_read_json(args.mock, "mock fixtures"))
+        responses = _read_json(args.mock, "mock fixtures")
+        if not isinstance(responses, dict) or not all(isinstance(r, str) for r in responses.values()):
+            raise PolminerError(f"mock fixtures {args.mock} must map each doc_id to a response string")
+        transport: llm.Transport = llm.ScriptedTransport(responses=responses)
     elif args.endpoint:
         transport = llm.HttpChatTransport(
             endpoint=args.endpoint,

@@ -29,8 +29,8 @@ from .errors import DocMismatch, GoldMismatch
 from .extractor import PoLCandidate, PoLType
 from .goldstore import GoldAnnotation, GoldSet
 from .textnorm import (
+    SourceParagraphs,
     TokenIndex,
-    TokenScreen,
     containment,
     has_token,
     normalize_text,
@@ -228,62 +228,30 @@ def _classify_match(
     return completeness, similarity
 
 
-class _SourceParagraphs:
-    """A judgment's paragraphs as written, tokenized for FP triage only where needed.
+def _in_source(source: SourceParagraphs, text: str, own: int, threshold: float) -> bool:
+    """Whether some paragraph's overlap coefficient with ``text`` reaches ``threshold``.
 
-    A copy of its own paragraph needs no counter: it overlaps that
-    paragraph fully when the text holds a token, and nothing otherwise.
-    Any other text is scored against its own paragraph's counter, built
-    the first time a candidate needs it. Only when that misses is the
-    judgment's text case-folded, once, to screen the candidate: one that
-    shares no token with any paragraph is settled there, and the index
-    over every paragraph's counter is built, once, only for a candidate
-    that passes the screen.
+    Any paragraph reaching the threshold gives the same answer, so the
+    paragraph at ``own`` is tried first. A copy of it needs no counter: it
+    overlaps that paragraph fully when the text holds a token, and nothing
+    otherwise. Any other text is scored against the own paragraph's
+    counter. A miss is settled by the screen when no paragraph shares a
+    token with the text, since the threshold is above 0, and only otherwise
+    probes the index over every paragraph.
     """
-
-    def __init__(self, document: Document):
-        self._texts = [p.text for p in document.paragraphs]
-        self._counters: list[Counter[str] | None] = [None] * len(self._texts)
-        self._screen: TokenScreen | None = None
-        self._index: TokenIndex | None = None
-
-    def _counter(self, position: int) -> Counter[str]:
-        counter = self._counters[position]
-        if counter is None:
-            counter = self._counters[position] = raw_token_counts(self._texts[position])
-        return counter
-
-    def contain(self, text: str, own: int, threshold: float) -> bool:
-        """Whether some paragraph's overlap coefficient with ``text`` reaches ``threshold``.
-
-        The paragraph at ``own`` is tried first. Any paragraph reaching the
-        threshold gives the same answer, so a hit there settles it; a miss
-        is settled by the screen when no paragraph shares a token with the
-        text, since the threshold is above 0, and only otherwise probes the
-        index over every paragraph.
-        """
-        if 0 <= own < len(self._texts):
-            if text == self._texts[own]:
-                # a copy overlaps its paragraph fully; a text without tokens overlaps nothing
-                return has_token(text)
-            counter = self._counter(own)
-            probe = raw_token_counts(text)
-            # overlap_coefficient's expression, computed here so that
-            # evaluation.overlap_coefficient scores only matches
-            shared = sum((probe & counter).values())
-            if shared and shared / min(sum(probe.values()), sum(counter.values())) >= threshold:
-                return True
-        else:
-            probe = raw_token_counts(text)
-        if not probe:
-            return False
-        if self._screen is None:
-            self._screen = TokenScreen(*self._texts)
-        if not self._screen.may_share(probe):
-            return False
-        if self._index is None:
-            self._index = TokenIndex([self._counter(i) for i in range(len(self._texts))])
-        return bool(self._index.overlapping(probe, threshold))
+    if 0 <= own < len(source.texts):
+        if text == source.texts[own]:
+            return has_token(text)
+        counter = source.counter(own)
+        probe = raw_token_counts(text)
+        # overlap_coefficient's expression, computed here so that
+        # evaluation.overlap_coefficient scores only matches
+        shared = sum((probe & counter).values())
+        if shared and shared / min(sum(probe.values()), sum(counter.values())) >= threshold:
+            return True
+    else:
+        probe = raw_token_counts(text)
+    return bool(probe) and source.may_share(probe) and bool(source.index().overlapping(probe, threshold))
 
 
 class _Judgment:
@@ -297,7 +265,7 @@ class _Judgment:
 
     def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
                  overlap_threshold: float, hallucination_threshold: float):
-        self.source = _SourceParagraphs(document)
+        self.source = SourceParagraphs([p.text for p in document.paragraphs])
         self.gold_texts = [_normalized(a.span_text) for a in gold]
         self.overlap_threshold = overlap_threshold
         self.hallucination_threshold = hallucination_threshold
@@ -341,8 +309,8 @@ class _Judgment:
     def triage(self, text: str, own: int) -> FpKind:
         in_source = self.in_source.get((text, own))
         if in_source is None:
-            in_source = self.in_source[text, own] = self.source.contain(
-                text, own, self.hallucination_threshold
+            in_source = self.in_source[text, own] = _in_source(
+                self.source, text, own, self.hallucination_threshold
             )
         return FpKind.NOT_POL if in_source else FpKind.HALLUCINATION
 

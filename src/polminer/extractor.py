@@ -70,6 +70,8 @@ class PoLCandidate:
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "PoLCandidate":
+        if not isinstance(data, dict):
+            raise SchemaError(pointer or "/", "must be an object")
         try:
             doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
             quote, trigger, citations = data.get("quote", ""), data.get("trigger"), data.get("citations", [])
@@ -187,13 +189,17 @@ def save_candidates_jsonl(candidates: list[PoLCandidate], path: str | Path) -> P
 def load_candidates_jsonl(path: str | Path) -> list[PoLCandidate]:
     candidates = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            if not line.strip():
-                continue
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"/{lineno}", f"invalid JSON: {exc}") from exc
-            candidates.append(PoLCandidate.from_dict(data, pointer=f"/{lineno}"))
+        try:
+            for lineno, line in enumerate(fh):
+                if not line.strip():
+                    continue
+                try:
+                    data = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise SchemaError(f"/{lineno}", f"invalid JSON: {exc}") from exc
+                candidates.append(PoLCandidate.from_dict(data, pointer=f"/{lineno}"))
+        # the file is decoded a block at a time, ahead of the line being read
+        except UnicodeDecodeError as exc:
+            raise SchemaError("/", f"not UTF-8 text: {exc}") from exc
     return candidates
 

@@ -55,6 +55,8 @@ class GoldAnnotation:
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str) -> "GoldAnnotation":
+        if not isinstance(data, dict):
+            raise SchemaError(pointer, "must be an object")
         for fieldname in ("doc_id", "paragraph_index", "span_text", "pol_type"):
             if fieldname not in data:
                 raise SchemaError(f"{pointer}/{fieldname}", "missing field")
@@ -186,7 +188,8 @@ def save_gold(gold: GoldSet, path: str | Path) -> Path:
 def load_gold(path: str | Path) -> GoldSet:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError covers bytes that are not UTF-8 too
+    except ValueError as exc:
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "annotations" not in data:
         raise SchemaError("/annotations", "missing annotations list")

@@ -19,19 +19,16 @@ import dataclasses
 import json
 import math
 import re
-from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate
 from pathlib import Path
-from typing import Iterator, Protocol
+from typing import Protocol
 
 from .corpus import Document
 from .errors import BudgetExceeded, EmptyResponse, TransportError
 from .extractor import PoLCandidate, Source, classify
 from .patterns import find_citations, find_quotes
 from .patterns.rules import V2_REFINED
-from .textnorm import TokenIndex, TokenScreen, raw_token_counts
+from .textnorm import SourceParagraphs, raw_token_counts
 
 _BODY_IT = (
     "Estrai i paragrafi in cui c’è la parola CORTE, TRIBUNALE, "
@@ -232,113 +229,6 @@ def split_passages(response: str) -> list[str]:
     return [p for p in passages if p]
 
 
-def _positions(mask: int) -> Iterator[int]:
-    """The positions of a bit mask's set bits, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-class SourceParagraphs:
-    """A judgment's paragraphs as passage resolution reads them: case-folded
-    once, and tokenized only where a passage's search reaches them.
-
-    The paragraphs are folded one by one and joined by ``"\\n"``, the string
-    ``TokenScreen`` folds, so the screen reuses it. A paragraph's
-    ``raw_token_counts`` is built the first time a search compares a
-    passage with it; the screen and the ``TokenIndex`` over every
-    paragraph's counter are built once, when a passage first needs them.
-    """
-
-    def __init__(self, texts: list[str]):
-        self._texts = texts
-        self._folded = [text.casefold() for text in texts]
-        self._joined = "\n".join(self._folded)
-        # where each paragraph starts in the joined text
-        self._starts = list(accumulate((len(text) + 1 for text in self._folded), initial=0))[:-1]
-        self._counters: list[Counter[str] | None] = [None] * len(texts)
-        # token -> bit mask of the paragraphs whose folded text holds it
-        self._hits: dict[str, int] = {}
-        # candidates the search may still compare before the index takes over
-        self._budget = len(texts)
-        self._screen: TokenScreen | None = None
-        self._index: TokenIndex | None = None
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the index over every paragraph is built, and so answers."""
-        return self._index is not None
-
-    def _counter(self, position: int) -> Counter[str]:
-        counter = self._counters[position]
-        if counter is None:
-            counter = self._counters[position] = raw_token_counts(self._texts[position])
-        return counter
-
-    def _hits_of(self, token: str) -> int:
-        """The paragraphs whose folded text holds ``token``, found once per judgment."""
-        mask = self._hits.get(token)
-        if mask is None:
-            mask = 0
-            joined, starts = self._joined, self._starts
-            at = joined.find(token)
-            while at >= 0:
-                position = bisect_right(starts, at) - 1
-                mask |= 1 << position
-                if position + 1 == len(starts):
-                    break
-                # one hit marks a paragraph: go on from the next one's start
-                at = joined.find(token, starts[position + 1])
-            self._hits[token] = mask
-        return mask
-
-    def first_containing(self, counts: Counter[str]) -> int | None:
-        """The first paragraph whose ``raw_token_counts`` holds every token of
-        ``counts`` at least as often, ``-1`` when none does, or ``None`` when
-        a candidate is left to compare after the search has compared as
-        many in this judgment as it has paragraphs.
-
-        Candidates are the paragraphs whose folded text holds the tokens,
-        longest first, as substrings, narrowed until at most one is left. A
-        token's hits are found over the whole judgment, and kept for later
-        passages, while more than half the paragraphs are still candidates;
-        after that only the candidates are searched for it.
-        """
-        tokens = sorted(counts, key=len, reverse=True)
-        candidates = self._hits_of(tokens[0])
-        folded, paragraphs = self._folded, len(self._texts)
-        for token in tokens[1:]:
-            if not candidates & (candidates - 1):
-                break
-            if token in self._hits or 2 * candidates.bit_count() > paragraphs:
-                candidates &= self._hits_of(token)
-            else:
-                for position in _positions(candidates):
-                    if token not in folded[position]:
-                        candidates ^= 1 << position
-        for position in _positions(candidates):
-            if not self._budget:
-                return None
-            self._budget -= 1
-            counter = self._counter(position)
-            if all(counter[token] >= count for token, count in counts.items()):
-                return position
-        return -1
-
-    def may_share(self, counts: Counter[str]) -> bool:
-        """``TokenScreen.may_share`` over the judgment's text."""
-        if self._screen is None:
-            self._screen = TokenScreen(*self._texts, folded=self._joined)
-        return self._screen.may_share(counts)
-
-    def index(self) -> TokenIndex:
-        """The index over every paragraph's counter, built on first use."""
-        if self._index is None:
-            self._index = TokenIndex([self._counter(i) for i in range(len(self._texts))])
-        return self._index
-
-
 def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float = RESOLUTION_THRESHOLD) -> int:
     """Index of the paragraph best containing the passage, or -1.
 
@@ -356,10 +246,12 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
        token of a paragraph occurs in the paragraph's folded text: the
        candidates, the paragraphs whose folded text holds every token,
        include every paragraph that contains the passage fully.
-    2. Screen (``TokenScreen``): otherwise, a passage none of whose tokens
-       is a token of the judgment scores 0 everywhere, and is unresolved.
-    3. Index (``TokenIndex``): otherwise, every paragraph sharing a token
-       with the passage is scored, exactly as without the first two steps.
+    2. Screen (``SourceParagraphs.may_share``): otherwise, a passage none of
+       whose tokens is a token of the judgment scores 0 everywhere, and is
+       unresolved.
+    3. Index (``SourceParagraphs.index``): otherwise, every paragraph
+       sharing a token with the passage is scored, exactly as without the
+       first two steps.
 
     The work budget comes from the input: over a whole judgment, the search
     compares at most as many candidates with their counters as the judgment

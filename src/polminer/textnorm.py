@@ -10,8 +10,8 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import chain
-from typing import Iterable
+from itertools import accumulate, chain
+from typing import Iterable, Iterator
 
 # Curly/angle/straight quotation marks plus apostrophes, stripped from span edges.
 _EDGE_QUOTE_CHARS = "“”‘’«»\"'`"
@@ -83,40 +83,130 @@ _FOLD_CLASS_CHANGER_CLASS = f"[{_FOLD_CLASS_CHANGERS}]"
 _WHOLE_SCAN_STEPS = 4
 
 
-class TokenScreen:
-    """Whether some of a probe's tokens may be tokens of a text, read off
-    the text case-folded, without tokenizing it.
+class SourceParagraphs:
+    """A judgment's paragraphs as FP triage and passage resolution read
+    them: case-folded on first use, and tokenized only where a question
+    reaches them.
 
-    The text is ``paragraphs`` joined by ``"\\n"``, which is no token
-    character, so no token spans two paragraphs. ``str.casefold`` maps each
-    code point on its own, so every token of ``raw_token_counts(text)``
-    occurs in ``text.casefold()``. Where the text holds no code point whose
-    casefold changes token class, each character of the folded text has the
-    class of the one it came from, so the folded text's maximal token runs
-    are exactly the text's tokens: a probe token is one of them when it is
-    all token characters and occurs with no token character on either side,
-    and the answer is exact. Otherwise any occurrence counts, and only a
-    ``False`` is exact: the probe shares no token with the text.
+    A paragraph's ``raw_token_counts`` (``counter``) is built the first
+    time it is needed. The paragraphs are case-folded one by one and joined
+    by ``"\\n"``, which is no token character, so no token spans two
+    paragraphs; the fold is made when the search or the screen first needs
+    it, never on construction. The ``TokenIndex`` over every paragraph's
+    counter is built once, when a question first needs it.
 
-    ``folded`` is ``text.casefold()``, passed by a caller that already has
-    it. The class-changing code points are all non-ASCII, so they are
-    looked for only in the paragraphs that are not ASCII.
+    The screen (``may_share``) rests on ``str.casefold`` mapping each code
+    point on its own, so every token of a paragraph occurs in the folded
+    text. Where the judgment holds no code point whose casefold changes
+    token class, each character of the folded text has the class of the one
+    it came from, so the folded text's maximal token runs are exactly the
+    paragraphs' tokens: a probe token is one of them when it is all token
+    characters and occurs with no token character on either side, and the
+    answer is exact. Otherwise any occurrence counts, and only a ``False``
+    is exact: the probe shares no token with the judgment. The
+    class-changing code points are all non-ASCII, so they are looked for
+    only in the paragraphs that are not ASCII, the first time the screen
+    runs.
     """
 
-    def __init__(self, *paragraphs: str, folded: str | None = None):
-        self._folded = "\n".join(paragraphs).casefold() if folded is None else folded
-        search = re.compile(_FOLD_CLASS_CHANGER_CLASS).search
-        self._bounded = not any(search(paragraph) for paragraph in paragraphs if not paragraph.isascii())
+    def __init__(self, texts: list[str]):
+        self.texts = texts
+        self._counters: list[Counter[str] | None] = [None] * len(texts)
+        # each paragraph case-folded, their join, and where each starts in it
+        self._folded: list[str] | None = None
+        self._joined = ""
+        self._starts: list[int] = []
+        # token -> bit mask of the paragraphs whose folded text holds it
+        self._hits: dict[str, int] = {}
+        # candidates the search may still compare before the index takes over
+        self._budget = len(texts)
+        # whether no paragraph holds a class-changing code point; None until screened
+        self._bounded: bool | None = None
+        self._index: TokenIndex | None = None
+
+    @property
+    def indexed(self) -> bool:
+        """Whether the index over every paragraph is built, and so answers."""
+        return self._index is not None
+
+    def counter(self, position: int) -> Counter[str]:
+        """The paragraph's ``raw_token_counts``, built once."""
+        counter = self._counters[position]
+        if counter is None:
+            counter = self._counters[position] = raw_token_counts(self.texts[position])
+        return counter
+
+    def _fold(self) -> None:
+        self._folded = [text.casefold() for text in self.texts]
+        self._joined = "\n".join(self._folded)
+        self._starts = list(accumulate((len(text) + 1 for text in self._folded), initial=0))[:-1]
+
+    def _hits_of(self, token: str) -> int:
+        """The paragraphs whose folded text holds ``token``, found once per judgment."""
+        mask = self._hits.get(token)
+        if mask is None:
+            mask = 0
+            joined, starts = self._joined, self._starts
+            at = joined.find(token)
+            while at >= 0:
+                position = bisect_right(starts, at) - 1
+                mask |= 1 << position
+                if position + 1 == len(starts):
+                    break
+                # one hit marks a paragraph: go on from the next one's start
+                at = joined.find(token, starts[position + 1])
+            self._hits[token] = mask
+        return mask
+
+    def first_containing(self, counts: Counter[str]) -> int | None:
+        """The first paragraph whose ``raw_token_counts`` holds every token of
+        ``counts`` at least as often, ``-1`` when none does, or ``None`` when
+        a candidate is left to compare after the search has compared as
+        many in this judgment as it has paragraphs.
+
+        Candidates are the paragraphs whose folded text holds the tokens,
+        longest first, as substrings, narrowed until at most one is left. A
+        token's hits are found over the whole judgment, and kept for later
+        passages, while more than half the paragraphs are still candidates;
+        after that only the candidates are searched for it.
+        """
+        if self._folded is None:
+            self._fold()
+        tokens = sorted(counts, key=len, reverse=True)
+        candidates = self._hits_of(tokens[0])
+        folded, paragraphs = self._folded, len(self.texts)
+        for token in tokens[1:]:
+            if not candidates & (candidates - 1):
+                break
+            if token in self._hits or 2 * candidates.bit_count() > paragraphs:
+                candidates &= self._hits_of(token)
+            else:
+                for position in _positions(candidates):
+                    if token not in folded[position]:
+                        candidates ^= 1 << position
+        for position in _positions(candidates):
+            if not self._budget:
+                return None
+            self._budget -= 1
+            counter = self.counter(position)
+            if all(counter[token] >= count for token, count in counts.items()):
+                return position
+        return -1
 
     def may_share(self, tokens: Iterable[str]) -> bool:
-        """``False`` only when none of ``tokens`` is a token of the text."""
+        """``False`` only when none of ``tokens`` is a token of a paragraph."""
+        if self._bounded is None:
+            if self._folded is None:
+                self._fold()
+            search = re.compile(_FOLD_CLASS_CHANGER_CLASS).search
+            self._bounded = not any(search(text) for text in self.texts if not text.isascii())
         if not self._bounded:
-            return any(token in self._folded for token in tokens)
+            return any(token in self._joined for token in tokens)
         return any(token.isalnum() and self._occurs_whole(token) for token in tokens)
 
     def _occurs_whole(self, token: str) -> bool:
         """Whether ``token`` occurs in the folded text with no token character on either side."""
-        folded = self._folded
+        folded = self._joined
         start = folded.find(token)
         for _ in range(_WHOLE_SCAN_STEPS):
             if start < 0:
@@ -128,6 +218,20 @@ class TokenScreen:
         # the lookbehind also sees the text before ``start``
         word = re.escape(token)
         return start >= 0 and re.compile(rf"{word}(?![^\W_])(?<![^\W_]{word})").search(folded, start) is not None
+
+    def index(self) -> TokenIndex:
+        """The index over every paragraph's counter, built on first use."""
+        if self._index is None:
+            self._index = TokenIndex([self.counter(i) for i in range(len(self.texts))])
+        return self._index
+
+
+def _positions(mask: int) -> Iterator[int]:
+    """The positions of a bit mask's set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:

@@ -45,7 +45,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_alignment as ref
-from polminer import evaluation
+from polminer import evaluation, textnorm
 from polminer.corpus import Document, Paragraph
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
@@ -164,11 +164,14 @@ def _align_counting(candidates, gold, document, overlap, hallucination):
 
     _CountingIndex.probed = []
     real = evaluation.TokenIndex, evaluation.overlap_coefficient
+    # the gold index is built through evaluation, the paragraph index through textnorm
     evaluation.TokenIndex, evaluation.overlap_coefficient = _CountingIndex, counting_overlap
+    textnorm.TokenIndex = _CountingIndex
     try:
         result = align(candidates, gold, document, overlap, hallucination)
     finally:
         evaluation.TokenIndex, evaluation.overlap_coefficient = real
+        textnorm.TokenIndex = real[0]
     paragraph_index = evaluation._judgment(document, tuple(gold), overlap, hallucination).source._index
     probes = sum(index is paragraph_index for index in _CountingIndex.probed)
     return result, len(scores), probes

@@ -561,3 +561,40 @@ def test_config_rejects_removed_fields(tmp_path, capsys, field):
     config.write_text(json.dumps({field: 1}))
     assert main(["extract", "--config", str(config), "--input", str(tmp_path / "S")]) == 1
     assert f"unknown config field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["gold", "candidates", "config", "mock"])
+def test_a_json_input_that_is_not_utf8_is_one_fatal_line(tmp_path, capsys, kind):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "d.txt").write_text("principio\n", encoding="utf-8")
+    gold, candidates = _one_doc_inputs(tmp_path, "d.txt", "d.txt")
+    config, mock = tmp_path / "run.json", tmp_path / "mock.json"
+    config.write_text("{}", encoding="utf-8")
+    mock.write_text(json.dumps({"d.txt": "principio"}), encoding="utf-8")
+    path = {"gold": gold, "candidates": candidates, "config": config, "mock": mock}[kind]
+    Path(path).write_bytes(b"\xff" + Path(path).read_bytes())
+    if kind == "mock":
+        argv = ["llm-extract", "--mock", str(mock), "--out-file", str(tmp_path / "llm.jsonl")]
+    else:
+        argv = ["evaluate", gold, candidates, "--config", str(config), "--out", str(tmp_path / "R")]
+    assert main([*argv, "--input", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("fatal: ") and "utf-8" in err
+
+
+@pytest.mark.parametrize("responses", [[1], {"j01.txt": 5}, "j01.txt"], ids=repr)
+def test_llm_extract_mock_must_map_doc_ids_to_strings(tmp_path, capsys, monkeypatch, responses):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps(responses), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
+    out_file = tmp_path / "llm.jsonl"
+    assert main(["llm-extract", "--input", str(corpus), "--mock", str(mock), "--out-file", str(out_file)]) == 1
+    assert capsys.readouterr().err == (
+        f"fatal: mock fixtures {mock} must map each doc_id to a response string\n"
+    )
+    assert opened == [] and not out_file.exists()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ReproFixture
-from polminer import evaluation
+from polminer import evaluation, textnorm
 from polminer.corpus import Document, Paragraph, load_document
 from polminer.errors import DocMismatch, GoldMismatch
 from polminer.evaluation import (
@@ -476,7 +476,9 @@ def test_triage_of_rules_candidates_builds_no_paragraph_index(monkeypatch):
             built.append(list(counters))
             super().__init__(counters)
 
+    # the gold index is built through evaluation, a paragraph index through textnorm
     monkeypatch.setattr(evaluation, "TokenIndex", SpyIndex)
+    monkeypatch.setattr(textnorm, "TokenIndex", SpyIndex)
     candidates = _rules_copies(texts, [0, 1, 2, 4])
     result = align(candidates, [_gold(texts[0])], document)
     assert [kind for _, kind in result.false_positives] == [
@@ -495,7 +497,9 @@ def test_aligning_three_candidate_sets_tokenizes_each_paragraph_once(monkeypatch
         tokenized.append(text)
         return real(text)
 
+    # probes are tokenized through evaluation, paragraphs through textnorm
     monkeypatch.setattr(evaluation, "raw_token_counts", spy)
+    monkeypatch.setattr(textnorm, "raw_token_counts", spy)
     broad = _rules_copies(texts, range(len(texts)))
     refined = _rules_copies(texts, [0, 1])
     # an unresolved passage and a fabricated one make triage probe every paragraph

@@ -268,6 +268,27 @@ def test_jsonl_rejects_malformed_citations(tmp_path, citations, pointer):
     assert exc.value.pointer == pointer
 
 
+@pytest.mark.parametrize("line", [5, "r.docx", None, [1]], ids=repr)
+def test_jsonl_rejects_a_line_that_is_not_an_object(tmp_path, line):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    good = extract_candidates(doc, V2)[0].to_dict()
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(good) + "\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == "/1"
+    assert str(exc.value) == "/1: must be an object"
+
+
+def test_jsonl_names_bytes_that_are_not_utf8(tmp_path):
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    path = save_candidates_jsonl(extract_candidates(doc, V2), tmp_path / "c.jsonl")
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == "/" and "utf-8" in str(exc.value)
+
+
 def test_jsonl_keeps_the_unresolved_paragraph_index(tmp_path):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
     cand = replace(extract_candidates(doc, V2)[0], paragraph_index=-1)

@@ -194,6 +194,24 @@ def test_load_gold_rejects_an_annotator_id_that_is_not_a_string(tmp_path, annota
     assert exc.value.pointer == "/annotations/1/annotator_id"
 
 
+@pytest.mark.parametrize("entry", [5, "d.txt", None, ["d.txt"]], ids=repr)
+def test_load_gold_rejects_an_annotation_that_is_not_an_object(tmp_path, entry):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"annotations": [_ann(0).to_dict(), entry]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_gold(path)
+    assert exc.value.pointer == "/annotations/1"
+    assert str(exc.value) == "/annotations/1: must be an object"
+
+
+def test_load_gold_names_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff" + json.dumps({"annotations": []}).encode())
+    with pytest.raises(SchemaError) as exc:
+        load_gold(path)
+    assert exc.value.pointer == "/" and "utf-8" in str(exc.value)
+
+
 def test_load_gold_keeps_a_string_or_null_annotator_id(tmp_path):
     anns = [{**_ann(0).to_dict(), "annotator_id": "ann"}, {**_ann(1).to_dict(), "annotator_id": None}]
     path = tmp_path / "gold.json"

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from polminer import llm
+from polminer import llm, textnorm
 from polminer.corpus import Document, Paragraph
 from polminer.errors import BudgetExceeded, EmptyResponse, TransportError
 from polminer.evaluation import FpKind, align, confusion
@@ -218,7 +218,9 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
         calls.append(text)
         return raw_token_counts(text)
 
+    # passages are tokenized through llm, paragraphs through textnorm
     monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
+    monkeypatch.setattr(textnorm, "raw_token_counts", counting_raw_token_counts)
     paragraphs = (PARAGRAPHS[0], PARAGRAPHS[1], PARAGRAPHS[1])
     doc = Document(
         doc_id="j01.txt",
@@ -242,7 +244,9 @@ def test_search_hands_over_to_the_index_once_its_budget_is_spent(monkeypatch):
         calls.append(text)
         return raw_token_counts(text)
 
+    # passages are tokenized through llm, paragraphs through textnorm
     monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
+    monkeypatch.setattr(textnorm, "raw_token_counts", counting_raw_token_counts)
     texts = ["alfa beta", "gamma delta", "alfa beta epsilon"]
     source = llm.SourceParagraphs(texts)
     # each copy compares one candidate: three paragraphs allow three

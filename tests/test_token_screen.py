@@ -1,8 +1,8 @@
 """FP triage settles what it can without tokenizing paragraphs, and the
 casefold facts its screen rests on hold on every code point.
 
-The screen (``textnorm.TokenScreen``) reads a judgment's paragraphs
-case-folded instead of tokenized. That is exact only because
+The screen (``textnorm.SourceParagraphs.may_share``) reads a judgment's
+paragraphs case-folded instead of tokenized. That is exact only because
 ``str.casefold`` maps each code point on its own, ``[^\\W_]`` is the same
 test as ``str.isalnum``, and the code points whose casefold changes token
 class are the 28 listed here. The pins loop over every code point, use
@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import sys
 
-from polminer import evaluation
+from polminer import evaluation, llm, textnorm
 from polminer.corpus import Document, Paragraph
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
-from polminer.textnorm import _FOLD_CLASS_CHANGERS, _TOKEN_RE, TokenScreen, raw_token_counts
+from polminer.textnorm import _FOLD_CLASS_CHANGERS, _TOKEN_RE, SourceParagraphs, raw_token_counts
 
 # The code points whose casefold holds a character of the other token class.
 FOLD_CLASS_CHANGERS = {
@@ -74,28 +74,28 @@ def test_screen_is_exact_without_fold_class_changers():
     ]
     for text, probe, shares in cases:
         assert _shares(text, probe) is shares, (text, probe)
-        assert TokenScreen(text).may_share(raw_token_counts(probe)) is shares, (text, probe)
+        assert SourceParagraphs([text]).may_share(raw_token_counts(probe)) is shares, (text, probe)
 
 
 def test_screen_passes_any_occurrence_beside_a_fold_class_changer():
     # U+0345 is no token character but folds to the letter U+03B9: a, U+0345,
     # b holds the tokens "a" and "b", and folds to one run of three letters
-    assert _shares("a\u0345b", "a") and TokenScreen("a\u0345b").may_share(raw_token_counts("a"))
-    assert not _shares("a\u0345b", "\u03b9") and TokenScreen("a\u0345b").may_share(raw_token_counts("\u03b9"))
+    assert _shares("a\u0345b", "a") and SourceParagraphs(["a\u0345b"]).may_share(raw_token_counts("a"))
+    assert not _shares("a\u0345b", "\u03b9") and SourceParagraphs(["a\u0345b"]).may_share(raw_token_counts("\u03b9"))
     # U+0130 folds to i and a combining dot, so the fold of U+0130 "stanbul"
     # holds the tokens "i" and "stanbul" of i, U+0307, "stanbul" as written
     assert not _shares("\u0130stanbul", "i\u0307stanbul")
-    assert TokenScreen("\u0130stanbul").may_share(raw_token_counts("i\u0307stanbul"))
-    assert not TokenScreen("a\u0345b").may_share(raw_token_counts("c"))
+    assert SourceParagraphs(["\u0130stanbul"]).may_share(raw_token_counts("i\u0307stanbul"))
+    assert not SourceParagraphs(["a\u0345b"]).may_share(raw_token_counts("c"))
 
 
 def test_screen_finds_a_fold_class_changer_in_any_paragraph():
     # only the paragraphs that are not ASCII are searched for one
     assert not any(c.isascii() for c in _FOLD_CLASS_CHANGERS)
-    assert TokenScreen("la corte", "\u0130stanbul", "legge").may_share(raw_token_counts("i\u0307stanbul"))
-    assert not TokenScreen("la corte", "i\u0307stanbul", "legge").may_share(raw_token_counts("\u0130stanbul"))
+    assert SourceParagraphs(["la corte", "\u0130stanbul", "legge"]).may_share(raw_token_counts("i\u0307stanbul"))
+    assert not SourceParagraphs(["la corte", "i\u0307stanbul", "legge"]).may_share(raw_token_counts("\u0130stanbul"))
     # "\n" joins the paragraphs, so a token ending one and one starting the next stay apart
-    assert not TokenScreen("la corte", "legge").may_share(raw_token_counts("cortelegge"))
+    assert not SourceParagraphs(["la corte", "legge"]).may_share(raw_token_counts("cortelegge"))
 
 
 DOC_ID = "d.txt"
@@ -113,8 +113,9 @@ def _candidate(index: int, text: str) -> PoLCandidate:
 
 
 def _align_counting(candidates, gold):
-    """``align``'s result and the texts it handed to ``raw_token_counts``
-    and to ``normalize_text``."""
+    """``align``'s result and the texts it handed to ``raw_token_counts``,
+    looked up through ``evaluation`` or ``textnorm``, and to
+    ``normalize_text``."""
     tokenized, normalized = [], []
     real = evaluation.raw_token_counts, evaluation.normalize_text
 
@@ -128,10 +129,12 @@ def _align_counting(candidates, gold):
 
     evaluation._judgment.cache_clear()
     evaluation.raw_token_counts, evaluation.normalize_text = counting_raw, counting_normalize
+    textnorm.raw_token_counts = counting_raw
     try:
         result = align(candidates, gold, _document())
     finally:
         evaluation.raw_token_counts, evaluation.normalize_text = real
+        textnorm.raw_token_counts = real[0]
     return result, tokenized, normalized
 
 
@@ -141,6 +144,16 @@ def test_copies_are_triaged_without_tokenizing():
         FpKind.NOT_POL, FpKind.NOT_POL, FpKind.HALLUCINATION,
     ]
     assert tokenized == []
+
+
+def test_the_judgment_is_folded_on_demand():
+    # copies of their own paragraphs settle triage: nothing is folded or tokenized
+    _align_counting([_candidate(i, t) for i, t in enumerate(TEXTS)], [])
+    source = evaluation._judgment(_document(), (), 0.8, 0.6).source
+    assert source._folded is None and source._counters == [None] * len(TEXTS)
+    # the search reads the fold
+    assert llm.resolve_paragraph("la corte", source) == 0
+    assert source._folded == [t.casefold() for t in TEXTS]
 
 
 def test_a_text_sharing_no_token_is_a_hallucination_before_any_paragraph_is_tokenized():
