@@ -1,7 +1,7 @@
 """Toolkit for extracting principle-of-law passages from Italian court
 judgments and evaluating any extractor's output against gold annotations."""
 
-from .corpus import Document, Paragraph, load_document
+from .corpus import Document, load_document
 from .evaluation import ConfusionCounts, MetricsMode, align, confusion, metrics
 from .extractor import PoLCandidate, PoLType, extract_candidates
 from .goldstore import GoldAnnotation, GoldSet
@@ -16,7 +16,6 @@ __all__ = [
     "GoldAnnotation",
     "GoldSet",
     "MetricsMode",
-    "Paragraph",
     "PoLCandidate",
     "PoLType",
     "RuleProfile",

@@ -76,7 +76,7 @@ class RunConfig:
             value = getattr(args, flag, None)
             if value is not None:
                 setattr(cfg, attr, value)
-        if getattr(args, "format", None):
+        if getattr(args, "format", None) is not None:
             cfg.report_formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
         for name in ("input_dir", "output_dir", "profile"):
             value = getattr(cfg, name)
@@ -159,6 +159,8 @@ def cmd_extract(cfg: RunConfig) -> int:
 
 def cmd_import_gold(args: argparse.Namespace) -> int:
     src = Path(args.input)
+    if not src.exists():
+        raise FileNotFoundError(f"no such file or directory: {src}")
     paths = [src] if src.is_file() else [p for p in list_judgments(src)[0] if is_docx(p)]
     annotations: list[goldstore.GoldAnnotation] = []
 

@@ -25,22 +25,17 @@ JUDGMENT_SUFFIXES = (DOCX_SUFFIX, ".txt")
 
 
 @dataclass(frozen=True)
-class Paragraph:
-    index: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Document:
+    """A judgment as its paragraph texts; a paragraph's index is its position."""
+
     doc_id: str
-    paragraphs: tuple[Paragraph, ...]
+    paragraphs: tuple[str, ...]
     page_count: int | None
-    source_path: str
 
     @property
     def text(self) -> str:
         """Full document text: the paragraphs joined by newlines."""
-        return "\n".join(p.text for p in self.paragraphs)
+        return "\n".join(self.paragraphs)
 
 
 @dataclass(frozen=True)
@@ -181,15 +176,6 @@ def _plaintext_paragraphs(path: Path) -> list[str]:
     return blocks
 
 
-def _assemble(doc_id: str, texts: list[str], page_count: int | None, source: Path) -> Document:
-    return Document(
-        doc_id=doc_id,
-        paragraphs=tuple(Paragraph(index=i, text=text) for i, text in enumerate(texts)),
-        page_count=page_count,
-        source_path=str(source),
-    )
-
-
 def load_document(path: str | Path) -> Document:
     """Load one judgment from ``path``: a .docx when its suffix says so, in
     any case, UTF-8 plaintext otherwise.
@@ -207,4 +193,4 @@ def load_document(path: str | Path) -> Document:
             pages = _docx_page_count(archive)
     else:
         texts, pages = _plaintext_paragraphs(p), None
-    return _assemble(p.name, texts, pages, p)
+    return Document(p.name, tuple(texts), pages)

@@ -55,10 +55,6 @@ class SchemaError(PolminerError):
         super().__init__(f"{pointer}: {message}")
 
 
-class DuplicateAnnotation(PolminerError):
-    """An annotation with the same (doc_id, paragraph_index, span) already exists."""
-
-
 class DocMismatch(PolminerError):
     """Candidates, gold annotations, and document do not refer to the same doc_id."""
 

@@ -265,7 +265,7 @@ class _Judgment:
 
     def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
                  overlap_threshold: float, hallucination_threshold: float):
-        self.source = SourceParagraphs([p.text for p in document.paragraphs])
+        self.source = SourceParagraphs(document.paragraphs)
         self.gold_texts = [_normalized(a.span_text) for a in gold]
         self.overlap_threshold = overlap_threshold
         self.hallucination_threshold = hallucination_threshold

@@ -121,8 +121,7 @@ def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCand
     """Run the profile over every paragraph and return typed candidates,
     at most one per paragraph."""
     candidates: list[PoLCandidate] = []
-    for para in document.paragraphs:
-        text = para.text
+    for index, text in enumerate(document.paragraphs):
         quotes = find_quotes(text, profile)
         # keyword hits are looked for only where the profile's logic reads them
         if profile.conjunctive:
@@ -144,7 +143,7 @@ def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCand
         candidates.append(
             PoLCandidate(
                 doc_id=document.doc_id,
-                paragraph_index=para.index,
+                paragraph_index=index,
                 text=text,
                 quote=quote,
                 trigger=trigger,

@@ -1,4 +1,4 @@
-"""Ingest, validate, persist, and augment gold principle-of-law annotations.
+"""Ingest, validate and persist gold principle-of-law annotations.
 
 Gold spans come from highlight runs inside .docx files: yellow marks
 explicit-direct, blue or cyan explicit-indirect, gray implicit. Adjacent runs
@@ -15,8 +15,8 @@ from pathlib import Path
 from xml.etree import ElementTree as ET
 
 from .corpus import W, docx_paragraphs, open_docx
-from .errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
-from .extractor import PoLCandidate, PoLType
+from .errors import DuplicateHighlightWarning, SchemaError, UnknownColorWarning
+from .extractor import PoLType
 from .outfile import atomic_write
 from .textnorm import normalize_text
 
@@ -209,30 +209,3 @@ def load_gold(path: str | Path) -> GoldSet:
             )
         seen.add(key)
     return GoldSet(annotations=tuple(annotations))
-
-
-def augment_gold(gold: GoldSet, confirmed: list[PoLCandidate]) -> GoldSet:
-    """New GoldSet with human-confirmed tool candidates appended.
-
-    The confirmed span is the captured quote when present, the full paragraph
-    text otherwise. The input set is never modified.
-    """
-    existing = {a.key() for a in gold.annotations}
-    added: list[GoldAnnotation] = []
-    for cand in confirmed:
-        ann = GoldAnnotation(
-            doc_id=cand.doc_id,
-            paragraph_index=cand.paragraph_index,
-            span_text=cand.quote or cand.text,
-            pol_type=cand.pol_type,
-            annotator_id=None,
-            origin="ToolConfirmed",
-        )
-        if ann.key() in existing:
-            raise DuplicateAnnotation(
-                f"already in gold: {ann.doc_id}#{ann.paragraph_index}: {ann.span_text[:60]!r}"
-            )
-        existing.add(ann.key())
-        added.append(ann)
-    return GoldSet(annotations=gold.annotations + tuple(added))
-

@@ -184,9 +184,13 @@ class HttpChatTransport:
         if status != 200:
             raise TransportError(f"{self.endpoint} returned HTTP {status}")
         try:
-            return json.loads(answer)["choices"][0]["message"]["content"]
+            content = json.loads(answer)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"unexpected response shape from {self.endpoint}") from exc
+        # null content is an empty answer, which run_extraction reports as such
+        if content is not None and not isinstance(content, str):
+            raise TransportError(f"unexpected response shape from {self.endpoint}")
+        return content
 
 
 @dataclass
@@ -307,7 +311,7 @@ def run_extraction(
     if not response or not response.strip():
         raise EmptyResponse(f"empty response for {document.doc_id}")
 
-    source = SourceParagraphs([para.text for para in document.paragraphs])
+    source = SourceParagraphs(document.paragraphs)
     candidates: list[PoLCandidate] = []
     for passage in split_passages(response):
         quotes = find_quotes(passage, V2_REFINED)

@@ -11,7 +11,7 @@ import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate, chain
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # Curly/angle/straight quotation marks plus apostrophes, stripped from span edges.
 _EDGE_QUOTE_CHARS = "“”‘’«»\"'`"
@@ -109,7 +109,7 @@ class SourceParagraphs:
     runs.
     """
 
-    def __init__(self, texts: list[str]):
+    def __init__(self, texts: Sequence[str]):
         self.texts = texts
         self._counters: list[Counter[str] | None] = [None] * len(texts)
         # each paragraph case-folded, their join, and where each starts in it

@@ -158,7 +158,7 @@ def align(
 
     # triage compares text as written: a candidate that is nothing but a
     # citation tail still exists in the source and must not read as fabricated
-    para_counters = [raw_token_counts(p.text) for p in document.paragraphs]
+    para_counters = [raw_token_counts(text) for text in document.paragraphs]
     false_positives: list[tuple[PoLCandidate, FpKind]] = []
     for ci, cand in enumerate(candidates):
         if ci in matched_cand:

@@ -19,7 +19,7 @@ import synth
 from docxbuild import make_docx
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from repro import ReproFixture
-from polminer.corpus import Document, Paragraph, load_document
+from polminer.corpus import Document, load_document
 from polminer.errors import BudgetExceeded
 from polminer.evaluation import (
     ConfusionCounts,
@@ -135,9 +135,7 @@ def test_criterion_04_oracle_equivalence_of_rule_engine():
     with criterion(4, "rule-engine oracle equivalence"):
         start = time.perf_counter()
         texts = synth.generate_paragraphs(1200, seed=20240917)
-        paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
-        doc = Document(doc_id="synthetic.txt", paragraphs=paragraphs, page_count=None,
-                       source_path="synthetic.txt")
+        doc = Document("synthetic.txt", tuple(texts), None)
 
         refined_rows = [[c.text, c.quote] for c in extract_candidates(doc, PROFILES["v2_refined"])]
         assert refined_rows == oracles.replay_refined(texts)
@@ -262,8 +260,7 @@ def test_criterion_10_llm_adapter_offline():
             "Il giudice deve garantire la tutela effettiva dei diritti fondamentali.",
             "La liquidazione segue la soccombenza secondo le regole ordinarie.",
         ]
-        paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
-        doc = Document(doc_id="j.txt", paragraphs=paragraphs, page_count=None, source_path="j.txt")
+        doc = Document("j.txt", tuple(texts), None)
         gold = [
             GoldAnnotation(doc_id="j.txt", paragraph_index=1, span_text=texts[1],
                            pol_type=PoLType.IMPLICIT),

@@ -46,7 +46,7 @@ from hypothesis import strategies as st
 
 import reference_alignment as ref
 from polminer import evaluation, textnorm
-from polminer.corpus import Document, Paragraph
+from polminer.corpus import Document
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
@@ -80,8 +80,7 @@ _THRESHOLDS = st.sampled_from((0.5, 0.6, 0.75, 0.8, 1.0))
 
 
 def _document(texts: list[str]) -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
-    return Document(doc_id=DOC_ID, paragraphs=paragraphs, page_count=None, source_path=DOC_ID)
+    return Document(DOC_ID, tuple(texts), None)
 
 
 def _candidate(index: int, text: str) -> PoLCandidate:
@@ -228,8 +227,7 @@ def _set_sequences(draw):
 def test_candidate_sets_aligned_in_turn_equal_reference(case):
     paragraphs, gold, sets, evictions, overlap, hallucination = case
     document = _document(paragraphs)
-    other = Document(doc_id="e.txt", paragraphs=(Paragraph(index=0, text="corte"),),
-                     page_count=None, source_path="e.txt")
+    other = Document("e.txt", ("corte",), None)
     other_candidates = [PoLCandidate(doc_id="e.txt", paragraph_index=0, text="legge", quote="",
                                      trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)]
     other_gold = gold + [GoldAnnotation(doc_id=DOC_ID, paragraph_index=0, span_text="corte legge",

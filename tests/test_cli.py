@@ -100,6 +100,7 @@ def test_unknown_profile_is_fatal(tmp_path):
     ({}, ["--format", "cvs,mdd"], "unknown report format 'cvs'"),
     ({}, ["--format", ","], "no report format"),
     ({"input_dir": 3}, [], "input_dir must be a string, got 3"),
+    ({}, ["--format", ""], "no report format"),
 ])
 def test_evaluate_rejects_a_wrong_config_value(repro_files, tmp_path, capsys, config, argv, reason):
     base, corpus, gold_path, paths = repro_files
@@ -183,6 +184,13 @@ def test_import_gold_reads_any_suffix_case_in_corpus_order(tmp_path, capsys):
 def test_import_gold_missing_input_is_fatal(tmp_path, capsys):
     assert main(["import-gold", str(tmp_path / "assente"), "--out", str(tmp_path / "g.json")]) == 1
     assert capsys.readouterr().err.startswith("fatal: ")
+    assert not (tmp_path / "g.json").exists()
+
+
+def test_import_gold_names_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "x" / "nonexist.docx"
+    assert main(["import-gold", str(missing), "--out", str(tmp_path / "g.json")]) == 1
+    assert capsys.readouterr().err == f"fatal: no such file or directory: {missing}\n"
     assert not (tmp_path / "g.json").exists()
 
 

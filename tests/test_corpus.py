@@ -12,8 +12,8 @@ from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
 def test_docx_drops_empty_paragraphs(tmp_path):
     path = make_docx(tmp_path / "d.docx", ["A", "", "B"])
     doc = load_document(path)
-    assert [p.text for p in doc.paragraphs] == ["A", "B"]
-    assert [p.index for p in doc.paragraphs] == [0, 1]
+    assert doc.paragraphs == ("A", "B")
+    assert len(doc.paragraphs) == 2
 
 
 def test_docx_paragraph_count_matches_manual_unzip(tmp_path):
@@ -38,7 +38,7 @@ def test_docx_page_count_and_metadata(tmp_path, sample_docx):
 def test_docx_preserves_quote_codepoints(tmp_path):
     text = "Misti “curly” «angle» ‘single’ \"straight\"."
     doc = load_document(make_docx(tmp_path / "q.docx", [text]))
-    assert doc.paragraphs[0].text == text
+    assert doc.paragraphs[0] == text
 
 
 def test_docx_ignores_tables(tmp_path):
@@ -47,7 +47,7 @@ def test_docx_ignores_tables(tmp_path):
         "</w:tc></w:tr></w:tbl>"
     )
     doc = load_document(make_docx(tmp_path / "t.docx", ["Corpo."], body_extra_xml=table))
-    assert [p.text for p in doc.paragraphs] == ["Corpo."]
+    assert doc.paragraphs == ("Corpo.",)
 
 
 def test_docx_includes_hyperlink_wrapped_runs(tmp_path):
@@ -58,7 +58,7 @@ def test_docx_includes_hyperlink_wrapped_runs(tmp_path):
         "</w:p>"
     )
     doc = load_document(make_docx(tmp_path / "h.docx", ["Prima."], body_extra_xml=para))
-    assert [p.text for p in doc.paragraphs] == ["Prima.", "vedi Cass. n. 26972/2008"]
+    assert doc.paragraphs == ("Prima.", "vedi Cass. n. 26972/2008")
 
 
 def test_docx_tab_stops_are_not_text(tmp_path):
@@ -69,14 +69,14 @@ def test_docx_tab_stops_are_not_text(tmp_path):
         "<w:r><w:t>Rubrica</w:t><w:tab/><w:t>pagina</w:t></w:r></w:p>"
     )
     doc = load_document(make_docx(tmp_path / "t.docx", [], body_extra_xml=para))
-    assert [p.text for p in doc.paragraphs] == ["Rubrica\tpagina"]
+    assert doc.paragraphs == ("Rubrica\tpagina",)
 
 
 def test_plaintext_blank_line_blocks(tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("riga uno\nriga due\n\nriga tre\n\n\n", encoding="utf-8")
     doc = load_document(path)
-    assert [p.text for p in doc.paragraphs] == ["riga uno riga due", "riga tre"]
+    assert doc.paragraphs == ("riga uno riga due", "riga tre")
 
 
 def test_plaintext_empty_file(tmp_path):
@@ -160,7 +160,7 @@ def test_malformed_docx_reasons_in_order(tmp_path, parts, corrupt, reason):
 
 def test_document_text_joins_paragraphs(tmp_path):
     doc = load_document(make_docx(tmp_path / "o.docx", ["uno", "due tre", "quattro"]))
-    assert [p.text for p in doc.paragraphs] == ["uno", "due tre", "quattro"]
+    assert doc.paragraphs == ("uno", "due tre", "quattro")
     assert doc.text == "uno\ndue tre\nquattro"
 
 

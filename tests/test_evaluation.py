@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro import ReproFixture
 from polminer import evaluation, textnorm
-from polminer.corpus import Document, Paragraph, load_document
+from polminer.corpus import Document, load_document
 from polminer.errors import DocMismatch, GoldMismatch
 from polminer.evaluation import (
     AlignmentResult,
@@ -31,8 +31,7 @@ from polminer.goldstore import GoldAnnotation, GoldSet
 
 
 def _doc(texts: list[str], doc_id: str = "d.txt", pages: int | None = None) -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts))
-    return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=pages, source_path=doc_id)
+    return Document(doc_id, tuple(texts), pages)
 
 
 def _cand(text: str, index: int = 0, doc_id: str = "d.txt") -> PoLCandidate:

@@ -11,7 +11,7 @@ import oracles
 import synth
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from polminer import extractor
-from polminer.corpus import Document, Paragraph, load_document
+from polminer.corpus import Document, load_document
 from polminer.errors import SchemaError
 from polminer.extractor import (
     PoLCandidate,
@@ -31,8 +31,7 @@ V2 = PROFILES["v2_refined"]
 
 
 def _doc(texts: list[str], doc_id: str = "t.docx") -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=text) for i, text in enumerate(texts))
-    return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=None, source_path=doc_id)
+    return Document(doc_id, tuple(texts), None)
 
 
 def test_conjunction_captures_first_quote():
@@ -310,7 +309,7 @@ def test_find_citations_runs_once_per_kept_paragraph(monkeypatch):
 
     monkeypatch.setattr(extractor, "find_citations", counting_find_citations)
     text = "La Corte richiama “a”, “b” e “c” (Cass. n. 26972/2008)."
-    doc = Document("d.txt", (Paragraph(0, text),), 1, "d.txt")
+    doc = Document("d.txt", (text,), 1)
     candidates = extract_candidates(doc, V2)
     assert [c.quote for c in candidates] == ["“a”"]
     assert len(candidates[0].citations) == 1

@@ -6,12 +6,11 @@ import pytest
 
 from docxbuild import make_docx
 from polminer.corpus import load_document
-from polminer.errors import DuplicateAnnotation, DuplicateHighlightWarning, SchemaError, UnknownColorWarning
-from polminer.extractor import PoLCandidate, PoLType, Source
+from polminer.errors import DuplicateHighlightWarning, SchemaError, UnknownColorWarning
+from polminer.extractor import PoLType
 from polminer.goldstore import (
     GoldAnnotation,
     GoldSet,
-    augment_gold,
     import_docx_highlights,
     load_gold,
     save_gold,
@@ -113,7 +112,7 @@ def test_import_text_box_text_matches_corpus_text(tmp_path):
     path = make_docx(tmp_path / "g.docx", [], body_extra_xml=para)
     anns = import_docx_highlights(path)
     assert [a.span_text for a in anns] == ["Prima riquadro dopo"]
-    assert load_document(path).paragraphs[0].text == anns[0].span_text
+    assert load_document(path).paragraphs[0] == anns[0].span_text
 
 
 def test_alternate_content_text_box_is_read_once(tmp_path):
@@ -129,7 +128,7 @@ def test_alternate_content_text_box_is_read_once(tmp_path):
         '<w:r><w:t xml:space="preserve"> dopo</w:t></w:r></w:p>'
     )
     path = make_docx(tmp_path / "g.docx", [], body_extra_xml=para)
-    assert load_document(path).paragraphs[0].text == "Prima riquadro dopo"
+    assert load_document(path).paragraphs[0] == "Prima riquadro dopo"
     assert [a.span_text for a in import_docx_highlights(path)] == ["riquadro"]
 
 
@@ -240,46 +239,6 @@ def test_counts_match_annotation_distribution():
         PoLType.EXPLICIT_DIRECT: 293,
         PoLType.EXPLICIT_INDIRECT: 302,
     }
-
-
-def _confirmed(i: int, doc: str = "z.docx") -> PoLCandidate:
-    return PoLCandidate(
-        doc_id=doc,
-        paragraph_index=i,
-        text=f"paragrafo confermato {i}",
-        quote="",
-        trigger=None,
-        pol_type=PoLType.IMPLICIT,
-        citations=(),
-        source=Source.LLM,
-    )
-
-
-def test_augment_appends_and_never_mutates():
-    # 682 human spans, then two tool-confirmed batches of 2 each
-    base = GoldSet(annotations=tuple(_ann(i) for i in range(682)))
-    with_chat_finds = augment_gold(base, [_confirmed(0), _confirmed(1)])
-    with_both = augment_gold(with_chat_finds, [_confirmed(2), _confirmed(3)])
-    assert len(base) == 682
-    assert len(with_chat_finds) == 684
-    assert len(with_both) == 686
-    assert all(a.origin == "ToolConfirmed" for a in with_both.annotations[682:])
-
-
-def test_augment_rejects_duplicates():
-    base = GoldSet(annotations=(_ann(0),))
-    dup = PoLCandidate(
-        doc_id="d.docx", paragraph_index=0, text="principio 0", quote="",
-        trigger=None, pol_type=PoLType.IMPLICIT, citations=(), source=Source.LLM,
-    )
-    with pytest.raises(DuplicateAnnotation):
-        augment_gold(base, [dup])
-
-
-def test_augment_empty_gold():
-    augmented = augment_gold(GoldSet(annotations=()), [_confirmed(5)])
-    assert len(augmented) == 1
-    assert augmented.annotations[0].origin == "ToolConfirmed"
 
 
 def test_type_conservation_through_import_save_load(tmp_path):

@@ -22,7 +22,7 @@ import time
 import pytest
 
 from polminer import evaluation
-from polminer.corpus import Document, Paragraph
+from polminer.corpus import Document
 from polminer.evaluation import align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
@@ -114,12 +114,7 @@ def _judgment(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Documen
     """2n paragraphs of 8 words each, no word shared between paragraphs; a
     gold span on every other paragraph and a candidate copying each one."""
     texts = [" ".join(f"w{p}x{k}" for k in range(8)) for p in range(2 * n)]
-    document = Document(
-        doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
-        page_count=None,
-        source_path="d.txt",
-    )
+    document = Document("d.txt", tuple(texts), None)
     gold = [
         GoldAnnotation(doc_id="d.txt", paragraph_index=p, span_text=texts[p], pol_type=PoLType.IMPLICIT)
         for p in range(0, 2 * n, 2)
@@ -149,12 +144,7 @@ def _common_words(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Doc
     its own; a candidate copying each paragraph and a gold span of its six
     common and two own words on each."""
     texts = [f"la corte di cassazione ritiene che il principio sia parola{p} termine{p}" for p in range(n)]
-    document = Document(
-        doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
-        page_count=None,
-        source_path="d.txt",
-    )
+    document = Document("d.txt", tuple(texts), None)
     gold = [
         GoldAnnotation(doc_id="d.txt", paragraph_index=p, pol_type=PoLType.IMPLICIT,
                        span_text=f"la corte di cassazione ritiene che parola{p} termine{p}")
@@ -182,12 +172,7 @@ def _unresolved(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Docum
     paragraph, each made of "viola", common words and words of no
     paragraph."""
     texts = [f"la violazione n. {p} della corte viola{p} di legge" for p in range(n)]
-    document = Document(
-        doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=p, text=t) for p, t in enumerate(texts)),
-        page_count=None,
-        source_path="d.txt",
-    )
+    document = Document("d.txt", tuple(texts), None)
     candidates = [
         PoLCandidate(doc_id="d.txt", paragraph_index=-1, text=f"viola la corte assente{k} mai{k}",
                      quote="", trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)

@@ -11,7 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from polminer import llm, textnorm
-from polminer.corpus import Document, Paragraph
+from polminer.corpus import Document
 from polminer.errors import BudgetExceeded, EmptyResponse, TransportError
 from polminer.evaluation import FpKind, align, confusion
 from polminer.extractor import PoLType, Source
@@ -35,8 +35,7 @@ PARAGRAPHS = [
 
 
 def _doc(doc_id: str = "j01.txt") -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(PARAGRAPHS))
-    return Document(doc_id=doc_id, paragraphs=paragraphs, page_count=3, source_path=doc_id)
+    return Document(doc_id, tuple(PARAGRAPHS), 3)
 
 
 def test_default_prompt_italian_directives_once():
@@ -148,12 +147,7 @@ def test_reset_session_restores_budget_and_is_idempotent():
 def test_requests_are_stateless_across_documents():
     doc_a, doc_b = _doc("a.txt"), _doc("b.txt")
     text_b_only = "contenuto esclusivo del secondo documento"
-    doc_b = Document(
-        doc_id="b.txt",
-        paragraphs=(Paragraph(index=0, text=text_b_only),),
-        page_count=None,
-        source_path="b.txt",
-    )
+    doc_b = Document("b.txt", (text_b_only,), None)
     transport = ScriptedTransport(responses={"a.txt": "risposta", "b.txt": "risposta"})
     session = LlmSession()
     run_extraction(doc_a, session, transport)
@@ -222,12 +216,7 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
     monkeypatch.setattr(textnorm, "raw_token_counts", counting_raw_token_counts)
     paragraphs = (PARAGRAPHS[0], PARAGRAPHS[1], PARAGRAPHS[1])
-    doc = Document(
-        doc_id="j01.txt",
-        paragraphs=tuple(Paragraph(index=i, text=t) for i, t in enumerate(paragraphs)),
-        page_count=1,
-        source_path="j01.txt",
-    )
+    doc = Document("j01.txt", paragraphs, 1)
     transport = ScriptedTransport(responses={doc.doc_id: f"{PARAGRAPHS[1]}\n\n{PARAGRAPHS[0]}"})
     candidates = run_extraction(doc, LlmSession(), transport)
     # two equally good paragraphs: the first one wins
@@ -344,6 +333,14 @@ def test_http_transport_non_200_is_transport_error(chat_server):
 def test_http_transport_body_without_choices_is_transport_error(chat_server):
     url, _, reply = chat_server
     reply["body"] = {"error": "nessuna scelta"}
+    with pytest.raises(TransportError, match="unexpected response shape"):
+        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+
+
+@pytest.mark.parametrize("content", [[{"type": "text", "text": "x"}], 7])
+def test_http_transport_content_that_is_not_a_string_is_transport_error(chat_server, content):
+    url, _, reply = chat_server
+    reply["body"] = {"choices": [{"message": {"content": content}}]}
     with pytest.raises(TransportError, match="unexpected response shape"):
         HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 
 from polminer import evaluation, llm, textnorm
-from polminer.corpus import Document, Paragraph
+from polminer.corpus import Document
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
@@ -103,8 +103,7 @@ TEXTS = ["La corte decide.", "Violazione di legge.", "…"]
 
 
 def _document() -> Document:
-    paragraphs = tuple(Paragraph(index=i, text=t) for i, t in enumerate(TEXTS))
-    return Document(doc_id=DOC_ID, paragraphs=paragraphs, page_count=None, source_path=DOC_ID)
+    return Document(DOC_ID, tuple(TEXTS), None)
 
 
 def _candidate(index: int, text: str) -> PoLCandidate:

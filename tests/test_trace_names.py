@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from polminer import evaluation
-from polminer.corpus import Document, Paragraph
+from polminer.corpus import Document
 from polminer.extractor import PoLCandidate, PoLType, Source
 from polminer.goldstore import GoldAnnotation
 
@@ -67,12 +67,7 @@ def test_declared_span_is_a_public_layer_function(span):
 
 def test_align_scores_every_match_through_evaluation(monkeypatch):
     texts = ["la corte afferma il principio", "altro testo", "la corte tace"]
-    document = Document(
-        doc_id="d.txt",
-        paragraphs=tuple(Paragraph(index=i, text=t) for i, t in enumerate(texts)),
-        page_count=None,
-        source_path="d.txt",
-    )
+    document = Document("d.txt", tuple(texts), None)
     gold = [GoldAnnotation(doc_id="d.txt", paragraph_index=0, span_text=texts[0],
                            pol_type=PoLType.EXPLICIT_DIRECT)]
     candidates = [
