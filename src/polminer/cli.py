@@ -1,8 +1,8 @@
 """Command-line surface: extract, import-gold, evaluate, compare, report, llm-extract.
 
-Exit codes: 0 success, 1 fatal, 2 partial (some files failed). Outputs are
-re-runnable: identical inputs produce identical files, with no timestamps in
-data files.
+Exit codes: 0 success, 1 fatal, 2 partial (some files failed); a command
+whose judgments all fail writes nothing. Outputs are re-runnable: identical
+inputs produce identical files, with no timestamps in data files.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -125,13 +125,20 @@ def _each_judgment(handle: Callable[[Path], None], paths: list[Path], skipped: l
     return ok, len(skipped) + len(paths) - ok
 
 
-def _finish(summary: str, ok: int, failed: int) -> int:
-    """Print the summary line; exit 0 when nothing failed, 2 when some
-    judgments succeeded, 1 when none did."""
+def _finish(summary: str, ok: int, failed: int, save: Callable[[], object]) -> int:
+    """Save the command's output and print the summary line; exit 0 when
+    nothing failed, 2 when some judgments failed.
+
+    When judgments failed and none succeeded, nothing is saved, so the
+    output of an earlier run stays in place; the summary line then says
+    ``nothing written``, and the exit is 1.
+    """
+    if failed and not ok:
+        _err(f"0 ok, {failed} failed; nothing written")
+        return EXIT_FATAL
+    save()
     _err(summary)
-    if failed:
-        return EXIT_PARTIAL if ok else EXIT_FATAL
-    return EXIT_OK
+    return EXIT_PARTIAL if failed else EXIT_OK
 
 
 def cmd_extract(cfg: RunConfig) -> int:
@@ -153,8 +160,10 @@ def cmd_extract(cfg: RunConfig) -> int:
         all_candidates.extend(candidates)
 
     ok, failed = _each_judgment(extract, paths, skipped)
-    extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl")
-    return _finish(f"{ok} ok, {failed} failed", ok, failed)
+    return _finish(
+        f"{ok} ok, {failed} failed", ok, failed,
+        lambda: extractor.save_candidates_jsonl(all_candidates, out_dir / "candidates.jsonl"),
+    )
 
 
 def cmd_import_gold(args: argparse.Namespace) -> int:
@@ -169,9 +178,11 @@ def cmd_import_gold(args: argparse.Namespace) -> int:
 
     ok, failed = _each_judgment(import_highlights, paths, [])
     gold = goldstore.GoldSet(annotations=tuple(annotations))
-    goldstore.save_gold(gold, args.out)
     counts = {t.value: n for t, n in gold.counts_by_type.items()}
-    return _finish(f"imported {len(gold)} annotations from {ok} files: {counts}", ok, failed)
+    return _finish(
+        f"imported {len(gold)} annotations from {ok} files: {counts}", ok, failed,
+        lambda: goldstore.save_gold(gold, args.out),
+    )
 
 
 def _load_and_align(
@@ -319,8 +330,10 @@ def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
         candidates.extend(llm.run_extraction(doc, session, transport, language=args.language))
 
     ok, failed = _each_judgment(extract, paths, skipped)
-    extractor.save_candidates_jsonl(candidates, args.out_file)
-    return _finish(f"{ok} ok, {failed} failed; wrote {args.out_file}", ok, failed)
+    return _finish(
+        f"{ok} ok, {failed} failed; wrote {args.out_file}", ok, failed,
+        lambda: extractor.save_candidates_jsonl(candidates, args.out_file),
+    )
 
 
 def _positive_int(text: str) -> int:
@@ -341,89 +354,135 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _corpus_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON config file; flags override its fields")
+    p.add_argument("--input", help="input corpus directory")
+
+
+def _report_flags(p: argparse.ArgumentParser) -> None:
+    _corpus_flags(p)
+    p.add_argument("--out", help="report directory")
+    p.add_argument("--format", help="comma-separated report formats (csv,md,json)")
+    p.add_argument("--overlap", type=float, help="match threshold in (0,1]")
+    p.add_argument("--hallucination-threshold", dest="hallucination_threshold", type=float,
+                   help="triage threshold in (0,1]")
+
+
+def _extract_flags(p: argparse.ArgumentParser) -> None:
+    _corpus_flags(p)
+    p.add_argument("--out", help="output directory")
+    p.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
+
+
+def _import_gold_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("input", help=".docx file or directory of .docx files")
+    p.add_argument("--out", default="gold.json", help="gold JSON output path")
+    p.add_argument("--annotator", help="annotator id recorded on imported spans")
+
+
+def _one_set_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("gold", help="gold JSON file")
+    p.add_argument("candidates", help="candidates JSONL file")
+    _report_flags(p)
+
+
+def _compare_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("gold", help="gold JSON file")
+    p.add_argument("candidates", nargs="+", help="two or more candidates JSONL files")
+    _report_flags(p)
+
+
+def _llm_extract_flags(p: argparse.ArgumentParser) -> None:
+    _corpus_flags(p)
+    p.add_argument("--mock", help="JSON file mapping doc_id to canned response")
+    p.add_argument("--endpoint", help="chat-completions endpoint URL")
+    p.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
+    p.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
+    p.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
+    p.add_argument("--language", choices=["it", "en"], default="it", help="prompt language")
+    p.add_argument("--audit", help="JSONL audit log of requests and responses")
+    p.add_argument("--out-file", default="llm_candidates.jsonl", help="candidates JSONL output")
+
+
+# name -> (help, flag adder, handler): the parser and main's dispatch both
+# read this table, and the root help lists the commands in its order
+COMMANDS: dict[str, tuple[
+    str,
+    Callable[[argparse.ArgumentParser], None],
+    Callable[[RunConfig, argparse.Namespace], int],
+]] = {
+    "extract": (
+        "run the rule extractor over a corpus directory",
+        _extract_flags,
+        lambda cfg, args: cmd_extract(cfg),
+    ),
+    "import-gold": (
+        "import highlight annotations from .docx files",
+        _import_gold_flags,
+        lambda cfg, args: cmd_import_gold(args),
+    ),
+    "evaluate": (
+        "align candidates with gold and print metrics",
+        _one_set_flags,
+        lambda cfg, args: cmd_evaluate(cfg, args.gold, args.candidates),
+    ),
+    "compare": (
+        "compare two or more candidate sets against one gold",
+        _compare_flags,
+        lambda cfg, args: cmd_compare(cfg, args.gold, args.candidates),
+    ),
+    "report": (
+        "emit the per-judgment tracking table",
+        _one_set_flags,
+        lambda cfg, args: cmd_report(cfg, args.gold, args.candidates),
+    ),
+    "llm-extract": (
+        "extract via an LLM endpoint or offline mock",
+        _llm_extract_flags,
+        cmd_llm_extract,
+    ),
+}
+
+
+def _build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The polminer parser for ``argv``: with only the command that
+    ``argv[0]`` names, or with every command when it names none.
+
+    Both parse an argv that starts with a command alike, help and errors
+    included: a command's help and errors come from its own subparser.
+    The root usage line, which an unrecognized argument prints, shows the
+    command list, so the one-command parser spells that list out in full.
+    The root help and the errors for an unknown or a missing command come
+    from the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="polminer",
         description="Extract principle-of-law passages from court judgments and evaluate extractors against gold annotations.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def _command(name: str, help: str) -> argparse.ArgumentParser:
+    if argv and argv[0] in COMMANDS:
+        names, metavar = [argv[0]], "{%s}" % ",".join(COMMANDS)
+    else:
+        # the default metavar, so that "required: command" names the dest
+        names, metavar = list(COMMANDS), None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help, add_flags, _ = COMMANDS[name]
         # full flag names only: a prefix like --out would pass for --out-file
-        return sub.add_parser(name, help=help, allow_abbrev=False)
-
-    def _corpus_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="JSON config file; flags override its fields")
-        p.add_argument("--input", help="input corpus directory")
-
-    def _report_flags(p: argparse.ArgumentParser) -> None:
-        _corpus_flags(p)
-        p.add_argument("--out", help="report directory")
-        p.add_argument("--format", help="comma-separated report formats (csv,md,json)")
-        p.add_argument("--overlap", type=float, help="match threshold in (0,1]")
-        p.add_argument("--hallucination-threshold", dest="hallucination_threshold", type=float,
-                       help="triage threshold in (0,1]")
-
-    p_extract = _command("extract", "run the rule extractor over a corpus directory")
-    _corpus_flags(p_extract)
-    p_extract.add_argument("--out", help="output directory")
-    p_extract.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
-
-    p_gold = _command("import-gold", "import highlight annotations from .docx files")
-    p_gold.add_argument("input", help=".docx file or directory of .docx files")
-    p_gold.add_argument("--out", default="gold.json", help="gold JSON output path")
-    p_gold.add_argument("--annotator", help="annotator id recorded on imported spans")
-
-    p_eval = _command("evaluate", "align candidates with gold and print metrics")
-    p_eval.add_argument("gold", help="gold JSON file")
-    p_eval.add_argument("candidates", help="candidates JSONL file")
-    _report_flags(p_eval)
-
-    p_cmp = _command("compare", "compare two or more candidate sets against one gold")
-    p_cmp.add_argument("gold", help="gold JSON file")
-    p_cmp.add_argument("candidates", nargs="+", help="two or more candidates JSONL files")
-    _report_flags(p_cmp)
-
-    p_rep = _command("report", "emit the per-judgment tracking table")
-    p_rep.add_argument("gold", help="gold JSON file")
-    p_rep.add_argument("candidates", help="candidates JSONL file")
-    _report_flags(p_rep)
-
-    p_llm = _command("llm-extract", "extract via an LLM endpoint or offline mock")
-    _corpus_flags(p_llm)
-    p_llm.add_argument("--mock", help="JSON file mapping doc_id to canned response")
-    p_llm.add_argument("--endpoint", help="chat-completions endpoint URL")
-    p_llm.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
-    p_llm.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
-    p_llm.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
-    p_llm.add_argument("--language", choices=["it", "en"], default="it", help="prompt language")
-    p_llm.add_argument("--audit", help="JSONL audit log of requests and responses")
-    p_llm.add_argument("--out-file", default="llm_candidates.jsonl", help="candidates JSONL output")
-
+        add_flags(sub.add_parser(name, help=help, allow_abbrev=False))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)
-        if args.command == "extract":
-            return cmd_extract(cfg)
-        if args.command == "import-gold":
-            return cmd_import_gold(args)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.gold, args.candidates)
-        if args.command == "compare":
-            return cmd_compare(cfg, args.gold, args.candidates)
-        if args.command == "report":
-            return cmd_report(cfg, args.gold, args.candidates)
-        if args.command == "llm-extract":
-            return cmd_llm_extract(cfg, args)
+        return COMMANDS[args.command][2](cfg, args)
     except (PolminerError, OSError) as exc:
         _err(f"fatal: {exc}")
         return EXIT_FATAL
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -18,6 +18,13 @@ W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = "{%s}" % W_NS
 _MC = "{http://schemas.openxmlformats.org/markup-compatibility/2006}"
 _EXT_PROPS_NS = "{http://schemas.openxmlformats.org/officeDocument/2006/extended-properties}"
+# WordprocessingML tags, built once rather than at every node the walk tests
+_W_BODY = W + "body"
+_W_P = W + "p"
+_W_R = W + "r"
+_W_T = W + "t"
+_W_TAB = W + "tab"
+_W_BREAKS = (W + "br", W + "cr")
 
 # judgment suffixes, matched in any case; a corpus lists .docx before .txt
 DOCX_SUFFIX = ".docx"
@@ -97,13 +104,13 @@ def docx_paragraph_elements(archive: zipfile.ZipFile) -> list[ET.Element]:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
         raise MalformedArchive(path, f"unparseable document XML ({exc})") from exc
-    body = root.find(W + "body")
+    body = root.find(_W_BODY)
     if body is None:
         raise MalformedArchive(path, "document XML has no body")
     for alternate in list(body.iter(_MC + "AlternateContent")):
         for fallback in alternate.findall(_MC + "Fallback"):
             alternate.remove(fallback)
-    return [child for child in body if child.tag == W + "p"]
+    return [child for child in body if child.tag == _W_P]
 
 
 def run_text(run: ET.Element) -> str:
@@ -115,11 +122,11 @@ def run_text(run: ET.Element) -> str:
     parts: list[str] = []
     for node in run:
         tag = node.tag
-        if tag == W + "t":
+        if tag == _W_T:
             parts.append(node.text or "")
-        elif tag == W + "tab":
+        elif tag == _W_TAB:
             parts.append("\t")
-        elif tag in (W + "br", W + "cr"):
+        elif tag in _W_BREAKS:
             parts.append("\n")
     return "".join(parts)
 
@@ -134,7 +141,7 @@ def docx_paragraphs(archive: zipfile.ZipFile) -> list[list[tuple[ET.Element, str
     """
     paragraphs = []
     for p_elem in docx_paragraph_elements(archive):
-        runs = [(r, run_text(r)) for r in p_elem.iter(W + "r")]
+        runs = [(r, run_text(r)) for r in p_elem.iter(_W_R)]
         if any(text.strip() for _, text in runs):
             paragraphs.append(runs)
     return paragraphs

@@ -29,6 +29,10 @@ HIGHLIGHT_TYPE_MAP = {
     "lightGray": PoLType.IMPLICIT,
     "darkGray": PoLType.IMPLICIT,
 }
+# WordprocessingML tags, built once rather than for every run
+_W_RPR = W + "rPr"
+_W_HIGHLIGHT = W + "highlight"
+_W_VAL = W + "val"
 
 
 @dataclass(frozen=True)
@@ -111,13 +115,13 @@ class GoldSet:
 
 
 def _run_highlight(run: ET.Element) -> str | None:
-    rpr = run.find(W + "rPr")
+    rpr = run.find(_W_RPR)
     if rpr is None:
         return None
-    hl = rpr.find(W + "highlight")
+    hl = rpr.find(_W_HIGHLIGHT)
     if hl is None:
         return None
-    return hl.get(W + "val")
+    return hl.get(_W_VAL)
 
 
 def import_docx_highlights(path: str | Path, annotator_id: str | None = None) -> list[GoldAnnotation]:

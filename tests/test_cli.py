@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -66,15 +67,70 @@ def test_extract_same_stem_keeps_first_and_fails_the_rest(tmp_path, capsys):
     assert [row["doc_id"] for row in rows] == ["s01.docx"]
 
 
-def test_extract_total_failure_empties_candidates(tmp_path):
+def test_extract_total_failure_keeps_earlier_output(tmp_path, capsys):
     out = tmp_path / "P"
     assert main(["extract", "--input", str(build_fixture_corpus(tmp_path / "S")), "--out", str(out)]) == 0
-    assert (out / "candidates.jsonl").read_text(encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert before["candidates.jsonl"]
     broken = tmp_path / "Rotti"
     truncate_file(make_docx(broken / "r1.docx", ["Testo."]))
     truncate_file(make_docx(broken / "r2.docx", ["Testo."]))
+    capsys.readouterr()
     assert main(["extract", "--input", str(broken), "--out", str(out)]) == 1
-    assert (out / "candidates.jsonl").read_text(encoding="utf-8") == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert capsys.readouterr().err.endswith("\n0 ok, 2 failed; nothing written\n")
+
+
+def test_import_gold_total_failure_keeps_earlier_gold(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    make_docx(tmp_path / "g1.docx", [[("span diretto", "yellow")]])
+    assert main(["import-gold", str(tmp_path / "g1.docx"), "--out", str(out)]) == 0
+    before = out.read_bytes()
+    (tmp_path / "notes.txt").write_text("non un file di gold\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["import-gold", str(tmp_path / "notes.txt"), "--out", str(out)]) == 1
+    assert out.read_bytes() == before
+    assert len(json.loads(before)["annotations"]) == 1
+    err = capsys.readouterr().err
+    assert "notes.txt: not a readable .docx archive" in err and err.endswith("0 ok, 1 failed; nothing written\n")
+
+
+def test_llm_extract_total_failure_keeps_earlier_out_file(tmp_path, capsys):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    text = "Il giudice deve garantire la tutela effettiva dei diritti."
+    (corpus / "j01.txt").write_text(text + "\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": text}), encoding="utf-8")
+    out_file = tmp_path / "llm.jsonl"
+    argv = ["llm-extract", "--input", str(corpus), "--mock", str(mock), "--out-file", str(out_file)]
+    assert main(argv) == 0
+    before = out_file.read_bytes()
+    assert before
+    (corpus / "j01.txt").write_bytes("città\n".encode("latin-1"))
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert out_file.read_bytes() == before
+    assert capsys.readouterr().err.endswith("0 ok, 1 failed; nothing written\n")
+
+
+@pytest.mark.parametrize("command", ["extract", "import-gold", "llm-extract"])
+def test_an_input_without_judgments_writes_empty_output(tmp_path, capsys, command):
+    empty = tmp_path / "vuota"
+    empty.mkdir()
+    mock = tmp_path / "mock.json"
+    mock.write_text("{}", encoding="utf-8")
+    argv, written = {
+        "extract": (["--input", str(empty), "--out", str(tmp_path / "P")], tmp_path / "P" / "candidates.jsonl"),
+        "import-gold": ([str(empty), "--out", str(tmp_path / "g.json")], tmp_path / "g.json"),
+        "llm-extract": (
+            ["--input", str(empty), "--mock", str(mock), "--out-file", str(tmp_path / "llm.jsonl")],
+            tmp_path / "llm.jsonl",
+        ),
+    }[command]
+    assert main([command, *argv]) == 0
+    text = written.read_text(encoding="utf-8")
+    assert json.loads(text)["annotations"] == [] if command == "import-gold" else text == ""
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -606,3 +662,63 @@ def test_llm_extract_mock_must_map_doc_ids_to_strings(tmp_path, capsys, monkeypa
         f"fatal: mock fixtures {mock} must map each doc_id to a response string\n"
     )
     assert opened == [] and not out_file.exists()
+
+
+# argvs whose parse ends in help or an error: the parser a call builds for
+# its command must answer each exactly as the full parser does
+PARSE_CASES = [
+    [], ["-h"], ["-h", "extract"], ["bogus"], ["--", "extract", "--bogus"],
+    *[[name, "-h"] for name in cli.COMMANDS],
+    ["import-gold"],
+    ["extract", "--profile", "v9"],
+    ["llm-extract", "--budget", "0"],
+    ["llm-extract", "--temperature", "warm"],
+    ["evaluate", "g.json", "c.jsonl", "--overlap", "high"],
+    ["llm-extract", "--language", "fr"],
+    ["llm-extract", "--out-f", "x.jsonl"],
+    ["extract", "--input", "S", "extra"],
+    ["compare", "g.json", "a.jsonl", "b.jsonl", "--out", "R", "--format", "md"],
+    ["import-gold", "S", "--annotator", "a1"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = parser.parse_args(argv)
+    except SystemExit as exc:
+        outcome = exc.code
+    return outcome, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_the_parser_a_call_builds_parses_as_the_full_parser(argv, capsys):
+    assert _parse(cli._build_parser(argv), argv, capsys) == _parse(cli._build_parser(), argv, capsys)
+
+
+def test_import_gold_builds_only_its_own_flags(tmp_path, monkeypatch, capsys):
+    built = []
+    real_build = cli._build_parser
+
+    def spy(*args):
+        built.append(real_build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "_build_parser", spy)
+    make_docx(tmp_path / "g1.docx", [[("span diretto", "yellow")]])
+    assert main(["import-gold", str(tmp_path / "g1.docx"), "--out", str(tmp_path / "g.json")]) == 0
+    (parser,) = built
+    (subparsers,) = [a for a in parser._actions if a.dest == "command"]
+    assert list(subparsers.choices) == ["import-gold"]
+    offered = {opt for action in subparsers.choices["import-gold"]._actions for opt in action.option_strings}
+    assert offered == {"-h", "--help", "--out", "--annotator"}
+
+
+def test_main_reads_sys_argv_when_given_none(tmp_path, monkeypatch, capsys):
+    corpus = build_fixture_corpus(tmp_path / "Sentenze")
+    out = tmp_path / "Principi"
+    monkeypatch.setattr(sys, "argv", ["polminer", "extract", "--input", str(corpus), "--out", str(out)])
+    assert main() == 0
+    golden_dir = Path(__file__).parent / "data" / "golden"
+    for name in FIXTURE_PARAGRAPHS:
+        produced = out / (Path(name).stem + ".csv")
+        assert produced.read_bytes() == (golden_dir / produced.name).read_bytes()
