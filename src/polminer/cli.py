@@ -14,7 +14,6 @@ import os
 import sys
 import warnings
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import evaluation, extractor, goldstore, llm
@@ -38,14 +37,19 @@ def _read_json(path: str, what: str) -> object:
         raise PolminerError(f"cannot read {what}: {exc}") from exc
 
 
-@dataclass
 class RunConfig:
-    input_dir: str = "."
-    output_dir: str = "Principi"
-    profile: str = "v2_refined"
-    overlap_threshold: float = 0.8
-    hallucination_threshold: float = 0.6
-    report_formats: tuple[str, ...] = REPORT_FORMATS
+    """A command's settings: defaults, then a ``--config`` file, then flags."""
+
+    # the fields a config file may set
+    __slots__ = ("input_dir", "output_dir", "profile", "overlap_threshold", "hallucination_threshold", "report_formats")
+
+    def __init__(self) -> None:
+        self.input_dir = "."
+        self.output_dir = "Principi"
+        self.profile = "v2_refined"
+        self.overlap_threshold = 0.8
+        self.hallucination_threshold = 0.6
+        self.report_formats: tuple[str, ...] = REPORT_FORMATS
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -54,9 +58,8 @@ class RunConfig:
             data = _read_json(args.config, f"config {args.config}")
             if not isinstance(data, dict):
                 raise PolminerError(f"config {args.config} must hold a JSON object")
-            known = {f.name for f in fields(cls)}
             for key, value in data.items():
-                if key not in known:
+                if key not in cls.__slots__:
                     raise PolminerError(f"unknown config field {key!r}")
                 if key == "report_formats":
                     # a string would be read letter by letter

@@ -8,8 +8,8 @@ stored, since downstream pattern matching depends on them.
 from __future__ import annotations
 
 import zipfile
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from .errors import DirectoryNotFound, EncodingError, MalformedArchive
@@ -31,8 +31,7 @@ DOCX_SUFFIX = ".docx"
 JUDGMENT_SUFFIXES = (DOCX_SUFFIX, ".txt")
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """A judgment as its paragraph texts; a paragraph's index is its position."""
 
     doc_id: str
@@ -45,8 +44,7 @@ class Document:
         return "\n".join(self.paragraphs)
 
 
-@dataclass(frozen=True)
-class LoadWarning:
+class LoadWarning(NamedTuple):
     path: str
     reason: str
 

@@ -19,7 +19,6 @@ import functools
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
@@ -77,8 +76,7 @@ class MetricsMode(str, Enum):
     STANDARD = "standard"
 
 
-@dataclass(frozen=True)
-class MatchRecord:
+class MatchRecord(NamedTuple):
     gold: GoldAnnotation
     candidate: PoLCandidate
     completeness: Completeness
@@ -86,8 +84,7 @@ class MatchRecord:
     score: float
 
 
-@dataclass(frozen=True)
-class AlignmentResult:
+class AlignmentResult(NamedTuple):
     doc_id: str
     matches: tuple[MatchRecord, ...]
     false_positives: tuple[tuple[PoLCandidate, FpKind], ...]
@@ -95,16 +92,30 @@ class AlignmentResult:
     page_count: int | None = None
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class _Counts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
 
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts must be non-negative")
 
+class ConfusionCounts(_Counts):
+    """True positives, false positives and false negatives. Every
+    construction, ``_replace`` included, checks that none is negative."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ConfusionCounts":
+        counts = super().__new__(cls, *args, **kwargs)
+        if min(counts) < 0:
+            raise ValueError("confusion counts must be non-negative")
+        return counts
+
+    @classmethod
+    def _make(cls, iterable) -> "ConfusionCounts":
+        # the NamedTuple _make, which _replace calls, would skip __new__
+        return cls(*iterable)
+
+    # a tuple's + concatenates
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
 
@@ -129,8 +140,7 @@ def round_down(value: float, digits: int = 3) -> float:
     return _round_to(value, digits, ROUND_DOWN)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     mode: MetricsMode
     precision: float
     recall: float
@@ -405,12 +415,14 @@ def confusion(alignment: AlignmentResult) -> ConfusionCounts:
     )
 
 
-@dataclass
 class Table:
-    title: str
-    columns: list[str]
-    rows: list[list[object]]
-    footnotes: list[str] = field(default_factory=list)
+    """A titled table: its column names, its rows, and the notes under it."""
+
+    def __init__(self, title: str, columns: list[str], rows: list[list[object]], footnotes: list[str] | None = None):
+        self.title = title
+        self.columns = columns
+        self.rows = rows
+        self.footnotes = [] if footnotes is None else footnotes
 
     def to_records(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]
@@ -507,8 +519,7 @@ def percent(count: int, whole: int, digits: int = 1) -> float:
     return round_half_up(_ratio(count, whole) * 100, digits)
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     comparison: Table
     error_share: Table
 

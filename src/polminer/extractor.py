@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 from .corpus import Document
 from .errors import SchemaError
@@ -45,15 +44,14 @@ class Source(str, Enum):
     HUMAN = "Human"
 
 
-@dataclass(frozen=True)
-class PoLCandidate:
+class PoLCandidate(NamedTuple):
     doc_id: str
     paragraph_index: int
     text: str
     quote: str  # captured quote; empty for citation-only matches
     trigger: Trigger | None  # None for LLM/Human sources
     pol_type: PoLType
-    citations: tuple[CitationRef, ...] = field(default_factory=tuple)
+    citations: tuple[CitationRef, ...] = ()
     source: Source = Source.RULES
 
     def to_dict(self) -> dict:

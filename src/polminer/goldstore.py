@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from .corpus import W, docx_paragraphs, open_docx
@@ -35,8 +35,7 @@ _W_HIGHLIGHT = W + "highlight"
 _W_VAL = W + "val"
 
 
-@dataclass(frozen=True)
-class GoldAnnotation:
+class GoldAnnotation(NamedTuple):
     doc_id: str
     paragraph_index: int
     span_text: str
@@ -94,9 +93,28 @@ class GoldAnnotation:
         )
 
 
-@dataclass(frozen=True)
 class GoldSet:
-    annotations: tuple[GoldAnnotation, ...]
+    """Gold annotations in gold order; equal to another set with the same."""
+
+    __slots__ = ("_annotations",)
+
+    def __init__(self, annotations: tuple[GoldAnnotation, ...]):
+        self._annotations = annotations
+
+    @property
+    def annotations(self) -> tuple[GoldAnnotation, ...]:
+        return self._annotations
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GoldSet):
+            return NotImplemented
+        return self._annotations == other._annotations
+
+    def __hash__(self) -> int:
+        return hash(self._annotations)
+
+    def __repr__(self) -> str:
+        return f"GoldSet(annotations={self._annotations!r})"
 
     @property
     def counts_by_type(self) -> dict[PoLType, int]:

@@ -15,11 +15,9 @@ documents.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
 
@@ -123,19 +121,49 @@ def build_prompt(language: str = "it") -> str:
     return "\n\n".join([body, *(f"{label} {example}" for example in examples), directives])
 
 
-@dataclass
 class LlmSession:
-    endpoint: str = ""
-    model_name: str = "offline-mock"
-    temperature: float | None = None
-    max_queries_per_session: int = 5
-    queries_sent: int = 0
-    audit_path: str | None = None
+    """Where queries go, how they are sampled and logged, and how many of
+    its ``max_queries_per_session`` the session has sent."""
+
+    __slots__ = ("endpoint", "model_name", "temperature", "max_queries_per_session", "queries_sent", "audit_path")
+
+    def __init__(
+        self,
+        endpoint: str = "",
+        model_name: str = "offline-mock",
+        temperature: float | None = None,
+        max_queries_per_session: int = 5,
+        queries_sent: int = 0,
+        audit_path: str | None = None,
+    ):
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self.temperature = temperature
+        self.max_queries_per_session = max_queries_per_session
+        self.queries_sent = queries_sent
+        self.audit_path = audit_path
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LlmSession):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "LlmSession(" + ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields())) + ")"
 
 
 def reset_session(session: LlmSession) -> LlmSession:
     """Fresh session with the same configuration and no carried context."""
-    return dataclasses.replace(session, queries_sent=0)
+    return LlmSession(
+        endpoint=session.endpoint,
+        model_name=session.model_name,
+        temperature=session.temperature,
+        max_queries_per_session=session.max_queries_per_session,
+        audit_path=session.audit_path,
+    )
 
 
 class Transport(Protocol):
@@ -144,15 +172,28 @@ class Transport(Protocol):
         ...
 
 
-@dataclass(eq=False)
 class HttpChatTransport:
-    """Minimal JSON-over-HTTP chat-completions client."""
+    """Minimal JSON-over-HTTP chat-completions client; its repr leaves out the API key."""
 
-    endpoint: str
-    model_name: str
-    temperature: float | None = None
-    api_key: str | None = field(default=None, repr=False)
-    timeout: float = 120.0
+    def __init__(
+        self,
+        endpoint: str,
+        model_name: str,
+        temperature: float | None = None,
+        api_key: str | None = None,
+        timeout: float = 120.0,
+    ):
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self.temperature = temperature
+        self.api_key = api_key
+        self.timeout = timeout
+
+    def __repr__(self) -> str:
+        return (
+            f"HttpChatTransport(endpoint={self.endpoint!r}, model_name={self.model_name!r}, "
+            f"temperature={self.temperature!r}, timeout={self.timeout!r})"
+        )
 
     def send(self, prompt: str, document: Document) -> str:
         # imported on first use: urllib.request loads ssl and email, tens of ms
@@ -193,12 +234,12 @@ class HttpChatTransport:
         return content
 
 
-@dataclass
 class ScriptedTransport:
     """Offline transport replaying canned responses keyed by doc_id."""
 
-    responses: dict[str, str]
-    requests_seen: list[tuple[str, str, str]] = field(default_factory=list)
+    def __init__(self, responses: dict[str, str]):
+        self.responses = responses
+        self.requests_seen: list[tuple[str, str, str]] = []
 
     def send(self, prompt: str, document: Document) -> str:
         self.requests_seen.append((prompt, document.doc_id, document.text))

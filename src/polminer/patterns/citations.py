@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import datetime as dt
 import re
-from dataclasses import dataclass, replace
 from enum import Enum
 from typing import NamedTuple
 
@@ -28,6 +27,8 @@ from ..errors import SchemaError, UnparseableCitation
 # Two-digit years at or below this resolve to 2000+yy, others to 1900+yy
 # ("12193/19" must mean 2019; nothing in scope predates 1930).
 TWO_DIGIT_YEAR_PIVOT = 30
+# the years a citation may name, its date's year included
+_YEARS = range(1900, 2100)
 
 _MARKERS = {"cfr", "v", "vedi", "conf", "si"}  # "si veda" comes in two tokens
 _NUM_MARKERS = {"n", "nn", "no", "nr", "num", "numero"}
@@ -78,8 +79,7 @@ class Court(str, Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class CitationRef:
+class _CitationFields(NamedTuple):
     raw: str
     court: Court = Court.OTHER
     court_label: str | None = None  # head text when court is OTHER
@@ -89,13 +89,25 @@ class CitationRef:
     date: dt.date | None = None
     marker: str | None = None  # stripped leading introducer such as "cfr."
 
-    def __post_init__(self):
-        if self.number is None and self.year is None and self.date is None:
-            raise UnparseableCitation(self.raw, "", len(self.raw), "no number, year, or date")
-        if self.year is not None and self.date is not None and self.year != self.date.year:
-            raise UnparseableCitation(
-                self.raw, str(self.year), 0, "year conflicts with date"
-            )
+
+class CitationRef(_CitationFields):
+    """One parsed citation. Every construction, ``_replace`` included, checks
+    that it cites a number, year or date, and that its year is its date's."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "CitationRef":
+        ref = super().__new__(cls, *args, **kwargs)
+        if ref.number is None and ref.year is None and ref.date is None:
+            raise UnparseableCitation(ref.raw, "", len(ref.raw), "no number, year, or date")
+        if ref.year is not None and ref.date is not None and ref.year != ref.date.year:
+            raise UnparseableCitation(ref.raw, str(ref.year), 0, "year conflicts with date")
+        return ref
+
+    @classmethod
+    def _make(cls, iterable) -> "CitationRef":
+        # the NamedTuple _make, which _replace calls, would skip __new__
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         return {
@@ -126,14 +138,21 @@ class CitationRef:
             value = data.get(name)
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise SchemaError(f"{pointer}/{name}", "must be an integer or null")
+        # the grammar writes only positive numbers and years it can read
+        if data.get("number") is not None and data["number"] <= 0:
+            raise SchemaError(f"{pointer}/number", "must be positive")
+        if data.get("year") is not None and data["year"] not in _YEARS:
+            raise SchemaError(f"{pointer}/year", f"must be in {_YEARS[0]}-{_YEARS[-1]}")
         try:
             court = Court(data.get("court", "Other"))
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"{pointer}/court", str(exc)) from None
         try:
-            date = dt.date.fromisoformat(data["date"]) if data.get("date") else None
+            date = None if data.get("date") is None else dt.date.fromisoformat(data["date"])
         except ValueError as exc:
             raise SchemaError(f"{pointer}/date", str(exc)) from None
+        if date is not None and date.year not in _YEARS:
+            raise SchemaError(f"{pointer}/date", f"year must be in {_YEARS[0]}-{_YEARS[-1]}")
         try:
             return cls(
                 raw=data["raw"],
@@ -231,7 +250,7 @@ def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
 def _normalize_year(raw: str, at: _Token, full_raw: str) -> int:
     if len(raw) == 4:
         year = int(raw)
-        if not 1900 <= year <= 2099:
+        if year not in _YEARS:
             raise UnparseableCitation(full_raw, raw, at.pos, "year out of range")
         return year
     if len(raw) == 2:
@@ -409,7 +428,7 @@ class _Parser:
         if (
             not number_expected
             and len(t.raw) == 4
-            and 1900 <= int(t.raw) <= 2099
+            and int(t.raw) in _YEARS
             and self.number is not None
             and self.year is None
             and self.date is None
@@ -622,7 +641,7 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
             continue
         # no rule consumes a "(", so the citation ends before the next group
         ref, end = parsed
-        found.append((i, end, replace(ref, raw=text[i:end].rstrip(" ,;."))))
+        found.append((i, end, ref._replace(raw=text[i:end].rstrip(" ,;."))))
         resume = end
 
     found.sort(key=lambda item: item[0])

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Opening and closing character classes of the original quote pattern.
 PUBLISHED_QUOTE_OPEN = frozenset("“\"«‘")  # “ " « ‘
@@ -60,8 +60,7 @@ PUBLISHED_KEYWORDS = (
 )
 
 
-@dataclass(frozen=True)
-class RuleProfile:
+class RuleProfile(NamedTuple):
     """One of the three fixed rule sets of the detectors.
 
     ``conjunctive`` selects the extraction combination logic and the
@@ -92,8 +91,7 @@ def get_profile(name: str) -> RuleProfile:
         raise KeyError(f"unknown profile {name!r}; expected one of {sorted(PROFILES)}") from None
 
 
-@dataclass(frozen=True)
-class QuoteSpan:
+class QuoteSpan(NamedTuple):
     start: int
     end: int  # exclusive
     text: str

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -722,3 +724,20 @@ def test_main_reads_sys_argv_when_given_none(tmp_path, monkeypatch, capsys):
     for name in FIXTURE_PARAGRAPHS:
         produced = out / (Path(name).stem + ".csv")
         assert produced.read_bytes() == (golden_dir / produced.name).read_bytes()
+
+
+def test_importing_the_cli_loads_neither_code_generation_nor_the_network_stack():
+    # dataclasses brings inspect, ast and dis; HttpChatTransport.send imports
+    # the network modules on first use
+    src = str(Path(cli.__file__).parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import polminer.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env, timeout=60
+    ).stdout.split()
+    assert "polminer.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "urllib.request", "http.client", "ssl"}
+    assert unwanted.isdisjoint(loaded)

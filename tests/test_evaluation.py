@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import random
 
 import pytest
@@ -419,7 +418,7 @@ def test_comparison_rejects_gold_with_the_same_keys_but_another_type(repro_align
     gold, methods = repro_alignments
     first = gold.annotations[0]
     other = next(t for t in PoLType if t != first.pol_type)
-    retyped = GoldSet(annotations=(dataclasses.replace(first, pol_type=other),) + gold.annotations[1:])
+    retyped = GoldSet(annotations=(first._replace(pol_type=other),) + gold.annotations[1:])
     assert {a.key() for a in retyped.annotations} == {a.key() for a in gold.annotations}
     # the methods aligned against ``first`` as typed in ``gold``, so none covers ``retyped``
     with pytest.raises(GoldMismatch):

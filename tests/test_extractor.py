@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -228,11 +227,21 @@ def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
         ("date", 20190101, "/date"),
         ("date", "22/06/2016", "/date"),
         ("marker", False, "/marker"),
+        # values of the right type that the citation grammar never writes
+        ("date", "", "/date"),
+        ("date", "1850-06-01", "/date"),
+        ("number", 0, "/number"),
+        ("number", -4, "/number"),
+        ("year", 5, "/year"),
         # no number, year or date left: a citation with nothing to cite
         ("year", None, ""),
+        # a date in another year than the citation's 2020
+        ("date", "2018-01-01", ""),
     ],
     ids=["raw_int", "raw_null", "year_str", "year_float", "number_bool", "court_null", "court_unknown",
-         "court_label_int", "section_list", "date_int", "date_not_iso", "marker_bool", "nothing_cited"],
+         "court_label_int", "section_list", "date_int", "date_not_iso", "marker_bool", "date_empty",
+         "date_year_out_of_range", "number_zero", "number_negative", "year_out_of_range", "nothing_cited",
+         "year_conflicts_with_date"],
 )
 def test_jsonl_rejects_a_citation_field_of_the_wrong_type(tmp_path, field, value, pointer):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
@@ -290,7 +299,7 @@ def test_jsonl_names_bytes_that_are_not_utf8(tmp_path):
 
 def test_jsonl_keeps_the_unresolved_paragraph_index(tmp_path):
     doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
-    cand = replace(extract_candidates(doc, V2)[0], paragraph_index=-1)
+    cand = extract_candidates(doc, V2)[0]._replace(paragraph_index=-1)
     path = save_candidates_jsonl([cand], tmp_path / "c.jsonl")
     assert load_candidates_jsonl(path) == [cand]
 

@@ -321,6 +321,7 @@ def test_http_transport_sends_temperature_and_key_when_set(chat_server):
     ((authorization, payload),) = seen
     assert payload["temperature"] == 0.0
     assert authorization == "Bearer segreto"
+    assert "segreto" not in repr(transport)
 
 
 def test_http_transport_non_200_is_transport_error(chat_server):
