@@ -1,4 +1,4 @@
-"""Command-line surface: extract, import-gold, evaluate, compare, report, llm-extract.
+"""Command-line surface: extract, import-gold, evaluate, compare, llm-extract.
 
 Exit codes: 0 success, 1 fatal, 2 partial (some files failed); a command
 whose judgments all fail writes nothing. Outputs are re-runnable: identical
@@ -290,14 +290,6 @@ def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> i
     return EXIT_OK
 
 
-def cmd_report(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
-    _, (alignments,) = _load_and_align(cfg, gold_path, [candidates_path])
-    table = evaluation.tracking_table(alignments)
-    print(table.to_markdown())
-    _write_report(Path(cfg.output_dir), "tracking", table, cfg.report_formats)
-    return EXIT_OK
-
-
 def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     paths, skipped = list_judgments(cfg.input_dir)
     if args.mock:
@@ -433,11 +425,6 @@ COMMANDS: dict[str, tuple[
         "compare two or more candidate sets against one gold",
         _compare_flags,
         lambda cfg, args: cmd_compare(cfg, args.gold, args.candidates),
-    ),
-    "report": (
-        "emit the per-judgment tracking table",
-        _one_set_flags,
-        lambda cfg, args: cmd_report(cfg, args.gold, args.candidates),
     ),
     "llm-extract": (
         "extract via an LLM endpoint or offline mock",

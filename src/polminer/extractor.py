@@ -77,8 +77,14 @@ class PoLCandidate(NamedTuple):
                 raise SchemaError(f"{pointer}/doc_id", "must be a string")
             if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
                 raise SchemaError(f"{pointer}/paragraph_index", "must be an integer")
+            # rules write a paragraph's position, the LLM adapter a position
+            # or -1 for a passage it could not place, and neither an empty text
+            if paragraph_index < -1:
+                raise SchemaError(f"{pointer}/paragraph_index", "must be -1 or more")
             if not isinstance(text, str):
                 raise SchemaError(f"{pointer}/text", "must be a string")
+            if not text:
+                raise SchemaError(f"{pointer}/text", "must not be empty")
             if not isinstance(quote, str):
                 raise SchemaError(f"{pointer}/quote", "must be a string")
             if not isinstance(citations, list):

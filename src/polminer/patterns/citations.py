@@ -9,10 +9,11 @@ Handles the formats that actually occur in judgment prose, e.g.::
     sent. 22.06.2016 n. 12962
     Corte Cost. 217/2019
 
-A tokenizer, read on demand, feeds a small descent parser; on failure the
-error names the first token that could not be consumed. ``find_citations``
-scans a whole paragraph in linear time, trying parenthesized groups first
-and then inline spans anchored on court keywords.
+A token list, read on demand, feeds a parser that runs as one flat loop;
+on failure the error names the first token that could not be consumed.
+``find_citations`` scans a whole paragraph in linear time, trying
+parenthesized groups first and then inline spans anchored on court
+keywords, all of which index one token list.
 """
 
 from __future__ import annotations
@@ -39,12 +40,13 @@ _CONNECTORS = {
 # connectors that may still appear between a number and its year/date
 # ("n. 26972 dell'11 novembre 2008"); anything else ends the citation
 _POST_REF_CONNECTORS = {"di", "del", "dell", "della", "in", "data"}
+# court words, one bit per court they name; "corte" alone names none
 _COURT_WORDS = {
-    "cass": "cass", "cassazione": "cass",
-    "cost": "cost", "costituzionale": "cost",
-    "corte": "corte", "c": "corte",
-    "appello": "appello", "app": "appello",
-    "trib": "trib", "tribunale": "trib",
+    "cass": 1, "cassazione": 1,
+    "cost": 2, "costituzionale": 2,
+    "appello": 4, "app": 4,
+    "trib": 8, "tribunale": 8,
+    "corte": 16, "c": 16,
 }
 _SECTION_WORDS = {
     "civ", "civile", "civili", "pen", "penale", "penali", "lav", "lavoro",
@@ -77,6 +79,13 @@ class Court(str, Enum):
     CORTE_APPELLO = "CorteAppello"
     TRIBUNALE = "Tribunale"
     OTHER = "Other"
+
+
+# the court of each set of court-word bits: the first court of this enum
+# whose bit is set, else Other
+_COURT_OF = tuple(
+    next((court for bit, court in zip((1, 2, 4, 8), Court) if mask & bit), Court.OTHER) for mask in range(32)
+)
 
 
 class _CitationFields(NamedTuple):
@@ -168,13 +177,6 @@ class CitationRef(_CitationFields):
             raise SchemaError(pointer or "/", str(exc)) from None
 
 
-class _Token(NamedTuple):
-    kind: str  # WORD | NUM | PUNCT | OTHER
-    raw: str
-    norm: str
-    pos: int
-
-
 # One token after optional whitespace (regex \s is str.isspace, \d is
 # str.isdecimal): a run of letters, with at most one trailing period or
 # apostrophe; a run of decimal digits; or any other single character.
@@ -182,44 +184,39 @@ class _Token(NamedTuple):
 # non-letters such as "²"; such runs go through _tokenize_chars.
 _TOKEN_RE = re.compile(r"\s*(?:([^\W\d_]+)([.'’]?)|(\d+)|(\S))")
 
+# A token is a (kind, raw, norm, pos) tuple: kind is WORD, NUM, PUNCT or
+# OTHER; norm is a word's casefold without its trailing period or
+# apostrophe, and the raw text of any other token; pos is its offset.
+# _END pads a token list past the end of its text, so that the parser looks
+# ahead without a bounds check: it matches no kind and no norm.
+_END = ("END", "", "", -1)
 
-class _Tokens:
-    """The tokens of ``text`` from offset ``start`` on, read on demand.
 
-    A parse reads only the tokens it consumes, plus a few of look-ahead, so
-    an attempt on a long paragraph costs what it reads, not the paragraph.
-    """
-
-    __slots__ = ("text", "read", "items")
-
-    def __init__(self, text: str, start: int = 0):
-        self.text = text
-        self.read = start  # offset after the last token read
-        self.items: list[_Token] = []
-
-    def get(self, j: int) -> _Token | None:
-        """Token ``j``, or None past the end of the text."""
-        items = self.items
-        while j >= len(items):
-            m = _TOKEN_RE.match(self.text, self.read)
-            if m is None:
-                return None
-            self.read = m.end()
-            letters, trail, digits, other = m.groups()
-            if letters is not None:
-                if letters.isalpha():
-                    items.append(_Token("WORD", letters + trail, letters.casefold(), m.start(1)))
-                else:
-                    items.extend(_tokenize_chars(self.text, m.start(1), m.end(2)))
-            elif digits is not None:
-                items.append(_Token("NUM", digits, digits, m.start(3)))
+def _read_tokens(text: str, read: int, tokens: list, want: int) -> int:
+    """Append the tokens of ``text`` from offset ``read`` on to ``tokens``
+    until it holds ``want``, padding with ``_END`` past the end of the
+    text; return the offset after the last token read."""
+    match = _TOKEN_RE.match
+    while len(tokens) < want:
+        m = match(text, read)
+        if m is None:
+            tokens += [_END] * (want - len(tokens))
+            break
+        read = m.end()
+        letters, trail, digits, other = m.groups()
+        if letters is not None:
+            if letters.isalpha():
+                tokens.append(("WORD", letters + trail, letters.casefold(), m.start(1)))
             else:
-                kind = "PUNCT" if other in ",/.;()-" else "OTHER"
-                items.append(_Token(kind, other, other, m.start(4)))
-        return items[j]
+                tokens += _tokenize_chars(text, m.start(1), read)
+        elif digits is not None:
+            tokens.append(("NUM", digits, digits, m.start(3)))
+        else:
+            tokens.append(("PUNCT" if other in ",/.;()-" else "OTHER", other, other, m.start(4)))
+    return read
 
 
-def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
+def _tokenize_chars(text: str, start: int, stop: int) -> list[tuple[str, str, str, int]]:
     """Tokens of ``text[start:stop]`` read a character at a time.
 
     The slice is one ``[^\\W\\d_]+[.'’]?`` match that is not all letters:
@@ -227,7 +224,7 @@ def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
     (such as ``²``), and an optional ``.``, ``'`` or ``’`` at the end. It
     holds no whitespace and no decimal digit.
     """
-    tokens: list[_Token] = []
+    tokens = []
     i = start
     while i < stop:
         ch = text[i]
@@ -238,271 +235,227 @@ def _tokenize_chars(text: str, start: int, stop: int) -> list[_Token]:
             if j < stop and text[j] in ".'’":
                 j += 1
             raw = text[i:j]
-            tokens.append(_Token("WORD", raw, raw.rstrip(".'’").casefold(), i))
+            tokens.append(("WORD", raw, raw.rstrip(".'’").casefold(), i))
             i = j
         else:
-            kind = "PUNCT" if ch in ",/.;()-" else "OTHER"
-            tokens.append(_Token(kind, ch, ch, i))
+            tokens.append(("PUNCT" if ch in ",/.;()-" else "OTHER", ch, ch, i))
             i += 1
     return tokens
 
 
-def _normalize_year(raw: str, at: _Token, full_raw: str) -> int:
-    if len(raw) == 4:
-        year = int(raw)
-        if year not in _YEARS:
-            raise UnparseableCitation(full_raw, raw, at.pos, "year out of range")
-        return year
-    if len(raw) == 2:
-        yy = int(raw)
-        return 2000 + yy if yy <= TWO_DIGIT_YEAR_PIVOT else 1900 + yy
-    raise UnparseableCitation(full_raw, raw, at.pos, "year must have 2 or 4 digits")
+def _parse(
+    text: str, tokens: list, read: int, i: int, dead: set[int] | None = None, raw: str = ""
+) -> tuple[int, CitationRef | None, int]:
+    """Parse a citation from token ``i`` of ``tokens`` in one pass.
 
+    ``tokens`` holds the tokens of ``text`` read so far, ``read`` the
+    offset after the last of them; the parse reads more as it needs them.
+    It returns the new ``read``, the ref, and for an inline attempt the end
+    offset of its last token. The parse is one loop over local fields:
+    each pass consumes one token, or a number, date or year shape of up to
+    five, and a failure ends the loop with its reason.
 
-class _Parser:
-    """One pass over the token stream, accumulating citation fields.
+    Without ``dead`` the text must be the whole citation ``raw``: a failure
+    raises UnparseableCitation naming the first token that does not fit.
+    With it, this is an inline attempt of the locator, which keeps the
+    longest prefix read, and only when it has a number plus a year or date,
+    so that stray prose numbers are not mistaken for citations; its raw is
+    the text it spans less trailing " ,;.". A failed attempt returns None.
 
-    ``dead`` memoizes failures for the locator, whose parses all read one
-    paragraph. Until a number, year or date is read, the parse's course
-    depends only on the current token's offset, whether a court word was
-    seen and the unknown-word budget; from the token that starts the
-    reference on, only on the tokens. So a parse that reaches a state
-    (offset, court seen, budget) that a failed parse passed through fails
-    too, and stops there. ``visited`` lists this parse's states, for the
-    caller to add to ``dead`` when the parse fails.
+    ``dead`` memoizes the failed attempts, which all index one paragraph's
+    token list. Until a number, year or date is read, an attempt's course
+    depends only on the current token, whether a court word was seen and
+    the unknown-word budget; from the token that starts the reference on,
+    only on the tokens. So an attempt that reaches a state (token index,
+    court seen, budget) that a failed attempt passed through fails too, and
+    stops there; a failed attempt adds the states it passed to ``dead``.
     """
-
-    def __init__(
-        self,
-        raw: str,
-        tokens: _Tokens,
-        dead: set[tuple[int, bool, int]] | None = None,
-    ):
-        self.raw = raw
-        self.toks = tokens
-        self.dead = dead
-        self.visited: list[tuple[int, bool, int]] = []
-        self.i = 0
-        self.marker: str | None = None
-        self.court_keys: set[str] = set()
-        self.section_parts: list[str] = []
-        self.head_words: list[str] = []
-        self.kind_words: list[str] = []
-        self.unknown_budget = 2
-        self.number: int | None = None
-        self.year: int | None = None
-        self.date: dt.date | None = None
-        self.consumed_end = 0
-
-    def _peek(self, ahead: int = 0) -> _Token | None:
-        j = self.i + ahead
-        return self.toks.get(j)
-
-    def _advance(self) -> _Token:
-        t = self.toks.get(self.i)
-        self.i += 1
-        self.consumed_end = t.pos + len(t.raw)
-        return t
-
-    def _fail(self, token: _Token | None, reason: str):
-        if token is None:
-            raise UnparseableCitation(self.raw, "", len(self.raw), reason)
-        raise UnparseableCitation(self.raw, token.raw, token.pos, reason)
-
-    def _has_ref(self) -> bool:
-        return self.number is not None or self.year is not None or self.date is not None
-
-    def parse(self, require_full: bool) -> CitationRef:
-        while (t := self._peek()) is not None:
-            if self.dead is not None and not self._has_ref():
-                state = (t.pos, bool(self.court_keys), self.unknown_budget)
-                if state in self.dead:
-                    self._fail(t, "known dead end")
-                self.visited.append(state)
-            if t.kind == "PUNCT" and t.norm == ",":
-                self._advance()
-                continue
-            if t.kind == "PUNCT" and t.norm in ".;" and self._has_ref():
-                # tolerated sentence punctuation after a complete reference
-                self._advance()
-                continue
-            if t.kind == "WORD":
-                if not self._word(t):
-                    break
-                continue
-            if t.kind == "NUM":
-                self._ref()
+    start = i
+    visited: list[int] = []
+    marker = number = year = date = None
+    courts = 0
+    budget = 2  # unknown words tolerated after a court word
+    has_ref = False
+    sections: list[str] = []
+    heads: list[str] = []
+    kinds: list[str] = []
+    reason = None
+    while True:
+        if len(tokens) < i + 2:  # the token and one of look-ahead
+            read = _read_tokens(text, read, tokens, i + 2)
+        token = tokens[i]
+        if token is _END:
+            break
+        kind, tok, w, _ = token
+        if dead is not None and not has_ref:
+            state = i << 3 | (4 if courts else 0) | budget
+            if state in dead:
+                reason, at = "known dead end", i
+                break
+            visited.append(state)
+        if kind == "PUNCT":
+            # a comma anywhere; sentence punctuation after a complete reference
+            if w == "," or has_ref and w in ".;":
+                i += 1
                 continue
             break
-        if require_full and self._peek() is not None:
-            self._fail(self._peek(), "unexpected trailing token")
-        if not self._has_ref():
-            self._fail(self._peek(), "no number, year, or date")
-        return self._build()
-
-    def _word(self, t: _Token) -> bool:
-        w = t.norm
-        has_ref = self._has_ref()
-        if w in _MARKERS and not has_ref and not self.court_keys and self.i == 0:
-            self._advance()
-            self.marker = t.raw
-            return True
-        if w in _NUM_MARKERS and self.number is None:
-            self._advance()
-            nxt = self._peek()
-            if nxt is None or nxt.kind != "NUM":
-                self._fail(nxt, "expected a number after %r" % t.raw)
-            self._ref(number_expected=True)
-            return True
-        if w in _MONTHS and (nxt := self._peek(1)) is not None and nxt.kind == "NUM":
-            self._month_led_date()
-            return True
-        if w in _CONNECTORS and (not has_ref or w in _POST_REF_CONNECTORS):
-            self._advance()
-            return True
-        if has_ref:
-            # head words after a complete reference belong to the next
-            # sentence, not to this citation
-            return False
-        if w in _COURT_WORDS:
-            self._advance()
-            self.court_keys.add(_COURT_WORDS[w])
-            self.head_words.append(t.raw)
-            return True
-        if w in _SECTION_WORDS:
-            self._advance()
-            self.section_parts.append(t.raw)
-            if w in _SEZ_WORDS:
-                nxt = self._peek()
-                if nxt is not None and nxt.kind == "WORD" and nxt.norm in _ROMAN:
-                    self._advance()
-                    self.section_parts.append(nxt.raw)
-            return True
-        if w in _KIND_WORDS:
-            self._advance()
-            self.kind_words.append(t.raw)
-            return True
-        if self.court_keys and self.unknown_budget > 0:
-            # tolerate a couple of head words we have no table for
-            # ("Corte d'Appello di Milano")
-            self._advance()
-            self.unknown_budget -= 1
-            self.head_words.append(t.raw)
-            return True
-        return False
-
-    def _ref(self, number_expected: bool = False):
-        t = self._advance()
-        nxt, nxt2, nxt3 = self._peek(), self._peek(1), self._peek(2)
-        if nxt is not None and nxt.norm == "/" and nxt2 is not None and nxt2.kind == "NUM":
-            if nxt3 is not None and nxt3.norm == "/" and (p4 := self._peek(3)) and p4.kind == "NUM":
-                for _ in range(3):
-                    self._advance()
-                last = self._advance()
-                self._set_date(t, nxt2, last)
-                return
-            self._advance()
-            year_tok = self._advance()
-            self._set_number(t)
-            self._set_year(_normalize_year(year_tok.raw, year_tok, self.raw), year_tok)
-            return
-        if (
-            nxt is not None and nxt.norm == "." and nxt2 is not None and nxt2.kind == "NUM"
-            and nxt3 is not None and nxt3.norm == "." and (p4 := self._peek(3)) and p4.kind == "NUM"
-        ):
-            for _ in range(3):
-                self._advance()
-            last = self._advance()
-            self._set_date(t, nxt2, last)
-            return
-        if nxt is not None and nxt.kind == "WORD" and nxt.norm in _MONTHS:
-            month_tok = self._advance()
-            ytok = self._peek()
-            if ytok is None or ytok.kind != "NUM":
-                self._fail(ytok, "expected a year after the month name")
-            self._advance()
-            self._make_date(int(t.raw), _MONTHS[month_tok.norm], ytok, t)
-            return
-        # bare number: a 4-digit value slots into the year when a number is
-        # already present, otherwise it is the judgment number
-        if (
-            not number_expected
-            and len(t.raw) == 4
-            and int(t.raw) in _YEARS
-            and self.number is not None
-            and self.year is None
-            and self.date is None
-        ):
-            self._set_year(int(t.raw), t)
-            return
-        self._set_number(t)
-
-    def _month_led_date(self):
-        month_tok = self._advance()
-        day_tok = self._advance()
-        nxt = self._peek()
-        if nxt is not None and nxt.norm == ",":
-            self._advance()
-            nxt = self._peek()
-        if nxt is None or nxt.kind != "NUM":
-            self._fail(nxt, "expected a year to finish the date")
-        self._advance()
-        self._make_date(int(day_tok.raw), _MONTHS[month_tok.norm], nxt, day_tok)
-
-    def _set_number(self, t: _Token):
-        if self.number is not None:
-            self._fail(t, "second judgment number")
-        value = int(t.raw)
-        if value <= 0:
-            self._fail(t, "judgment number must be positive")
-        self.number = value
-
-    def _set_year(self, year: int, t: _Token):
-        if self.year is not None and self.year != year:
-            self._fail(t, "conflicting years")
-        if self.date is not None and self.date.year != year:
-            self._fail(t, "year conflicts with date")
-        self.year = year
-
-    def _set_date(self, d: _Token, m: _Token, y: _Token):
-        self._make_date(int(d.raw), int(m.raw), y, d)
-
-    def _make_date(self, day: int, month: int, ytok: _Token, at: _Token):
-        if self.date is not None:
-            self._fail(at, "second date")
-        year = _normalize_year(ytok.raw, ytok, self.raw)
-        try:
-            date = dt.date(year, month, day)
-        except (ValueError, OverflowError):  # Overflow: beyond a C long
-            self._fail(at, "invalid calendar date")
-        self.date = date
-        self._set_year(year, ytok)
-
-    def _build(self) -> CitationRef:
-        keys = self.court_keys
-        label = None
-        if "cass" in keys:
-            court = Court.CASSAZIONE
-        elif "cost" in keys:
-            court = Court.CORTE_COSTITUZIONALE
-        elif "appello" in keys:
-            court = Court.CORTE_APPELLO
-        elif "trib" in keys:
-            court = Court.TRIBUNALE
+        num_at = date_at = year_at = -1
+        if kind == "WORD":
+            if w in _MARKERS and i == start and not courts and not has_ref:
+                marker = tok
+                i += 1
+                continue
+            if w in _NUM_MARKERS and number is None:
+                i += 1
+                if tokens[i][0] != "NUM":
+                    reason, at = "expected a number after %r" % tok, i
+                    break
+            elif w in _MONTHS and tokens[i + 1][0] == "NUM":
+                # a date led by its month: "novembre 11, 2008"
+                if len(tokens) < i + 4:
+                    read = _read_tokens(text, read, tokens, i + 4)
+                month, date_at = _MONTHS[w], i + 1
+                i += 3 if tokens[i + 2][2] == "," else 2
+                if tokens[i][0] != "NUM":
+                    reason, at = "expected a year to finish the date", i
+                    break
+                year_at = i
+                i += 1
+            elif w in _CONNECTORS and (not has_ref or w in _POST_REF_CONNECTORS):
+                i += 1
+                continue
+            elif has_ref:
+                # head words after a complete reference belong to the next
+                # sentence, not to this citation
+                break
+            elif w in _COURT_WORDS:
+                courts |= _COURT_WORDS[w]
+                heads.append(tok)
+                i += 1
+                continue
+            elif w in _SECTION_WORDS:
+                sections.append(tok)
+                i += 1
+                if w in _SEZ_WORDS and tokens[i][0] == "WORD" and tokens[i][2] in _ROMAN:
+                    sections.append(tokens[i][1])
+                    i += 1
+                continue
+            elif w in _KIND_WORDS:
+                kinds.append(tok)
+                i += 1
+                continue
+            elif courts and budget:
+                # tolerate a couple of head words we have no table for
+                # ("Corte d'Appello di Milano")
+                budget -= 1
+                heads.append(tok)
+                i += 1
+                continue
+            else:
+                break
+        elif kind != "NUM":
+            break
+        if date_at < 0:
+            # a number: "n/yy", "d/m/y", "d.m.y", "d month y", a bare year
+            # after the judgment number, or the judgment number
+            if len(tokens) < i + 5:
+                read = _read_tokens(text, read, tokens, i + 5)
+            digits = tokens[i][1]
+            next_kind, _, after, _ = tokens[i + 1]
+            if after == "/" and tokens[i + 2][0] == "NUM":
+                if tokens[i + 3][2] == "/" and tokens[i + 4][0] == "NUM":
+                    month, date_at, year_at = int(tokens[i + 2][1]), i, i + 4
+                    i += 5
+                else:
+                    num_at, year_at = i, i + 2
+                    i += 3
+            elif (
+                after == "." and tokens[i + 2][0] == "NUM"
+                and tokens[i + 3][2] == "." and tokens[i + 4][0] == "NUM"
+            ):
+                month, date_at, year_at = int(tokens[i + 2][1]), i, i + 4
+                i += 5
+            elif next_kind == "WORD" and after in _MONTHS:
+                month, date_at = _MONTHS[after], i
+                i += 2
+                if tokens[i][0] != "NUM":
+                    reason, at = "expected a year after the month name", i
+                    break
+                year_at = i
+                i += 1
+            elif len(digits) == 4 and number is not None and year is None and int(digits) in _YEARS:
+                year_at = i
+                i += 1
+            else:
+                num_at = i
+                i += 1
+        if num_at >= 0:
+            if number is not None:
+                reason, at = "second judgment number", num_at
+                break
+            value = int(tokens[num_at][1])
+            if value <= 0:
+                reason, at = "judgment number must be positive", num_at
+                break
+            number = value
+            has_ref = True
+            if year_at < 0:
+                continue
+        if date_at >= 0:
+            day = int(tokens[date_at][1])
+            if date is not None:
+                reason, at = "second date", date_at
+                break
+        # two-digit years at or below the pivot are 2000+yy, others 1900+yy
+        digits = tokens[year_at][1]
+        if len(digits) == 4:
+            new_year = int(digits)
+            if new_year not in _YEARS:
+                reason, at = "year out of range", year_at
+                break
+        elif len(digits) == 2:
+            new_year = int(digits)
+            new_year += 2000 if new_year <= TWO_DIGIT_YEAR_PIVOT else 1900
         else:
-            court = Court.OTHER
-            head = self.head_words or self.kind_words
-            label = " ".join(head) if head else None
-        return CitationRef(
-            raw=self.raw,
-            court=court,
-            court_label=label,
-            section=" ".join(self.section_parts) or None,
-            number=self.number,
-            year=self.year,
-            date=self.date,
-            marker=self.marker,
-        )
+            reason, at = "year must have 2 or 4 digits", year_at
+            break
+        if date_at >= 0:
+            try:
+                date = dt.date(new_year, month, day)
+            except (ValueError, OverflowError):  # Overflow: beyond a C long
+                reason, at = "invalid calendar date", date_at
+                break
+            has_ref = True
+        # a date sets its year, so a year that conflicts with the date
+        # conflicts with the year
+        if year is not None and year != new_year:
+            reason, at = "conflicting years", year_at
+            break
+        year = new_year
+        has_ref = True
+
+    end = 0
+    if dead is not None:
+        if number is None or (year is None and date is None) or (date is not None and year != date.year):
+            dead.update(visited)
+            return read, None, 0
+        _, tok, _, pos = tokens[i - 1]
+        end = pos + len(tok)
+        raw = text[tokens[start][3] : end].rstrip(" ,;.")
+    else:
+        if reason is None and tokens[i] is not _END:
+            reason, at = "unexpected trailing token", i
+        elif reason is None and not has_ref:
+            reason, at = "no number, year, or date", i
+        if reason is not None:
+            if tokens[at] is _END:
+                raise UnparseableCitation(raw, "", len(raw), reason)
+            raise UnparseableCitation(raw, tokens[at][1], tokens[at][3], reason)
+    court = _COURT_OF[courts]
+    label = None
+    if court is Court.OTHER:
+        label = " ".join(heads or kinds) or None
+    return read, CitationRef(raw, court, label, " ".join(sections) or None, number, year, date, marker), end
 
 
 def _strip_outer_parens(raw: str) -> str:
@@ -519,36 +472,7 @@ def parse_citation(raw: str) -> CitationRef:
     """
     if not raw or not raw.strip():
         raise UnparseableCitation(raw, "", 0, "empty citation")
-    inner = _strip_outer_parens(raw)
-    parser = _Parser(raw, _Tokens(inner))
-    ref = parser.parse(require_full=True)
-    return ref
-
-
-def _parse_inline(
-    text: str, start: int, dead: set[tuple[int, bool, int]]
-) -> tuple[CitationRef, int] | None:
-    """Parse the longest citation prefix of ``text[start:]``.
-
-    Returns (ref, end offset) or None, and adds a failed parse's states to
-    ``dead``. The ref needs a number plus a year or date, so that stray
-    prose numbers are not mistaken for citations. Its ``raw`` is left empty
-    for the caller to fill in from the text.
-    """
-    parser = _Parser("", _Tokens(text, start), dead)
-    try:
-        ref = parser.parse(require_full=False)
-    except UnparseableCitation:
-        ref = None
-        if parser._has_ref():
-            try:
-                ref = parser._build()
-            except UnparseableCitation:
-                pass
-    if ref is None or ref.number is None or (ref.year is None and ref.date is None):
-        dead.update(parser.visited)
-        return None
-    return ref, parser.consumed_end
+    return _parse(_strip_outer_parens(raw), [], 0, 0, raw=raw)[1]
 
 
 _PAREN_RE = re.compile(r"[()]")
@@ -571,9 +495,13 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
     The scan is linear in the paragraph length. A group reaching past
     another "(" cannot parse, since no rule consumes a "(", so only
     innermost groups, which never share a character, go to
-    ``parse_citation``. An inline attempt reads tokens from its head on
-    only as far as it parses, and failed attempts are memoized (see
-    ``_Parser``).
+    ``parse_citation``. Inline attempts share one token list, read on
+    demand: a head starts where no word character precedes it, so it
+    starts a token, and an attempt indexes into the list from its head on.
+    Each token is read at most once, whichever attempts look at it, and an
+    attempt reads only as far as it parses plus at most four tokens of
+    look-ahead; the list skips text between heads that no attempt reached.
+    Failed attempts are memoized (see ``_parse``).
 
     Every citation needs a number, and numbers are read only from runs of
     decimal digits (regex ``\\d``), so a paragraph without one has no
@@ -617,7 +545,9 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
             pass
 
     found = list(groups)
-    dead: set[tuple[int, bool, int]] = set()
+    tokens: list = []
+    read = at_head = 0  # at_head: the first token not before the head
+    dead: set[int] = set()
     g = 0  # first group ending after the current head
     resume = 0
     # a run of head letters ends before any digit, so a head starting before
@@ -636,12 +566,15 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
             g += 1
         if g < len(groups) and groups[g][0] <= i:
             continue  # inside a parenthesized group
-        parsed = _parse_inline(text, i, dead)
-        if parsed is None:
+        while at_head < len(tokens) and tokens[at_head][3] < i:
+            at_head += 1
+        if at_head == len(tokens):
+            read = i  # no token read reaches the head: read on from it
+        read, ref, end = _parse(text, tokens, read, at_head, dead)
+        if ref is None:
             continue
         # no rule consumes a "(", so the citation ends before the next group
-        ref, end = parsed
-        found.append((i, end, ref._replace(raw=text[i:end].rstrip(" ,;."))))
+        found.append((i, end, ref))
         resume = end
 
     found.sort(key=lambda item: item[0])

@@ -166,3 +166,13 @@ def test_find_citations_on_unusual_characters_matches_reference(text, numbers):
     refs = find_citations(text)
     assert refs == ref.find_citations(text)
     assert [r.number for r in refs] == numbers
+
+
+def test_find_citations_memoizes_failures_per_unknown_word_budget():
+    # the attempt at the first "Cass." spends both unknown words before
+    # "zz" and fails there; the attempt at the second reaches "yy" and "zz"
+    # with budget to spare, so their failed states are not its own
+    text = "Cass. xx Cass. yy zz 12/2019"
+    refs = find_citations(text)
+    assert refs == ref.find_citations(text)
+    assert [r.raw for r in refs] == ["Cass. yy zz 12/2019"]

@@ -382,15 +382,13 @@ def test_compare_three_methods_in_input_order(repro_files, capsys):
     assert first_seen == ["annotators", "chat", "regex"]
 
 
-def test_report_tracking_table(repro_files, capsys):
+def test_evaluate_writes_the_tracking_table(repro_files):
     base, corpus, gold_path, paths = repro_files
     assert main([
-        "report", str(gold_path), str(paths["chat"]),
-        "--input", str(corpus), "--out", str(base / "track"),
+        "evaluate", str(gold_path), str(paths["chat"]),
+        "--input", str(corpus), "--out", str(base / "track"), "--format", "md",
     ]) == 0
-    out = capsys.readouterr().out
-    assert "TOTAL" in out
-    assert (base / "track" / "tracking.md").is_file()
+    assert "TOTAL" in (base / "track" / "tracking.md").read_text(encoding="utf-8")
 
 
 def test_llm_extract_with_mock(tmp_path, capsys):
@@ -520,7 +518,7 @@ def test_align_rejects_doc_ids_that_are_not_plain_file_names(tmp_path, monkeypat
     assert err.startswith("fatal: ") and repr(doc_id) in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "report", "compare"])
+@pytest.mark.parametrize("command", ["evaluate", "compare"])
 def test_corrupt_judgment_is_fatal_not_a_traceback(tmp_path, capsys, command):
     corpus = tmp_path / "S"
     broken = truncate_file(make_docx(corpus / "rotto.docx", ["principio"]))
@@ -588,7 +586,6 @@ def test_each_command_offers_only_the_flags_it_reads():
         "import-gold": {"--out", "--annotator"},
         "evaluate": REPORT_FLAGS,
         "compare": REPORT_FLAGS,
-        "report": REPORT_FLAGS,
         "llm-extract": {
             "--config", "--input", "--mock", "--endpoint", "--model", "--temperature",
             "--budget", "--language", "--audit", "--out-file",
@@ -598,7 +595,7 @@ def test_each_command_offers_only_the_flags_it_reads():
 
 @pytest.mark.parametrize("argv", [
     ["evaluate", "g.json", "c.jsonl", "--profile", "v1_broad"],
-    ["report", "g.json", "c.jsonl", "--mode", "standard"],
+    ["compare", "g.json", "a.jsonl", "b.jsonl", "--mode", "standard"],
     ["extract", "--overlap", "0.5"],
     ["extract", "--jobs", "1"],
     ["llm-extract", "--profile", "v1_broad"],

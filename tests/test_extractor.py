@@ -212,6 +212,27 @@ def test_jsonl_rejects_a_field_of_the_wrong_type(tmp_path, field, value):
     assert exc.value.pointer == f"/1/{field}"
 
 
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("paragraph_index", -7), ("paragraph_index", -2), ("text", "")],
+    ids=["index_minus_7", "index_minus_2", "text_empty"],
+)
+def test_jsonl_rejects_a_value_no_extractor_writes(tmp_path, field, value):
+    # rules write a position, the LLM adapter a position or -1, and both a
+    # non-empty text
+    line = {"doc_id": "a.txt", "paragraph_index": -1, "text": "x", "pol_type": "Implicit", "source": "LLM"}
+    assert PoLCandidate.from_dict(line).paragraph_index == -1
+    with pytest.raises(SchemaError) as exc:
+        PoLCandidate.from_dict({**line, field: value}, "/1")
+    assert exc.value.pointer == f"/1/{field}"
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(line) + "\n" + json.dumps({**line, field: value}) + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError) as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == f"/1/{field}"
+
+
 @pytest.mark.parametrize(
     "field, value, pointer",
     [

@@ -103,8 +103,12 @@ def test_match_keywords_linear():
         # inline heads before the line's one number: every head is parsed,
         # and each would read on to the number
         ("Cass. sez. la ", " 7"),
+        # the long_paragraphs line: heads that spend the unknown-word
+        # budget, each attempt reading a dozen tokens of the line's one
+        # token list, which is read once for all of them
+        ("Cass. sez. la Cass. sez. resistente ", "(Cass. Civ. 3102/2019)"),
     ],
-    ids=["groups_and_heads", "repeated_heads", "heads_before_a_number"],
+    ids=["groups_and_heads", "repeated_heads", "heads_before_a_number", "heads_spending_the_budget"],
 )
 def test_find_citations_linear(unit, tail):
     assert _growth(find_citations, unit, tail) < MAX_RATIO

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_scanners as ref
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
-from polminer.patterns.citations import _Tokens
+from polminer.patterns.citations import _END, _read_tokens
 
 # Pieces that drive the reference scanners into their quadratic paths:
 # unclosed openers, parentheses far from their closer, citation heads that
@@ -51,7 +51,9 @@ def test_find_citations_matches_reference_locator(text):
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="ab Cz19²½_ß’'.,;()/-\n\tİı«", max_size=60))
 def test_tokenizer_matches_reference_tokenizer(text):
-    stream = _Tokens(text)
-    while stream.get(len(stream.items)) is not None:
-        pass
-    assert stream.items == ref._tokenize(text)
+    # one token at a time, as the parser reads them, up to the end padding
+    tokens: list = []
+    read = 0
+    while not tokens or tokens[-1] is not _END:
+        read = _read_tokens(text, read, tokens, len(tokens) + 1)
+    assert tokens[:-1] == ref._tokenize(text)
