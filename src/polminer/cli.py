@@ -298,12 +298,7 @@ def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
             raise PolminerError(f"mock fixtures {args.mock} must map each doc_id to a response string")
         transport: llm.Transport = llm.ScriptedTransport(responses=responses)
     elif args.endpoint:
-        transport = llm.HttpChatTransport(
-            endpoint=args.endpoint,
-            model_name=args.model,
-            temperature=args.temperature,
-            api_key=os.environ.get("POLMINER_API_KEY"),
-        )
+        transport = llm.HttpChatTransport(api_key=os.environ.get("POLMINER_API_KEY"))
     else:
         _err("usage error: llm-extract needs --mock or --endpoint")
         return EXIT_FATAL
@@ -317,10 +312,9 @@ def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
     candidates: list[extractor.PoLCandidate] = []
 
     def extract(path: Path) -> None:
-        nonlocal session
         doc = load_document(path)
         if session.queries_sent >= session.max_queries_per_session:
-            session = llm.reset_session(session)
+            session.queries_sent = 0
             _err(f"session reset after {session.max_queries_per_session} queries")
         candidates.extend(llm.run_extraction(doc, session, transport, language=args.language))
 

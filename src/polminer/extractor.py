@@ -198,7 +198,7 @@ def load_candidates_jsonl(path: str | Path) -> list[PoLCandidate]:
                     continue
                 try:
                     data = json.loads(line)
-                except json.JSONDecodeError as exc:
+                except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4,300 digits
                     raise SchemaError(f"/{lineno}", f"invalid JSON: {exc}") from exc
                 candidates.append(PoLCandidate.from_dict(data, pointer=f"/{lineno}"))
         # the file is decoded a block at a time, ahead of the line being read

@@ -123,7 +123,8 @@ def build_prompt(language: str = "it") -> str:
 
 class LlmSession:
     """Where queries go, how they are sampled and logged, and how many of
-    its ``max_queries_per_session`` the session has sent."""
+    its ``max_queries_per_session`` the session has sent; a transport sends
+    as it says. Setting ``queries_sent`` back to 0 resets it."""
 
     __slots__ = ("endpoint", "model_name", "temperature", "max_queries_per_session", "queries_sent", "audit_path")
 
@@ -133,104 +134,72 @@ class LlmSession:
         model_name: str = "offline-mock",
         temperature: float | None = None,
         max_queries_per_session: int = 5,
-        queries_sent: int = 0,
         audit_path: str | None = None,
     ):
         self.endpoint = endpoint
         self.model_name = model_name
         self.temperature = temperature
         self.max_queries_per_session = max_queries_per_session
-        self.queries_sent = queries_sent
+        self.queries_sent = 0
         self.audit_path = audit_path
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LlmSession):
-            return NotImplemented
-        return self._fields() == other._fields()
-
     def __repr__(self) -> str:
-        return "LlmSession(" + ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields())) + ")"
-
-
-def reset_session(session: LlmSession) -> LlmSession:
-    """Fresh session with the same configuration and no carried context."""
-    return LlmSession(
-        endpoint=session.endpoint,
-        model_name=session.model_name,
-        temperature=session.temperature,
-        max_queries_per_session=session.max_queries_per_session,
-        audit_path=session.audit_path,
-    )
+        return "LlmSession(" + ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__) + ")"
 
 
 class Transport(Protocol):
-    def send(self, prompt: str, document: Document) -> str:
-        """Submit one prompt plus one document; return the raw response text."""
+    def send(self, prompt: str, document: Document, session: LlmSession) -> str:
+        """Submit one prompt plus one document as ``session`` says; return the raw response text."""
         ...
 
 
 class HttpChatTransport:
     """Minimal JSON-over-HTTP chat-completions client; its repr leaves out the API key."""
 
-    def __init__(
-        self,
-        endpoint: str,
-        model_name: str,
-        temperature: float | None = None,
-        api_key: str | None = None,
-        timeout: float = 120.0,
-    ):
-        self.endpoint = endpoint
-        self.model_name = model_name
-        self.temperature = temperature
+    def __init__(self, api_key: str | None = None, timeout: float = 120.0):
         self.api_key = api_key
         self.timeout = timeout
 
     def __repr__(self) -> str:
-        return (
-            f"HttpChatTransport(endpoint={self.endpoint!r}, model_name={self.model_name!r}, "
-            f"temperature={self.temperature!r}, timeout={self.timeout!r})"
-        )
+        return f"HttpChatTransport(timeout={self.timeout!r})"
 
-    def send(self, prompt: str, document: Document) -> str:
+    def send(self, prompt: str, document: Document, session: LlmSession) -> str:
         # imported on first use: urllib.request loads ssl and email, tens of ms
         import http.client
         import urllib.error
         import urllib.request
 
+        endpoint = session.endpoint
         payload: dict = {
-            "model": self.model_name,
+            "model": session.model_name,
             "messages": [{"role": "user", "content": f"{prompt}\n\n{document.text}"}],
         }
-        if self.temperature is not None:
-            payload["temperature"] = self.temperature
+        if session.temperature is not None:
+            payload["temperature"] = session.temperature
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
             # NaN and infinity are not JSON: refuse them rather than send them
             body = json.dumps(payload, allow_nan=False).encode("utf-8")
-            request = urllib.request.Request(self.endpoint, body, headers, method="POST")
+            request = urllib.request.Request(endpoint, body, headers, method="POST")
             with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                 status, answer = resp.status, resp.read()
         except urllib.error.HTTPError as exc:
             exc.close()
-            raise TransportError(f"{self.endpoint} returned HTTP {exc.code}") from None
+            raise TransportError(f"{endpoint} returned HTTP {exc.code}") from None
         # a read timeout is a bare TimeoutError, an OSError outside URLError
         except (OSError, ValueError, http.client.HTTPException) as exc:
-            raise TransportError(f"request to {self.endpoint} failed: {exc}") from exc
+            raise TransportError(f"request to {endpoint} failed: {exc}") from exc
         if status != 200:
-            raise TransportError(f"{self.endpoint} returned HTTP {status}")
+            raise TransportError(f"{endpoint} returned HTTP {status}")
         try:
             content = json.loads(answer)["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"unexpected response shape from {self.endpoint}") from exc
+            raise TransportError(f"unexpected response shape from {endpoint}") from exc
         # null content is an empty answer, which run_extraction reports as such
         if content is not None and not isinstance(content, str):
-            raise TransportError(f"unexpected response shape from {self.endpoint}")
+            raise TransportError(f"unexpected response shape from {endpoint}")
         return content
 
 
@@ -241,7 +210,7 @@ class ScriptedTransport:
         self.responses = responses
         self.requests_seen: list[tuple[str, str, str]] = []
 
-    def send(self, prompt: str, document: Document) -> str:
+    def send(self, prompt: str, document: Document, session: LlmSession) -> str:
         self.requests_seen.append((prompt, document.doc_id, document.text))
         try:
             return self.responses[document.doc_id]
@@ -249,6 +218,8 @@ class ScriptedTransport:
             raise TransportError(f"no scripted response for {document.doc_id!r}") from None
 
 
+# json.loads pairs the escapes of one character, so a surrogate left in a str is lone
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _LIST_MARKER = re.compile(r"^\s*(?:\d+[.)]\s+|[-•*]\s+)")
 
 
@@ -337,6 +308,8 @@ def run_extraction(
     previously processed document. Raises BudgetExceeded once the session's
     query budget is spent, and ValueError for a NaN or infinite temperature,
     which the audit log could not write as JSON, before anything is sent.
+    A response holding a lone surrogate, which no file can hold as UTF-8,
+    is a TransportError before it is counted or audited.
     """
     if session.temperature is not None and not math.isfinite(session.temperature):
         raise ValueError(f"temperature must be a finite number, got {session.temperature!r}")
@@ -346,7 +319,10 @@ def run_extraction(
             f"{session.max_queries_per_session} queries; reset it first"
         )
     prompt = build_prompt(language)
-    response = transport.send(prompt, document)
+    response = transport.send(prompt, document, session)
+    surrogate = _SURROGATE_RE.search(response or "")  # a reply cut inside an emoji
+    if surrogate:
+        raise TransportError(f"response for {document.doc_id} holds a lone surrogate at offset {surrogate.start()}")
     session.queries_sent += 1
     _audit(session, document, prompt, response)
     if not response or not response.strip():

@@ -243,6 +243,14 @@ def _tokenize_chars(text: str, start: int, stop: int) -> list[tuple[str, str, st
     return tokens
 
 
+def _value(digits: str) -> int | None:
+    """A digit run's value; None past ``int()``'s digit limit (4,300 by default)."""
+    try:
+        return int(digits)
+    except ValueError:
+        return None
+
+
 def _parse(
     text: str, tokens: list, read: int, i: int, dead: set[int] | None = None, raw: str = ""
 ) -> tuple[int, CitationRef | None, int]:
@@ -364,7 +372,7 @@ def _parse(
             next_kind, _, after, _ = tokens[i + 1]
             if after == "/" and tokens[i + 2][0] == "NUM":
                 if tokens[i + 3][2] == "/" and tokens[i + 4][0] == "NUM":
-                    month, date_at, year_at = int(tokens[i + 2][1]), i, i + 4
+                    month, date_at, year_at = _value(tokens[i + 2][1]), i, i + 4
                     i += 5
                 else:
                     num_at, year_at = i, i + 2
@@ -373,7 +381,7 @@ def _parse(
                 after == "." and tokens[i + 2][0] == "NUM"
                 and tokens[i + 3][2] == "." and tokens[i + 4][0] == "NUM"
             ):
-                month, date_at, year_at = int(tokens[i + 2][1]), i, i + 4
+                month, date_at, year_at = _value(tokens[i + 2][1]), i, i + 4
                 i += 5
             elif next_kind == "WORD" and after in _MONTHS:
                 month, date_at = _MONTHS[after], i
@@ -393,7 +401,10 @@ def _parse(
             if number is not None:
                 reason, at = "second judgment number", num_at
                 break
-            value = int(tokens[num_at][1])
+            value = _value(tokens[num_at][1])
+            if value is None:
+                reason, at = "number has too many digits", num_at
+                break
             if value <= 0:
                 reason, at = "judgment number must be positive", num_at
                 break
@@ -402,9 +413,12 @@ def _parse(
             if year_at < 0:
                 continue
         if date_at >= 0:
-            day = int(tokens[date_at][1])
+            day = _value(tokens[date_at][1])
             if date is not None:
                 reason, at = "second date", date_at
+                break
+            if day is None or month is None:  # a month in digits follows the day's separator
+                reason, at = "number has too many digits", date_at if day is None else date_at + 2
                 break
         # two-digit years at or below the pivot are 2000+yy, others 1900+yy
         digits = tokens[year_at][1]

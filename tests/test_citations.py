@@ -90,6 +90,22 @@ def test_oversized_date_field_rejected_not_crashing():
     assert find_citations("la Corte (Cass. 99999999999999999999/06/2019) osserva") == []
 
 
+def test_digit_run_longer_than_int_reads_fails_the_parse():
+    # int() refuses a run of more than 4,300 digits with ValueError
+    run = "3" * 5000
+    with pytest.raises(UnparseableCitation) as exc:
+        parse_citation(f"Cass. {run}/2019")
+    assert exc.value.token == run
+    assert find_citations("La Corte afferma “il principio” (Cass. " + "1" * 5000 + ").") == []
+    # a day or a month of that length names its own token
+    for raw in (f"Cass. {run}/5/2019", f"Cass. 4.{run}.2019", f"Cass. maggio {run}, 2019"):
+        with pytest.raises(UnparseableCitation) as exc:
+            parse_citation(raw)
+        assert exc.value.token == run
+    # the rest of the paragraph still parses
+    assert [c.number for c in find_citations(f"Il Tribunale (Cass. {run}) e poi (Cass. n. 7/2019).")] == [7]
+
+
 def test_year_range_enforced():
     with pytest.raises(UnparseableCitation):
         parse_citation("Cass. n. 1/3019")

@@ -52,6 +52,20 @@ def test_extract_reruns_identically(tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("profile", ["v1_broad", "v2_refined"])
+def test_extract_survives_a_digit_run_longer_than_int_reads(tmp_path, capsys, profile):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "lungo.txt").write_text(
+        "La Corte afferma “il principio” (Cass. " + "1" * 5000 + ").\n", encoding="utf-8"
+    )
+    (corpus / "buono.txt").write_text("La Corte afferma “il principio” (Cass. n. 7/2019).\n", encoding="utf-8")
+    out = tmp_path / "P"
+    assert main(["extract", "--input", str(corpus), "--out", str(out), "--profile", profile]) == 0
+    assert sorted(p.name for p in out.glob("*.csv")) == ["buono.csv", "lungo.csv"]
+    assert "2 ok, 0 failed" in capsys.readouterr().err
+
+
 def test_extract_same_stem_keeps_first_and_fails_the_rest(tmp_path, capsys):
     corpus = tmp_path / "S"
     make_docx(corpus / "s01.docx", ["La Corte afferma “primo principio” (Cass. 1/2019)"])
@@ -346,6 +360,15 @@ def test_evaluate_schema_error_is_fatal(repro_files, tmp_path):
     ]) == 1
 
 
+def test_evaluate_integer_longer_than_python_converts_is_fatal(repro_files, tmp_path, capsys):
+    base, corpus, gold_path, _ = repro_files
+    bad = tmp_path / "huge.jsonl"
+    bad.write_text('{"doc_id": "x.txt", "number": ' + "1" * 5000 + "}\n", encoding="utf-8")
+    assert main(["evaluate", str(gold_path), str(bad), "--input", str(corpus)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fatal: ") and "/0: invalid JSON" in err
+
+
 def test_compare_emits_published_totals(repro_files, capsys):
     base, corpus, gold_path, paths = repro_files
     code = main([
@@ -408,6 +431,53 @@ def test_llm_extract_with_mock(tmp_path, capsys):
     assert len(lines) == 1
     record = json.loads(lines[0])
     assert record["source"] == "LLM" and record["paragraph_index"] == 0
+
+
+def test_llm_extract_resets_a_spent_session_in_place(tmp_path, capsys):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    texts = {f"j0{n}.txt": f"Il giudice {n} deve garantire la tutela effettiva dei diritti." for n in (1, 2, 3)}
+    for name, text in texts.items():
+        (corpus / name).write_text(text + "\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps(texts), encoding="utf-8")
+    out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    assert main([
+        "llm-extract", "--input", str(corpus), "--mock", str(mock), "--budget", "2",
+        "--audit", str(audit), "--out-file", str(out_file),
+    ]) == 0
+    assert capsys.readouterr().err.count("session reset after 2 queries") == 1
+    records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert [(r["doc_id"], r["query_number"]) for r in records] == [("j01.txt", 1), ("j02.txt", 2), ("j03.txt", 1)]
+    rows = [json.loads(line) for line in out_file.read_text(encoding="utf-8").splitlines()]
+    assert [(r["doc_id"], r["paragraph_index"]) for r in rows] == [(name, 0) for name in texts]
+
+
+@pytest.mark.parametrize("audit", [False, True], ids=["no_audit", "audit"])
+def test_llm_extract_reports_a_response_with_a_lone_surrogate(tmp_path, capsys, audit):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "a.txt").write_text("La Corte afferma il principio\n", encoding="utf-8")
+    (corpus / "b.txt").write_text("Secondo paragrafo\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    # the JSON escape \ud83d, half of an emoji, decodes to a lone surrogate
+    mock.write_text(
+        '{"a.txt": "La Corte afferma \\ud83d il principio", "b.txt": "Secondo paragrafo"}', encoding="utf-8"
+    )
+    out_file, log = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    argv = ["llm-extract", "--input", str(corpus), "--mock", str(mock), "--out-file", str(out_file)]
+    assert main(argv + (["--audit", str(log)] if audit else [])) == 2
+    err = capsys.readouterr().err
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert warnings == [f"warning: {corpus / 'a.txt'}: response for a.txt holds a lone surrogate at offset 17"]
+    assert "1 ok, 1 failed" in err
+    rows = [json.loads(line) for line in out_file.read_text(encoding="utf-8").splitlines()]
+    assert [r["doc_id"] for r in rows] == ["b.txt"]
+    if audit:
+        records = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert [(r["doc_id"], r["query_number"]) for r in records] == [("b.txt", 1)]
+    else:
+        assert not log.exists()
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])

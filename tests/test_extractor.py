@@ -365,3 +365,17 @@ def test_match_keywords_runs_only_where_the_logic_reads_it(monkeypatch):
     assert calls == [("v2_refined", quoted), ("v1_broad", unquoted)]
     assert [c.trigger for c in v2] == [Trigger.QUOTE_AND_KEYWORD, Trigger.CITATION_AT_END]
     assert [c.trigger for c in v1] == [Trigger.QUOTE_ONLY, Trigger.KEYWORD_ONLY, Trigger.CITATION_ANYWHERE]
+
+
+def test_jsonl_integer_longer_than_python_converts_is_invalid_json(tmp_path):
+    # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+    # integer past the 4,300-digit string conversion limit
+    doc = _doc(["fine (Trib. Milano 15/2020)"], doc_id="r.docx")
+    good = json.dumps(extract_candidates(doc, V2)[0].to_dict())
+    huge = good.replace('"number": 15', '"number": ' + "1" * 5000)
+    assert huge != good
+    path = tmp_path / "huge.jsonl"
+    path.write_text(good + "\n" + huge + "\n", encoding="utf-8")
+    with pytest.raises(SchemaError, match="invalid JSON") as exc:
+        load_candidates_jsonl(path)
+    assert exc.value.pointer == "/1"

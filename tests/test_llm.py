@@ -21,7 +21,6 @@ from polminer.llm import (
     LlmSession,
     ScriptedTransport,
     build_prompt,
-    reset_session,
     run_extraction,
     split_passages,
 )
@@ -135,13 +134,20 @@ def test_budget_exhaustion_on_sixth_query():
         run_extraction(doc, session, transport)
 
 
-def test_reset_session_restores_budget_and_is_idempotent():
-    session = LlmSession(max_queries_per_session=5, queries_sent=5)
-    fresh = reset_session(session)
-    assert fresh.queries_sent == 0
-    assert fresh.max_queries_per_session == 5
-    assert reset_session(fresh) == fresh
-    assert reset_session(reset_session(session)) == reset_session(session)
+def test_a_spent_session_is_reset_in_place(tmp_path):
+    doc = _doc()
+    audit = tmp_path / "audit.jsonl"
+    transport = ScriptedTransport(responses={doc.doc_id: "una risposta qualsiasi"})
+    session = LlmSession(model_name="m", max_queries_per_session=2, audit_path=str(audit))
+    for _ in range(2):
+        run_extraction(doc, session, transport)
+    with pytest.raises(BudgetExceeded):
+        run_extraction(doc, session, transport)
+    session.queries_sent = 0
+    run_extraction(doc, session, transport)
+    assert (session.queries_sent, session.max_queries_per_session, session.model_name) == (1, 2, "m")
+    records = [json.loads(line) for line in audit.read_text(encoding="utf-8").splitlines()]
+    assert [r["query_number"] for r in records] == [1, 2, 1]
 
 
 def test_requests_are_stateless_across_documents():
@@ -194,6 +200,21 @@ def test_non_finite_temperature_is_rejected_before_sending(tmp_path, temperature
     assert transport.requests_seen == []
     assert not audit.exists()
     assert session.queries_sent == 0
+
+
+def test_a_response_with_a_lone_surrogate_is_a_transport_error_that_is_not_counted(tmp_path):
+    doc = _doc()
+    audit = tmp_path / "audit.jsonl"
+    session = LlmSession(audit_path=str(audit))
+    transport = ScriptedTransport(responses={doc.doc_id: "La Corte afferma \ud83d il principio"})
+    with pytest.raises(TransportError, match="j01.txt.* lone surrogate at offset 17"):
+        run_extraction(doc, session, transport)
+    assert session.queries_sent == 0
+    assert not audit.exists()
+    # a well-formed pair is one character, and passes
+    transport.responses[doc.doc_id] = "La Corte afferma \U0001f600 il principio"
+    run_extraction(doc, session, transport)
+    assert session.queries_sent == 1
 
 
 def test_llm_candidates_are_typed_from_passage_evidence():
@@ -303,10 +324,14 @@ def chat_server(monkeypatch):
         assert not thread.is_alive()
 
 
+def _session(url: str) -> LlmSession:
+    return LlmSession(endpoint=url, model_name="m")
+
+
 def test_http_transport_sends_model_prompt_and_document(chat_server):
     url, seen, _ = chat_server
-    transport = HttpChatTransport(endpoint=url, model_name="gpt-4o", timeout=10)
-    assert transport.send("ISTRUZIONI", _doc()) == "passaggio copiato"
+    transport = HttpChatTransport(timeout=10)
+    assert transport.send("ISTRUZIONI", _doc(), LlmSession(endpoint=url, model_name="gpt-4o")) == "passaggio copiato"
     ((authorization, payload),) = seen
     assert payload["model"] == "gpt-4o"
     assert payload["messages"] == [{"role": "user", "content": "ISTRUZIONI\n\n" + _doc().text}]
@@ -316,8 +341,8 @@ def test_http_transport_sends_model_prompt_and_document(chat_server):
 
 def test_http_transport_sends_temperature_and_key_when_set(chat_server):
     url, seen, _ = chat_server
-    transport = HttpChatTransport(endpoint=url, model_name="m", temperature=0.0, api_key="segreto", timeout=10)
-    transport.send("p", _doc())
+    transport = HttpChatTransport(api_key="segreto", timeout=10)
+    transport.send("p", _doc(), LlmSession(endpoint=url, model_name="m", temperature=0.0))
     ((authorization, payload),) = seen
     assert payload["temperature"] == 0.0
     assert authorization == "Bearer segreto"
@@ -327,15 +352,17 @@ def test_http_transport_sends_temperature_and_key_when_set(chat_server):
 def test_http_transport_non_200_is_transport_error(chat_server):
     url, _, reply = chat_server
     reply["status"] = 429
-    with pytest.raises(TransportError, match="HTTP 429"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+    with pytest.raises(TransportError, match="HTTP 429") as raised:
+        HttpChatTransport(timeout=10).send("p", _doc(), _session(url))
+    # the session's endpoint, which the transport no longer holds
+    assert url in str(raised.value)
 
 
 def test_http_transport_body_without_choices_is_transport_error(chat_server):
     url, _, reply = chat_server
     reply["body"] = {"error": "nessuna scelta"}
     with pytest.raises(TransportError, match="unexpected response shape"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+        HttpChatTransport(timeout=10).send("p", _doc(), _session(url))
 
 
 @pytest.mark.parametrize("content", [[{"type": "text", "text": "x"}], 7])
@@ -343,7 +370,7 @@ def test_http_transport_content_that_is_not_a_string_is_transport_error(chat_ser
     url, _, reply = chat_server
     reply["body"] = {"choices": [{"message": {"content": content}}]}
     with pytest.raises(TransportError, match="unexpected response shape"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+        HttpChatTransport(timeout=10).send("p", _doc(), _session(url))
 
 
 @pytest.mark.parametrize("status", [500, 201])
@@ -351,7 +378,7 @@ def test_http_transport_other_status_is_transport_error(chat_server, status):
     url, _, reply = chat_server
     reply["status"] = status
     with pytest.raises(TransportError, match=f"HTTP {status}"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+        HttpChatTransport(timeout=10).send("p", _doc(), _session(url))
 
 
 def test_http_transport_refused_connection_is_transport_error(chat_server):
@@ -361,7 +388,7 @@ def test_http_transport_refused_connection_is_transport_error(chat_server):
     # nothing listens on ``port`` once its socket is closed
     url = f"http://127.0.0.1:{port}/v1/chat/completions"
     with pytest.raises(TransportError, match="failed"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=10).send("p", _doc())
+        HttpChatTransport(timeout=10).send("p", _doc(), _session(url))
 
 
 @pytest.mark.parametrize("stall_at", ["headers", "body"])
@@ -369,12 +396,23 @@ def test_http_transport_read_timeout_is_transport_error(chat_server, stall_at):
     url, _, reply = chat_server
     reply["stall"], reply["stall_at"] = 0.6, stall_at
     with pytest.raises(TransportError, match="failed"):
-        HttpChatTransport(endpoint=url, model_name="m", timeout=0.2).send("p", _doc())
+        HttpChatTransport(timeout=0.2).send("p", _doc(), _session(url))
 
 
 def test_http_transport_nan_temperature_is_never_sent(chat_server):
     url, seen, _ = chat_server
-    transport = HttpChatTransport(endpoint=url, model_name="m", temperature=float("nan"), timeout=10)
     with pytest.raises(TransportError):
-        transport.send("p", _doc())
+        HttpChatTransport(timeout=10).send("p", _doc(), LlmSession(endpoint=url, model_name="m", temperature=float("nan")))
     assert seen == []
+
+
+def test_http_reply_cut_inside_an_emoji_is_a_transport_error(chat_server, tmp_path):
+    url, seen, reply = chat_server
+    # json.dumps writes the lone high surrogate as the escape \ud83d
+    reply["body"] = {"choices": [{"message": {"content": "passaggio troncato \ud83d"}}]}
+    audit = tmp_path / "audit.jsonl"
+    session = LlmSession(endpoint=url, model_name="m", audit_path=str(audit))
+    with pytest.raises(TransportError, match="lone surrogate at offset 19"):
+        run_extraction(_doc(), session, HttpChatTransport(timeout=10))
+    assert len(seen) == 1
+    assert session.queries_sent == 0 and not audit.exists()
