@@ -17,7 +17,7 @@ from collections.abc import Callable, Sequence
 from pathlib import Path
 
 from . import evaluation, extractor, goldstore, llm
-from .corpus import LoadWarning, is_docx, list_judgments, load_document
+from .corpus import NOT_UTF8_NAME, LoadWarning, find_lone_surrogate, is_docx, list_judgments, load_document
 from .errors import DocMismatch, PolminerError, UnreadableJudgment
 from .outfile import atomic_write
 from .patterns import PROFILES, get_profile
@@ -173,13 +173,21 @@ def cmd_import_gold(args: argparse.Namespace) -> int:
     src = Path(args.input)
     if not src.exists():
         raise FileNotFoundError(f"no such file or directory: {src}")
-    paths = [src] if src.is_file() else [p for p in list_judgments(src)[0] if is_docx(p)]
+    if src.is_dir():
+        judgments, skipped = list_judgments(src)
+        paths = [p for p in judgments if is_docx(p)]
+        # only a .docx is read: only one named not UTF-8 goes unread
+        skipped = [skip for skip in skipped if is_docx(skip.path)]
+    elif find_lone_surrogate(src.name):
+        paths, skipped = [], [LoadWarning(str(src), NOT_UTF8_NAME)]
+    else:
+        paths, skipped = [src], []
     annotations: list[goldstore.GoldAnnotation] = []
 
     def import_highlights(path: Path) -> None:
         annotations.extend(goldstore.import_docx_highlights(path, annotator_id=args.annotator))
 
-    ok, failed = _each_judgment(import_highlights, paths, [])
+    ok, failed = _each_judgment(import_highlights, paths, skipped)
     gold = goldstore.GoldSet(annotations=tuple(annotations))
     counts = {t.value: n for t, n in gold.counts_by_type.items()}
     return _finish(
@@ -194,11 +202,12 @@ def _load_and_align(
     """Gold, and each candidate file's alignments with it, one per judgment
     that the file or gold names.
 
-    Every ``doc_id`` is checked to be a plain file name before any judgment
-    is read. Gold is grouped by judgment in one pass. Alignment is judgment
-    by judgment: each judgment is read from ``cfg.input_dir`` once and
-    aligned with every candidate file in turn against the same gold tuple,
-    which lets ``align`` share its work across the files.
+    Every ``doc_id`` is checked to be a plain file name, and UTF-8, before
+    any judgment is read. Gold is grouped by judgment in one pass.
+    Alignment is judgment by judgment: each judgment is read from
+    ``cfg.input_dir`` once and aligned with every candidate file in turn
+    against the same gold tuple, which lets ``align`` share its work across
+    the files.
     """
     gold = goldstore.load_gold(gold_path)
     gold_by_doc = gold.by_doc()
@@ -212,6 +221,8 @@ def _load_and_align(
     for doc_id in doc_ids:
         if doc_id in ("", ".", "..") or "/" in doc_id or "\\" in doc_id:
             raise DocMismatch(f"doc_id {doc_id!r} is not a plain file name")
+        if find_lone_surrogate(doc_id):
+            raise DocMismatch(f"doc_id {doc_id!r} is not UTF-8")
     directory = Path(cfg.input_dir)
     alignments: list[list[evaluation.AlignmentResult]] = [[] for _ in by_doc_sets]
     for doc_id in doc_ids:
@@ -277,6 +288,10 @@ def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> i
         _err("usage error: compare needs at least two candidate files")
         return EXIT_FATAL
     names = _method_names(candidate_paths)
+    # a method's name is written to the reports
+    if any(find_lone_surrogate(name) for name in names):
+        _err("usage error: compare needs candidate file names that are UTF-8")
+        return EXIT_FATAL
     if len(set(names)) < len(names):
         _err("usage error: compare needs candidate files that name distinct methods")
         return EXIT_FATAL
@@ -343,6 +358,14 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _utf8_text(text: str) -> str:
+    # an argument that is not UTF-8 reaches Python with lone surrogates
+    # (PEP 383), which no output file can hold
+    if find_lone_surrogate(text):
+        raise argparse.ArgumentTypeError(f"must be UTF-8 text, got {text!r}")
+    return text
+
+
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its fields")
     p.add_argument("--input", help="input corpus directory")
@@ -366,7 +389,7 @@ def _extract_flags(p: argparse.ArgumentParser) -> None:
 def _import_gold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help=".docx file or directory of .docx files")
     p.add_argument("--out", default="gold.json", help="gold JSON output path")
-    p.add_argument("--annotator", help="annotator id recorded on imported spans")
+    p.add_argument("--annotator", type=_utf8_text, help="annotator id recorded on imported spans")
 
 
 def _one_set_flags(p: argparse.ArgumentParser) -> None:
@@ -384,8 +407,8 @@ def _compare_flags(p: argparse.ArgumentParser) -> None:
 def _llm_extract_flags(p: argparse.ArgumentParser) -> None:
     _corpus_flags(p)
     p.add_argument("--mock", help="JSON file mapping doc_id to canned response")
-    p.add_argument("--endpoint", help="chat-completions endpoint URL")
-    p.add_argument("--model", default="gpt-4o", help="model name sent to the endpoint")
+    p.add_argument("--endpoint", type=_utf8_text, help="chat-completions endpoint URL")
+    p.add_argument("--model", type=_utf8_text, default="gpt-4o", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
     p.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
     p.add_argument("--language", choices=["it", "en"], default="it", help="prompt language")

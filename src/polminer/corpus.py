@@ -7,6 +7,7 @@ stored, since downstream pattern matching depends on them.
 
 from __future__ import annotations
 
+import re
 import zipfile
 from pathlib import Path
 from typing import NamedTuple
@@ -29,6 +30,13 @@ _W_BREAKS = (W + "br", W + "cr")
 # judgment suffixes, matched in any case; a corpus lists .docx before .txt
 DOCX_SUFFIX = ".docx"
 JUDGMENT_SUFFIXES = (DOCX_SUFFIX, ".txt")
+NOT_UTF8_NAME = "file name is not UTF-8"
+
+# The first lone surrogate of a str, or None. No UTF-8 text holds one, so
+# no output file can: yet a file name's bytes that are not UTF-8 decode to
+# lone surrogates (PEP 383), and so does a JSON escape such as "\udcff",
+# since json.loads pairs the escapes of one character.
+find_lone_surrogate = re.compile(r"[\ud800-\udfff]").search
 
 
 class Document(NamedTuple):
@@ -58,6 +66,8 @@ def list_judgments(directory: str | Path) -> tuple[list[Path], list[LoadWarning]
 
     Judgments are the .docx and .txt files, whatever the case of their
     suffix: .docx first, then .txt, each group sorted by name ignoring case.
+    A judgment whose name is not UTF-8 is skipped with a warning: its name
+    is its doc_id, which no output file could hold.
     """
     d = Path(directory)
     if not d.is_dir():
@@ -66,9 +76,15 @@ def list_judgments(directory: str | Path) -> tuple[list[Path], list[LoadWarning]
         (p for p in d.iterdir() if p.is_file()),
         key=lambda p: (p.suffix.lower(), p.name.lower(), p.name),
     )
-    judgments = [p for p in entries if p.suffix.lower() in JUDGMENT_SUFFIXES]
-    others = [p for p in entries if p.suffix.lower() not in JUDGMENT_SUFFIXES]
-    return judgments, [LoadWarning(str(p), "unrecognized extension") for p in others]
+    judgments, skipped = [], []
+    for p in entries:
+        if p.suffix.lower() not in JUDGMENT_SUFFIXES:
+            skipped.append(LoadWarning(str(p), "unrecognized extension"))
+        elif find_lone_surrogate(p.name):
+            skipped.append(LoadWarning(str(p), NOT_UTF8_NAME))
+        else:
+            judgments.append(p)
+    return judgments, skipped
 
 
 def open_docx(path: Path) -> zipfile.ZipFile:

@@ -31,10 +31,8 @@ from .textnorm import (
     SourceParagraphs,
     TokenIndex,
     containment,
-    has_token,
     normalize_text,
     overlap_coefficient,
-    raw_token_counts,
     token_counts,
     token_edit_ratio,
     word_tokens,
@@ -238,32 +236,6 @@ def _classify_match(
     return completeness, similarity
 
 
-def _in_source(source: SourceParagraphs, text: str, own: int, threshold: float) -> bool:
-    """Whether some paragraph's overlap coefficient with ``text`` reaches ``threshold``.
-
-    Any paragraph reaching the threshold gives the same answer, so the
-    paragraph at ``own`` is tried first. A copy of it needs no counter: it
-    overlaps that paragraph fully when the text holds a token, and nothing
-    otherwise. Any other text is scored against the own paragraph's
-    counter. A miss is settled by the screen when no paragraph shares a
-    token with the text, since the threshold is above 0, and only otherwise
-    probes the index over every paragraph.
-    """
-    if 0 <= own < len(source.texts):
-        if text == source.texts[own]:
-            return has_token(text)
-        counter = source.counter(own)
-        probe = raw_token_counts(text)
-        # overlap_coefficient's expression, computed here so that
-        # evaluation.overlap_coefficient scores only matches
-        shared = sum((probe & counter).values())
-        if shared and shared / min(sum(probe.values()), sum(counter.values())) >= threshold:
-            return True
-    else:
-        probe = raw_token_counts(text)
-    return bool(probe) and source.may_share(probe) and bool(source.index().overlapping(probe, threshold))
-
-
 class _Judgment:
     """The alignment work that the candidate sets of one judgment share.
 
@@ -319,8 +291,8 @@ class _Judgment:
     def triage(self, text: str, own: int) -> FpKind:
         in_source = self.in_source.get((text, own))
         if in_source is None:
-            in_source = self.in_source[text, own] = _in_source(
-                self.source, text, own, self.hallucination_threshold
+            in_source = self.in_source[text, own] = self.source.in_source(
+                text, own, self.hallucination_threshold
             )
         return FpKind.NOT_POL if in_source else FpKind.HALLUCINATION
 
@@ -353,9 +325,10 @@ def align(
     text is scored against its own paragraph first. If that falls short, a
     text sharing no token with the judgment's case-folded text is a
     Hallucination, and only one that does is scored against the paragraphs
-    it shares a token with. Scores, classes and verdicts are kept for the
-    next call with the same judgment, gold and thresholds, so the candidate
-    sets of one judgment aligned in turn compute each only once.
+    it shares a token with (``SourceParagraphs.in_source``). Scores,
+    classes and verdicts are kept for the next call with the same judgment,
+    gold and thresholds, so the candidate sets of one judgment aligned in
+    turn compute each only once.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):

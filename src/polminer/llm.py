@@ -21,7 +21,7 @@ import re
 from pathlib import Path
 from typing import Protocol
 
-from .corpus import Document
+from .corpus import Document, find_lone_surrogate
 from .errors import BudgetExceeded, EmptyResponse, TransportError
 from .extractor import PoLCandidate, Source, classify
 from .patterns import find_citations, find_quotes
@@ -218,8 +218,6 @@ class ScriptedTransport:
             raise TransportError(f"no scripted response for {document.doc_id!r}") from None
 
 
-# json.loads pairs the escapes of one character, so a surrogate left in a str is lone
-_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 _LIST_MARKER = re.compile(r"^\s*(?:\d+[.)]\s+|[-•*]\s+)")
 
 
@@ -253,7 +251,7 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
     score wins. Below the threshold the passage is unresolved and flagged
     for hallucination triage downstream. ``source`` holds the document's
     paragraphs and what earlier passages found in them. A passage without
-    a token is unresolved; any other is answered by three exact steps:
+    a token is unresolved; any other is answered by two exact steps:
 
     1. Search (``SourceParagraphs.first_containing``): the first paragraph
        holding every passage token at least as often as the passage does.
@@ -261,35 +259,31 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
        paragraph. ``str.casefold`` maps each code point on its own, so each
        token of a paragraph occurs in the paragraph's folded text: the
        candidates, the paragraphs whose folded text holds every token,
-       include every paragraph that contains the passage fully.
-    2. Screen (``SourceParagraphs.may_share``): otherwise, a passage none of
-       whose tokens is a token of the judgment scores 0 everywhere, and is
-       unresolved.
-    3. Index (``SourceParagraphs.index``): otherwise, every paragraph
-       sharing a token with the passage is scored, exactly as without the
-       first two steps.
+       include every paragraph that contains the passage fully. The search
+       compares one candidate with its counter.
+    2. Index (``SourceParagraphs.index``): any passage the search does not
+       settle. The screen answers ``None`` for a passage none of whose
+       tokens is a token of the judgment, which scores 0 everywhere and is
+       unresolved; otherwise every paragraph sharing a token with the
+       passage is scored, exactly as without the search.
 
-    The work budget comes from the input: over a whole judgment, the search
-    compares at most as many candidates with their counters as the judgment
-    has paragraphs. When a passage would compare one more, the index is
-    built, from the counters already made, and answers that passage and
-    every later one. No paragraph is tokenized twice, and a judgment whose
-    passages outrun the budget costs the index's tokenization plus at most
-    one counter comparison per paragraph.
+    Work is linear in the passages: one counter comparison per passage,
+    plus the index, which is built at most once per judgment, from the
+    counters already made, and then answers every later passage. No
+    paragraph is tokenized twice.
     """
     passage_counts = raw_token_counts(passage)
     if not passage_counts:
         return -1
-    if not source.indexed:
-        position = source.first_containing(passage_counts)
-        if position is not None:
-            if position >= 0:
-                return position if threshold <= 1.0 else -1
-            if not source.may_share(passage_counts):
-                return -1
+    position = source.first_containing(passage_counts)
+    if position >= 0:
+        return position if threshold <= 1.0 else -1
+    index = source.index(passage_counts)
+    if index is None:
+        return -1
     total = sum(passage_counts.values())
     best_index, best_score = -1, 0.0
-    for position, shared in source.index().shared(passage_counts).items():
+    for position, shared in index.shared(passage_counts).items():
         score = shared / total
         if score > best_score or (score == best_score and position < best_index):
             best_index, best_score = position, score
@@ -320,7 +314,7 @@ def run_extraction(
         )
     prompt = build_prompt(language)
     response = transport.send(prompt, document, session)
-    surrogate = _SURROGATE_RE.search(response or "")  # a reply cut inside an emoji
+    surrogate = find_lone_surrogate(response or "")  # a reply cut inside an emoji
     if surrogate:
         raise TransportError(f"response for {document.doc_id} holds a lone surrogate at offset {surrogate.start()}")
     session.queries_sent += 1

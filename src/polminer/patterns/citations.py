@@ -464,7 +464,9 @@ def _parse(
         if reason is not None:
             if tokens[at] is _END:
                 raise UnparseableCitation(raw, "", len(raw), reason)
-            raise UnparseableCitation(raw, tokens[at][1], tokens[at][3], reason)
+            # text is raw less its outer blanks and parentheses, none of which
+            # can start it, so it starts in raw where it first occurs there
+            raise UnparseableCitation(raw, tokens[at][1], raw.find(text) + tokens[at][3], reason)
     court = _COURT_OF[courts]
     label = None
     if court is Court.OTHER:

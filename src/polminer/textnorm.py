@@ -60,11 +60,6 @@ def raw_token_counts(text: str) -> Counter[str]:
     return Counter(token.casefold() for token in _TOKEN_RE.findall(text))
 
 
-def has_token(text: str) -> bool:
-    """Whether ``raw_token_counts(text)`` is non-empty, without building it."""
-    return _TOKEN_RE.search(text) is not None
-
-
 # The code points whose casefold holds a character of the other token class
 # (``[^\W_]``, the same test as ``str.isalnum``): U+0130 and the Greek and
 # Latin letters that fold to a letter plus a combining mark, and U+0345,
@@ -118,16 +113,9 @@ class SourceParagraphs:
         self._starts: list[int] = []
         # token -> bit mask of the paragraphs whose folded text holds it
         self._hits: dict[str, int] = {}
-        # candidates the search may still compare before the index takes over
-        self._budget = len(texts)
         # whether no paragraph holds a class-changing code point; None until screened
         self._bounded: bool | None = None
         self._index: TokenIndex | None = None
-
-    @property
-    def indexed(self) -> bool:
-        """Whether the index over every paragraph is built, and so answers."""
-        return self._index is not None
 
     def counter(self, position: int) -> Counter[str]:
         """The paragraph's ``raw_token_counts``, built once."""
@@ -158,18 +146,23 @@ class SourceParagraphs:
             self._hits[token] = mask
         return mask
 
-    def first_containing(self, counts: Counter[str]) -> int | None:
+    def first_containing(self, counts: Counter[str]) -> int:
         """The first paragraph whose ``raw_token_counts`` holds every token of
-        ``counts`` at least as often, ``-1`` when none does, or ``None`` when
-        a candidate is left to compare after the search has compared as
-        many in this judgment as it has paragraphs.
+        ``counts`` at least as often, when the search finds it, or ``-1``.
 
         Candidates are the paragraphs whose folded text holds the tokens,
         longest first, as substrings, narrowed until at most one is left. A
         token's hits are found over the whole judgment, and kept for later
         passages, while more than half the paragraphs are still candidates;
-        after that only the candidates are searched for it.
+        after that only the candidates are searched for it. Only the first
+        candidate left is compared with its counter: one comparison per
+        search. Every paragraph holding the tokens is a candidate, so a
+        position returned is the first such paragraph, while ``-1`` leaves
+        the question open for the index. Once the index is built it answers
+        every question, and the search returns ``-1`` at once.
         """
+        if self._index is not None:
+            return -1
         if self._folded is None:
             self._fold()
         tokens = sorted(counts, key=len, reverse=True)
@@ -184,10 +177,8 @@ class SourceParagraphs:
                 for position in _positions(candidates):
                     if token not in folded[position]:
                         candidates ^= 1 << position
-        for position in _positions(candidates):
-            if not self._budget:
-                return None
-            self._budget -= 1
+        position = next(_positions(candidates), -1)
+        if position >= 0:
             counter = self.counter(position)
             if all(counter[token] >= count for token, count in counts.items()):
                 return position
@@ -219,11 +210,38 @@ class SourceParagraphs:
         word = re.escape(token)
         return start >= 0 and re.compile(rf"{word}(?![^\W_])(?<![^\W_]{word})").search(folded, start) is not None
 
-    def index(self) -> TokenIndex:
-        """The index over every paragraph's counter, built on first use."""
+    def index(self, probe: Counter[str]) -> TokenIndex | None:
+        """The index over every paragraph's counter, or ``None`` when the
+        screen finds that no paragraph shares a token with ``probe``.
+
+        The index is built the first time a probe passes the screen, from
+        the counters already made, and kept for every later probe.
+        """
+        if not self.may_share(probe):
+            return None
         if self._index is None:
             self._index = TokenIndex([self.counter(i) for i in range(len(self.texts))])
         return self._index
+
+    def in_source(self, text: str, own: int, threshold: float) -> bool:
+        """Whether some paragraph's ``overlap_coefficient`` with ``text``, as
+        written, reaches ``threshold``, which is above 0.
+
+        Any paragraph reaching it gives the same answer, so the paragraph at
+        ``own`` is tried first. A copy of it needs no counter: it overlaps
+        that paragraph fully when the text holds a token, and nothing
+        otherwise. Any other text is scored against the own paragraph's
+        counter. A miss is settled when the text holds no token, and goes
+        to ``index`` otherwise: the screen settles a text sharing no token
+        with the judgment, and the index any other.
+        """
+        if 0 <= own < len(self.texts) and text == self.texts[own]:
+            return _TOKEN_RE.search(text) is not None
+        probe = raw_token_counts(text)
+        if 0 <= own < len(self.texts) and overlap_coefficient(probe, self.counter(own)) >= threshold:
+            return True
+        index = self.index(probe) if probe else None
+        return index is not None and bool(index.overlapping(probe, threshold))
 
 
 def _positions(mask: int) -> Iterator[int]:

@@ -72,6 +72,15 @@ def test_unparseable_names_first_bad_token():
         parse_citation("art. 130 tusg")
 
 
+@pytest.mark.parametrize("raw", ["(Cass. 1/2019 foo)", "  Cass. 1/2019 foo"])
+def test_unparseable_position_is_an_offset_within_raw(raw):
+    with pytest.raises(UnparseableCitation) as exc:
+        parse_citation(raw)
+    assert exc.value.token == "foo"
+    assert exc.value.position == raw.index("foo")
+    assert raw[exc.value.position:].startswith(exc.value.token)
+
+
 def test_outer_parentheses_tolerated():
     ref = parse_citation("(Corte Cost. 217/2019)")
     assert ref.court == Court.CORTE_COSTITUZIONALE

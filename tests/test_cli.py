@@ -808,3 +808,126 @@ def test_importing_the_cli_loads_neither_code_generation_nor_the_network_stack()
     assert "polminer.cli" in loaded
     unwanted = {"dataclasses", "inspect", "ast", "dis", "urllib.request", "http.client", "ssl"}
     assert unwanted.isdisjoint(loaded)
+
+
+# "\udcff": the byte 0xff of a name or an argument that is not UTF-8, as
+# Python decodes it (PEP 383)
+NOT_UTF8 = os.fsdecode(b"\xff")
+
+
+def _not_utf8_path(directory: Path, suffix: str) -> Path:
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{NOT_UTF8}{suffix}"
+    try:
+        path.touch()
+    except (OSError, UnicodeError):
+        pytest.skip("this file system takes only UTF-8 names")
+    return path
+
+
+@pytest.mark.parametrize("command", ["extract", "llm-extract"])
+def test_a_judgment_named_not_utf8_is_skipped_with_one_warning(tmp_path, capfd, command):
+    corpus = tmp_path / "S"
+    bad = _not_utf8_path(corpus, ".txt")
+    bad.write_text("La Corte afferma “il principio” (Cass. n. 1/2019).\n", encoding="utf-8")
+    (corpus / "buono.txt").write_text(bad.read_text(encoding="utf-8"), encoding="utf-8")
+    out = tmp_path / "P"
+    if command == "extract":
+        argv, jsonl = ["extract", "--input", str(corpus), "--out", str(out)], out / "candidates.jsonl"
+    else:
+        mock = tmp_path / "mock.json"
+        mock.write_text(json.dumps({"buono.txt": "il principio"}), encoding="utf-8")
+        jsonl = tmp_path / "llm.jsonl"
+        argv = ["llm-extract", "--input", str(corpus), "--mock", str(mock), "--out-file", str(jsonl)]
+    assert main(argv) == 2
+    err = capfd.readouterr().err
+    assert err.count("file name is not UTF-8") == 1 and "1 ok, 1 failed" in err
+    records = [json.loads(line) for line in jsonl.read_text(encoding="utf-8").splitlines()]
+    assert records and {r["doc_id"] for r in records} == {"buono.txt"}
+    if command == "extract":
+        assert sorted(p.name for p in out.iterdir()) == ["buono.csv", "candidates.jsonl"]
+
+
+def test_import_gold_of_a_docx_named_not_utf8_writes_nothing(tmp_path, capfd):
+    path = _not_utf8_path(tmp_path / "annotati", ".docx")
+    make_docx(path, [[("span diretto", "yellow")]])
+    out = tmp_path / "gold.json"
+    assert main(["import-gold", str(path), "--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert err.count("file name is not UTF-8") == 1 and "nothing written" in err
+    assert not out.exists()
+
+
+def test_import_gold_of_a_directory_skips_a_docx_named_not_utf8(tmp_path, capfd):
+    src = tmp_path / "annotati"
+    make_docx(_not_utf8_path(src, ".docx"), [[("span diretto", "yellow")]])
+    make_docx(src / "g1.docx", [[("span indiretto", "blue")]])
+    out = tmp_path / "gold.json"
+    assert main(["import-gold", str(src), "--out", str(out)]) == 2
+    assert capfd.readouterr().err.count("file name is not UTF-8") == 1
+    assert [a.doc_id for a in load_gold(out).annotations] == ["g1.docx"]
+
+
+def test_compare_of_a_candidates_file_named_not_utf8_is_a_usage_error(repro_files, tmp_path, capfd):
+    base, corpus, gold_path, paths = repro_files
+    named = _not_utf8_path(tmp_path, ".jsonl")
+    named.write_bytes(paths["regex"].read_bytes())
+    out = tmp_path / "R"
+    assert main(["compare", str(gold_path), str(paths["chat"]), str(named),
+                 "--input", str(corpus), "--out", str(out)]) == 1
+    assert capfd.readouterr().err.startswith("usage error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("where", ["gold", "candidates"])
+def test_align_rejects_a_doc_id_that_is_not_utf8(tmp_path, monkeypatch, capsys, where):
+    corpus = tmp_path / "S"
+    _not_utf8_path(corpus, ".txt").write_text("principio\n", encoding="utf-8")
+    (corpus / "s01.txt").write_text("principio\n", encoding="utf-8")
+    doc_id = f"{NOT_UTF8}.txt"
+    record = {"doc_id": doc_id if where == "gold" else "s01.txt", "paragraph_index": 0,
+              "span_text": "principio", "pol_type": "Implicit"}
+    # json.dumps writes the lone surrogate as the escape "\udcff"
+    (tmp_path / "gold.json").write_text(json.dumps({"annotations": [record]}), encoding="utf-8")
+    candidate = {"doc_id": doc_id if where == "candidates" else "s01.txt", "paragraph_index": 0,
+                 "text": "principio", "quote": "", "trigger": None, "pol_type": "Implicit"}
+    (tmp_path / "cand.jsonl").write_text(json.dumps(candidate) + "\n", encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
+    out = tmp_path / "R"
+    assert main(["evaluate", str(tmp_path / "gold.json"), str(tmp_path / "cand.jsonl"),
+                 "--input", str(corpus), "--out", str(out)]) == 1
+    assert opened == [] and not out.exists()
+    assert capsys.readouterr().err == f"fatal: doc_id {doc_id!r} is not UTF-8\n"
+
+
+@pytest.mark.parametrize("flag", ["--model", "--endpoint"])
+def test_llm_extract_text_flag_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch, flag):
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": "Il giudice"}), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
+    out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "llm-extract", "--input", str(corpus), "--mock", str(mock), "--audit", str(audit),
+            "--out-file", str(out_file), flag, NOT_UTF8,
+        ])
+    assert exit_info.value.code == 2
+    assert opened == [] and not out_file.exists() and not audit.exists()
+    assert f"{flag}: must be UTF-8 text, got {NOT_UTF8!r}" in capsys.readouterr().err
+
+
+def test_import_gold_annotator_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    path = make_docx(tmp_path / "g1.docx", [[("span diretto", "yellow")]])
+    read = []
+    monkeypatch.setattr(cli.goldstore, "import_docx_highlights", lambda *args, **kwargs: read.append(args))
+    out = tmp_path / "gold.json"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["import-gold", str(path), "--out", str(out), "--annotator", NOT_UTF8])
+    assert exit_info.value.code == 2
+    assert read == [] and not out.exists()
+    assert f"--annotator: must be UTF-8 text, got {NOT_UTF8!r}" in capsys.readouterr().err

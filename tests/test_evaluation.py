@@ -466,7 +466,7 @@ def test_triage_of_rules_candidates_builds_no_paragraph_index(monkeypatch):
     # every rules FP copies its own paragraph, which settles its triage
     texts = [f"{t} (rules only)" if t != "…" else t for t in TRIAGE_TEXTS]
     document = _doc(texts)
-    paragraph_counters = [evaluation.raw_token_counts(t) for t in texts]
+    paragraph_counters = [textnorm.raw_token_counts(t) for t in texts]
     built = []
 
     class SpyIndex(evaluation.TokenIndex):
@@ -489,14 +489,12 @@ def test_aligning_three_candidate_sets_tokenizes_each_paragraph_once(monkeypatch
     texts = [f"{t} (three sets)" if t != "…" else t for t in TRIAGE_TEXTS]
     document = _doc(texts)
     tokenized = []
-    real = evaluation.raw_token_counts
+    real = textnorm.raw_token_counts
 
     def spy(text):
         tokenized.append(text)
         return real(text)
 
-    # probes are tokenized through evaluation, paragraphs through textnorm
-    monkeypatch.setattr(evaluation, "raw_token_counts", spy)
     monkeypatch.setattr(textnorm, "raw_token_counts", spy)
     broad = _rules_copies(texts, range(len(texts)))
     refined = _rules_copies(texts, [0, 1])

@@ -66,9 +66,14 @@ def test_parse_citation_matches_frozen_grammar(raw):
         with pytest.raises(UnparseableCitation) as got:
             parse_citation(raw)
         error = got.value
+        # the frozen parser counts a token's offset from where the citation
+        # starts inside raw's outer blanks and parentheses; the position is
+        # an offset within raw
+        shift = raw.find(ref._strip_outer_parens(raw)) if exc.token else 0
         assert (error.raw, error.token, error.position, error.reason, str(error)) == (
-            exc.raw, exc.token, exc.position, exc.reason, str(exc)
+            exc.raw, exc.token, exc.position + shift, exc.reason, str(exc)
         )
+        assert raw[error.position:].startswith(error.token)
     else:
         assert parse_citation(raw) == expected
 

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
+import reference_alignment as ref
 from polminer import llm, textnorm
 from polminer.corpus import Document
 from polminer.errors import BudgetExceeded, EmptyResponse, TransportError
@@ -226,7 +227,9 @@ def test_llm_candidates_are_typed_from_passage_evidence():
     assert candidates[0].quote == "“regola chiara”"
 
 
-def test_paragraph_counters_built_once_per_document(monkeypatch):
+@pytest.fixture
+def tokenized(monkeypatch) -> list[str]:
+    """Every text handed to ``raw_token_counts``, in order."""
     calls = []
 
     def counting_raw_token_counts(text):
@@ -236,6 +239,10 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     # passages are tokenized through llm, paragraphs through textnorm
     monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
     monkeypatch.setattr(textnorm, "raw_token_counts", counting_raw_token_counts)
+    return calls
+
+
+def test_paragraph_counters_built_once_per_document(tokenized):
     paragraphs = (PARAGRAPHS[0], PARAGRAPHS[1], PARAGRAPHS[1])
     doc = Document("j01.txt", paragraphs, 1)
     transport = ScriptedTransport(responses={doc.doc_id: f"{PARAGRAPHS[1]}\n\n{PARAGRAPHS[0]}"})
@@ -244,29 +251,40 @@ def test_paragraph_counters_built_once_per_document(monkeypatch):
     assert [c.paragraph_index for c in candidates] == [1, 0]
     # each passage, then the one paragraph its search reached; paragraph 2,
     # a copy of paragraph 1, is never reached and never tokenized
-    assert calls == [PARAGRAPHS[1], PARAGRAPHS[1], PARAGRAPHS[0], PARAGRAPHS[0]]
+    assert tokenized == [PARAGRAPHS[1], PARAGRAPHS[1], PARAGRAPHS[0], PARAGRAPHS[0]]
 
 
-def test_search_hands_over_to_the_index_once_its_budget_is_spent(monkeypatch):
-    calls = []
+def test_a_passage_the_search_does_not_settle_goes_to_the_index():
+    texts = ["violazione della legge", "viola la legge"]
+    source = llm.SourceParagraphs(texts)
+    # both folded paragraphs hold "viola" and "legge"; the search compares
+    # only the first, whose tokens do not hold "viola"
+    assert source.first_containing(raw_token_counts("viola legge")) == -1
+    assert source._index is None
+    assert llm.resolve_paragraph("viola legge", source) == 1
+    assert source._index is not None
+    assert ref.resolve_paragraph("viola legge", list(enumerate(map(raw_token_counts, texts)))) == 1
 
-    def counting_raw_token_counts(text):
-        calls.append(text)
-        return raw_token_counts(text)
 
-    # passages are tokenized through llm, paragraphs through textnorm
-    monkeypatch.setattr(llm, "raw_token_counts", counting_raw_token_counts)
-    monkeypatch.setattr(textnorm, "raw_token_counts", counting_raw_token_counts)
+def test_once_the_index_is_built_a_passage_tokenizes_no_paragraph(tokenized):
+    texts = ["violazione della legge", "viola la legge", "alfa beta"]
+    source = llm.SourceParagraphs(texts)
+    assert llm.resolve_paragraph("viola legge", source) == 1
+    assert source._index is not None
+    # the index answers every later passage, and the search returns at once
+    assert source.first_containing(raw_token_counts("alfa beta")) == -1
+    assert [llm.resolve_paragraph(p, source) for p in ("alfa beta", "la legge", "zeta")] == [2, 1, -1]
+    assert sorted(tokenized) == sorted(texts + ["viola legge", "alfa beta", "la legge", "zeta"])
+
+
+def test_a_passage_sharing_no_token_leaves_the_index_unbuilt_however_many_searches_came_before():
     texts = ["alfa beta", "gamma delta", "alfa beta epsilon"]
     source = llm.SourceParagraphs(texts)
-    # each copy compares one candidate: three paragraphs allow three
     assert [llm.resolve_paragraph(p, source) for p in ("beta alfa", "gamma delta", "epsilon")] == [0, 1, 2]
-    assert not source.indexed
-    # a fourth would be one more than the judgment has paragraphs: the index
-    # answers it and every later passage, from the counters already built
-    assert [llm.resolve_paragraph(p, source) for p in ("delta", "alfa beta zeta")] == [1, 0]
-    assert source.indexed
-    assert sorted(calls) == sorted(texts + ["beta alfa", "gamma delta", "epsilon", "delta", "alfa beta zeta"])
+    # "alf" occurs only inside "alfa": the search's one comparison fails,
+    # and the screen settles the passage with no index
+    assert llm.resolve_paragraph("alf", source) == -1
+    assert source._index is None
 
 
 @pytest.fixture

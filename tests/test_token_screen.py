@@ -113,10 +113,9 @@ def _candidate(index: int, text: str) -> PoLCandidate:
 
 def _align_counting(candidates, gold):
     """``align``'s result and the texts it handed to ``raw_token_counts``,
-    looked up through ``evaluation`` or ``textnorm``, and to
-    ``normalize_text``."""
+    looked up through ``textnorm``, and to ``normalize_text``."""
     tokenized, normalized = [], []
-    real = evaluation.raw_token_counts, evaluation.normalize_text
+    real = textnorm.raw_token_counts, evaluation.normalize_text
 
     def counting_raw(text):
         tokenized.append(text)
@@ -127,13 +126,11 @@ def _align_counting(candidates, gold):
         return real[1](text)
 
     evaluation._judgment.cache_clear()
-    evaluation.raw_token_counts, evaluation.normalize_text = counting_raw, counting_normalize
-    textnorm.raw_token_counts = counting_raw
+    textnorm.raw_token_counts, evaluation.normalize_text = counting_raw, counting_normalize
     try:
         result = align(candidates, gold, _document())
     finally:
-        evaluation.raw_token_counts, evaluation.normalize_text = real
-        textnorm.raw_token_counts = real[0]
+        textnorm.raw_token_counts, evaluation.normalize_text = real
     return result, tokenized, normalized
 
 
