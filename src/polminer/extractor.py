@@ -13,15 +13,12 @@ import csv
 import json
 from enum import Enum
 from pathlib import Path
-from typing import NamedTuple, TypeVar
+from typing import NamedTuple
 
 from .corpus import Document
 from .errors import SchemaError
 from .outfile import atomic_write
 from .patterns import CitationRef, RuleProfile, citation_at_end, find_citations, find_quotes, match_keywords
-
-
-_E = TypeVar("_E", bound=Enum)
 
 
 class PoLType(str, Enum):
@@ -72,45 +69,52 @@ class PoLCandidate(NamedTuple):
             raise SchemaError(pointer or "/", "must be an object")
         try:
             doc_id, paragraph_index, text = data["doc_id"], data["paragraph_index"], data["text"]
-            quote, trigger, citations = data.get("quote", ""), data.get("trigger"), data.get("citations", [])
-            if not isinstance(doc_id, str):
-                raise SchemaError(f"{pointer}/doc_id", "must be a string")
-            if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
-                raise SchemaError(f"{pointer}/paragraph_index", "must be an integer")
-            # rules write a paragraph's position, the LLM adapter a position
-            # or -1 for a passage it could not place, and neither an empty text
-            if paragraph_index < -1:
-                raise SchemaError(f"{pointer}/paragraph_index", "must be -1 or more")
-            if not isinstance(text, str):
-                raise SchemaError(f"{pointer}/text", "must be a string")
-            if not text:
-                raise SchemaError(f"{pointer}/text", "must not be empty")
-            if not isinstance(quote, str):
-                raise SchemaError(f"{pointer}/quote", "must be a string")
-            if not isinstance(citations, list):
-                raise SchemaError(f"{pointer}/citations", "must be a list")
-            return cls(
-                doc_id=doc_id,
-                paragraph_index=paragraph_index,
-                text=text,
-                quote=quote,
-                trigger=None if trigger is None else _member(Trigger, trigger, f"{pointer}/trigger"),
-                pol_type=_member(PoLType, data["pol_type"], f"{pointer}/pol_type"),
-                citations=tuple(CitationRef.from_dict(c, f"{pointer}/citations/{i}") for i, c in enumerate(citations)),
-                source=_member(Source, data.get("source", "Rules"), f"{pointer}/source"),
-            )
         except KeyError as exc:
             raise SchemaError(f"{pointer}/{exc.args[0]}", "missing field") from exc
-        except (ValueError, TypeError) as exc:
-            raise SchemaError(pointer or "/", str(exc)) from exc
+        quote, trigger, citations = data.get("quote", ""), data.get("trigger"), data.get("citations", [])
+        if not isinstance(doc_id, str):
+            raise SchemaError(f"{pointer}/doc_id", "must be a string")
+        if isinstance(paragraph_index, bool) or not isinstance(paragraph_index, int):
+            raise SchemaError(f"{pointer}/paragraph_index", "must be an integer")
+        # rules write a paragraph's position, the LLM adapter a position
+        # or -1 for a passage it could not place, and neither an empty text
+        if paragraph_index < -1:
+            raise SchemaError(f"{pointer}/paragraph_index", "must be -1 or more")
+        if not isinstance(text, str):
+            raise SchemaError(f"{pointer}/text", "must be a string")
+        if not text:
+            raise SchemaError(f"{pointer}/text", "must not be empty")
+        if not isinstance(quote, str):
+            raise SchemaError(f"{pointer}/quote", "must be a string")
+        if not isinstance(citations, list):
+            raise SchemaError(f"{pointer}/citations", "must be a list")
+        if trigger is not None:
+            trigger = type(trigger) is str and _TRIGGERS.get(trigger) or _member(Trigger, trigger, pointer, "trigger")
+        if "pol_type" not in data:
+            raise SchemaError(f"{pointer}/pol_type", "missing field")
+        pol_type = data["pol_type"]
+        pol_type = type(pol_type) is str and _POL_TYPES.get(pol_type) or _member(PoLType, pol_type, pointer, "pol_type")
+        try:
+            citations = tuple(map(CitationRef.from_dict, citations))
+        except SchemaError:  # decoded again with pointers, which are built only to name the failure
+            for i, citation in enumerate(citations):
+                CitationRef.from_dict(citation, f"{pointer}/citations/{i}")
+            raise
+        source = data.get("source", "Rules")
+        source = type(source) is str and _SOURCES.get(source) or _member(Source, source, pointer, "source")
+        return cls(doc_id, paragraph_index, text, quote, trigger, pol_type, citations, source)
 
 
-def _member(kind: type[_E], value: object, pointer: str) -> _E:
-    """The member of ``kind`` whose value is ``value``; a SchemaError at ``pointer`` otherwise."""
+# each enum's members by value, so that a decoder skips Enum.__call__
+_TRIGGERS, _POL_TYPES, _SOURCES = ({member.value: member for member in kind} for kind in (Trigger, PoLType, Source))
+
+
+def _member(kind: type[Enum], value: object, pointer: str, field: str) -> Enum:
+    """The member of ``kind`` whose value is ``value``; a SchemaError at ``pointer/field`` otherwise."""
     try:
         return kind(value)
     except (ValueError, TypeError) as exc:
-        raise SchemaError(pointer, str(exc)) from None
+        raise SchemaError(f"{pointer}/{field}", str(exc)) from None
 
 
 def classify(quote: str, citations: tuple[CitationRef, ...] | list[CitationRef]) -> PoLType:
@@ -190,19 +194,27 @@ def save_candidates_jsonl(candidates: list[PoLCandidate], path: str | Path) -> P
 
 
 def load_candidates_jsonl(path: str | Path) -> list[PoLCandidate]:
-    candidates = []
+    candidates, raw_decode = [], json.JSONDecoder().raw_decode
     with open(path, encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh):
-                if not line.strip():
-                    continue
+                try:  # json.loads' value, where a line holds one value and a newline
+                    data, end = raw_decode(line)
+                    if line[end:] not in ("\n", ""):
+                        data = json.loads(line)
+                except ValueError:  # JSONDecodeError, or an integer past int()'s 4,300 digits
+                    if not line.strip():
+                        continue
+                    try:
+                        data = json.loads(line)
+                    except ValueError as exc:
+                        raise SchemaError(f"/{lineno}", f"invalid JSON: {exc}") from exc
                 try:
-                    data = json.loads(line)
-                except ValueError as exc:  # JSONDecodeError, or an integer past int()'s 4,300 digits
-                    raise SchemaError(f"/{lineno}", f"invalid JSON: {exc}") from exc
-                candidates.append(PoLCandidate.from_dict(data, pointer=f"/{lineno}"))
+                    candidates.append(PoLCandidate.from_dict(data))
+                except SchemaError:  # decoded again with the line's pointer
+                    PoLCandidate.from_dict(data, f"/{lineno}")
+                    raise
         # the file is decoded a block at a time, ahead of the line being read
         except UnicodeDecodeError as exc:
             raise SchemaError("/", f"not UTF-8 text: {exc}") from exc
     return candidates
-

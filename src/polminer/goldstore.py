@@ -16,7 +16,7 @@ from xml.etree import ElementTree as ET
 
 from .corpus import W, docx_paragraphs, open_docx
 from .errors import DuplicateHighlightWarning, SchemaError, UnknownColorWarning
-from .extractor import PoLType
+from .extractor import _POL_TYPES, PoLType
 from .outfile import atomic_write
 from .textnorm import normalize_text
 
@@ -60,37 +60,27 @@ class GoldAnnotation(NamedTuple):
     def from_dict(cls, data: dict, pointer: str) -> "GoldAnnotation":
         if not isinstance(data, dict):
             raise SchemaError(pointer, "must be an object")
-        for fieldname in ("doc_id", "paragraph_index", "span_text", "pol_type"):
-            if fieldname not in data:
-                raise SchemaError(f"{pointer}/{fieldname}", "missing field")
-        if not isinstance(data["doc_id"], str):
+        try:
+            doc_id, index = data["doc_id"], data["paragraph_index"]
+            span_text, pol_type = data["span_text"], data["pol_type"]
+        except KeyError as exc:
+            raise SchemaError(f"{pointer}/{exc.args[0]}", "missing field") from None
+        origin, annotator_id = data.get("origin", "Human"), data.get("annotator_id")
+        if not isinstance(doc_id, str):
             raise SchemaError(f"{pointer}/doc_id", "must be a string")
-        if not isinstance(data["span_text"], str) or not data["span_text"].strip():
+        if not isinstance(span_text, str) or not span_text.strip():
             raise SchemaError(f"{pointer}/span_text", "must be a non-empty string")
-        index = data["paragraph_index"]
         if isinstance(index, bool) or not isinstance(index, int) or index < 0:
             raise SchemaError(f"{pointer}/paragraph_index", "must be a non-negative integer")
         try:
-            pol_type = PoLType(data["pol_type"])
+            pol_type = type(pol_type) is str and _POL_TYPES.get(pol_type) or PoLType(pol_type)
         except ValueError:
-            raise SchemaError(
-                f"{pointer}/pol_type",
-                f"expected one of {[t.value for t in PoLType]}, got {data['pol_type']!r}",
-            ) from None
-        origin = data.get("origin", "Human")
+            raise SchemaError(f"{pointer}/pol_type", f"expected one of {list(_POL_TYPES)}, got {pol_type!r}") from None
         if origin not in ("Human", "ToolConfirmed"):
             raise SchemaError(f"{pointer}/origin", f"unknown origin {origin!r}")
-        annotator_id = data.get("annotator_id")
         if annotator_id is not None and not isinstance(annotator_id, str):
             raise SchemaError(f"{pointer}/annotator_id", "must be a string or null")
-        return cls(
-            doc_id=data["doc_id"],
-            paragraph_index=data["paragraph_index"],
-            span_text=data["span_text"],
-            pol_type=pol_type,
-            annotator_id=annotator_id,
-            origin=origin,
-        )
+        return cls(doc_id, index, span_text, pol_type, annotator_id, origin)
 
 
 class GoldSet:
@@ -210,17 +200,13 @@ def save_gold(gold: GoldSet, path: str | Path) -> Path:
 def load_gold(path: str | Path) -> GoldSet:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    # ValueError covers bytes that are not UTF-8 too
-    except ValueError as exc:
+    except ValueError as exc:  # bytes that are not UTF-8 too
         raise SchemaError("/", f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "annotations" not in data:
         raise SchemaError("/annotations", "missing annotations list")
     if not isinstance(data["annotations"], list):
         raise SchemaError("/annotations", "must be a list")
-    annotations = [
-        GoldAnnotation.from_dict(entry, pointer=f"/annotations/{i}")
-        for i, entry in enumerate(data["annotations"])
-    ]
+    annotations = [GoldAnnotation.from_dict(entry, f"/annotations/{i}") for i, entry in enumerate(data["annotations"])]
     seen: set[tuple[str, int, str]] = set()
     for i, ann in enumerate(annotations):
         key = ann.key()

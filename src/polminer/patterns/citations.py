@@ -81,6 +81,10 @@ class Court(str, Enum):
     OTHER = "Other"
 
 
+# what CitationRef.from_dict reads without Enum.__call__ or isinstance
+_COURT_OF_VALUE = {court.value: court for court in Court}
+_STR_OR_NONE, _INT_OR_NONE = {str, type(None)}, {int, type(None)}
+
 # the court of each set of court-word bits: the first court of this enum
 # whose bit is set, else Other
 _COURT_OF = tuple(
@@ -90,13 +94,13 @@ _COURT_OF = tuple(
 
 class _CitationFields(NamedTuple):
     raw: str
-    court: Court = Court.OTHER
-    court_label: str | None = None  # head text when court is OTHER
-    section: str | None = None
-    number: int | None = None
-    year: int | None = None
-    date: dt.date | None = None
-    marker: str | None = None  # stripped leading introducer such as "cfr."
+    court: Court
+    court_label: str | None  # head text when court is OTHER
+    section: str | None
+    number: int | None
+    year: int | None
+    date: dt.date | None
+    marker: str | None  # stripped leading introducer such as "cfr."
 
 
 class CitationRef(_CitationFields):
@@ -105,13 +109,13 @@ class CitationRef(_CitationFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs) -> "CitationRef":
-        ref = super().__new__(cls, *args, **kwargs)
-        if ref.number is None and ref.year is None and ref.date is None:
-            raise UnparseableCitation(ref.raw, "", len(ref.raw), "no number, year, or date")
-        if ref.year is not None and ref.date is not None and ref.year != ref.date.year:
-            raise UnparseableCitation(ref.raw, str(ref.year), 0, "year conflicts with date")
-        return ref
+    def __new__(cls, raw, court=Court.OTHER, court_label=None, section=None, number=None, year=None, date=None,
+                marker=None) -> "CitationRef":
+        if number is None and year is None and date is None:
+            raise UnparseableCitation(raw, "", len(raw), "no number, year, or date")
+        if year is not None and date is not None and year != date.year:
+            raise UnparseableCitation(raw, str(year), 0, "year conflicts with date")
+        return tuple.__new__(cls, (raw, court, court_label, section, number, year, date, marker))
 
     @classmethod
     def _make(cls, iterable) -> "CitationRef":
@@ -132,47 +136,44 @@ class CitationRef(_CitationFields):
 
     @classmethod
     def from_dict(cls, data: dict, pointer: str = "") -> "CitationRef":
-        """The citation ``to_dict`` wrote; a ``SchemaError`` at the pointer of
-        the first field that is missing or of the wrong type otherwise."""
+        """The citation ``to_dict`` wrote; a ``SchemaError`` at the first bad field's pointer otherwise."""
         if not isinstance(data, dict):
             raise SchemaError(pointer or "/", "must be an object")
         if "raw" not in data:
             raise SchemaError(f"{pointer}/raw", "missing field")
-        if not isinstance(data["raw"], str):
+        get = data.get
+        raw, court, label, section = data["raw"], get("court", "Other"), get("court_label"), get("section")
+        number, year, date, marker = get("number"), get("year"), get("date"), get("marker")
+        if not isinstance(raw, str):
             raise SchemaError(f"{pointer}/raw", "must be a string")
-        for name in ("court_label", "section", "date", "marker"):
-            if not isinstance(data.get(name), (str, type(None))):
-                raise SchemaError(f"{pointer}/{name}", "must be a string or null")
-        for name in ("number", "year"):
-            value = data.get(name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-                raise SchemaError(f"{pointer}/{name}", "must be an integer or null")
+        # the exact types pass at once; any other value goes through the checks, in field order
+        if not {type(label), type(section), type(date), type(marker)} <= _STR_OR_NONE:
+            for name, value in (("court_label", label), ("section", section), ("date", date), ("marker", marker)):
+                if value is not None and not isinstance(value, str):
+                    raise SchemaError(f"{pointer}/{name}", "must be a string or null")
+        if not {type(number), type(year)} <= _INT_OR_NONE:
+            for name, value in (("number", number), ("year", year)):
+                if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                    raise SchemaError(f"{pointer}/{name}", "must be an integer or null")
         # the grammar writes only positive numbers and years it can read
-        if data.get("number") is not None and data["number"] <= 0:
+        if number is not None and number <= 0:
             raise SchemaError(f"{pointer}/number", "must be positive")
-        if data.get("year") is not None and data["year"] not in _YEARS:
+        if year is not None and year not in _YEARS:
             raise SchemaError(f"{pointer}/year", f"must be in {_YEARS[0]}-{_YEARS[-1]}")
         try:
-            court = Court(data.get("court", "Other"))
+            court = type(court) is str and _COURT_OF_VALUE.get(court) or Court(court)
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"{pointer}/court", str(exc)) from None
         try:
-            date = None if data.get("date") is None else dt.date.fromisoformat(data["date"])
+            day = None if date is None else dt.date.fromisoformat(date)
         except ValueError as exc:
             raise SchemaError(f"{pointer}/date", str(exc)) from None
-        if date is not None and date.year not in _YEARS:
+        if day is not None and day.isoformat() != date:  # Python 3.11 also reads 20160622 and 2016-W25-3
+            raise SchemaError(f"{pointer}/date", f"must be YYYY-MM-DD, got {date!r}")
+        if day is not None and day.year not in _YEARS:
             raise SchemaError(f"{pointer}/date", f"year must be in {_YEARS[0]}-{_YEARS[-1]}")
         try:
-            return cls(
-                raw=data["raw"],
-                court=court,
-                court_label=data.get("court_label"),
-                section=data.get("section"),
-                number=data.get("number"),
-                year=data.get("year"),
-                date=date,
-                marker=data.get("marker"),
-            )
+            return cls(raw, court, label, section, number, year, day, marker)
         except UnparseableCitation as exc:
             raise SchemaError(pointer or "/", str(exc)) from None
 
