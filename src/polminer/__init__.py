@@ -4,7 +4,7 @@ judgments and evaluating any extractor's output against gold annotations."""
 from .corpus import Document, load_document
 from .evaluation import ConfusionCounts, MetricsMode, align, confusion, metrics
 from .extractor import PoLCandidate, PoLType, extract_candidates
-from .goldstore import GoldAnnotation, GoldSet
+from .goldstore import GoldAnnotation
 from .patterns import CitationRef, RuleProfile, get_profile, parse_citation
 
 __version__ = "0.1.0"
@@ -14,7 +14,6 @@ __all__ = [
     "ConfusionCounts",
     "Document",
     "GoldAnnotation",
-    "GoldSet",
     "MetricsMode",
     "PoLCandidate",
     "PoLType",

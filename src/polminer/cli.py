@@ -13,7 +13,8 @@ import math
 import os
 import sys
 import warnings
-from collections.abc import Callable, Sequence
+from collections import Counter
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 from . import evaluation, extractor, goldstore, llm
@@ -188,35 +189,38 @@ def cmd_import_gold(args: argparse.Namespace) -> int:
         annotations.extend(goldstore.import_docx_highlights(path, annotator_id=args.annotator))
 
     ok, failed = _each_judgment(import_highlights, paths, skipped)
-    gold = goldstore.GoldSet(annotations=tuple(annotations))
-    counts = {t.value: n for t, n in gold.counts_by_type.items()}
+    types = Counter(a.pol_type for a in annotations)
+    counts = {t.value: types[t] for t in extractor.PoLType}
     return _finish(
-        f"imported {len(gold)} annotations from {ok} files: {counts}", ok, failed,
-        lambda: goldstore.save_gold(gold, args.out),
+        f"imported {len(annotations)} annotations from {ok} files: {counts}", ok, failed,
+        lambda: goldstore.save_gold(annotations, args.out),
     )
+
+
+def _by_doc(records: Iterable[goldstore.GoldAnnotation | extractor.PoLCandidate]) -> dict[str, tuple]:
+    """Each judgment's records in input order, grouped in one pass."""
+    grouped: dict[str, list] = {}
+    for record in records:
+        grouped.setdefault(record.doc_id, []).append(record)
+    return {doc_id: tuple(group) for doc_id, group in grouped.items()}
 
 
 def _load_and_align(
     cfg: RunConfig, gold_path: str, candidate_paths: list[str]
-) -> tuple[goldstore.GoldSet, list[list[evaluation.AlignmentResult]]]:
+) -> tuple[tuple[goldstore.GoldAnnotation, ...], list[list[evaluation.AlignmentResult]]]:
     """Gold, and each candidate file's alignments with it, one per judgment
     that the file or gold names.
 
     Every ``doc_id`` is checked to be a plain file name, and UTF-8, before
-    any judgment is read. Gold is grouped by judgment in one pass.
-    Alignment is judgment by judgment: each judgment is read from
-    ``cfg.input_dir`` once and aligned with every candidate file in turn
-    against the same gold tuple, which lets ``align`` share its work across
-    the files.
+    any judgment is read. Gold and each candidate file are grouped by
+    judgment in one pass each. Alignment is judgment by judgment: each
+    judgment is read from ``cfg.input_dir`` once and aligned with every
+    candidate file in turn against the same gold tuple, which lets
+    ``align`` share its work across the files.
     """
     gold = goldstore.load_gold(gold_path)
-    gold_by_doc = gold.by_doc()
-    by_doc_sets: list[dict[str, list[extractor.PoLCandidate]]] = []
-    for path in candidate_paths:
-        by_doc: dict[str, list[extractor.PoLCandidate]] = {}
-        for cand in extractor.load_candidates_jsonl(path):
-            by_doc.setdefault(cand.doc_id, []).append(cand)
-        by_doc_sets.append(by_doc)
+    gold_by_doc = _by_doc(gold)
+    by_doc_sets = [_by_doc(extractor.load_candidates_jsonl(path)) for path in candidate_paths]
     doc_ids = sorted(set(gold_by_doc).union(*by_doc_sets))
     for doc_id in doc_ids:
         if doc_id in ("", ".", "..") or "/" in doc_id or "\\" in doc_id:
@@ -234,7 +238,7 @@ def _load_and_align(
         for by_doc, results in zip(by_doc_sets, alignments):
             if doc_gold or doc_id in by_doc:
                 results.append(evaluation.align(
-                    by_doc.get(doc_id, []),
+                    by_doc.get(doc_id, ()),
                     doc_gold,
                     document,
                     overlap_threshold=cfg.overlap_threshold,

@@ -26,7 +26,7 @@ from typing import Mapping, NamedTuple, Sequence
 from .corpus import Document
 from .errors import DocMismatch, GoldMismatch
 from .extractor import PoLCandidate, PoLType
-from .goldstore import GoldAnnotation, GoldSet
+from .goldstore import GoldAnnotation
 from .textnorm import (
     SourceParagraphs,
     TokenIndex,
@@ -116,13 +116,6 @@ class ConfusionCounts(_Counts):
     # a tuple's + concatenates
     def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
         return ConfusionCounts(self.tp + other.tp, self.fp + other.fp, self.fn + other.fn)
-
-
-def merge_counts(counts: Sequence[ConfusionCounts]) -> ConfusionCounts:
-    total = ConfusionCounts()
-    for c in counts:
-        total = total + c
-    return total
 
 
 def _round_to(value: float, digits: int, rounding: str) -> float:
@@ -454,8 +447,8 @@ def tracking_table(alignments: Sequence[AlignmentResult]) -> Table:
     rows: list[list[object]] = []
     for a in alignments:
         gold_all = [m.gold for m in a.matches] + list(a.false_negatives)
-        ann_types = GoldSet(tuple(gold_all)).counts_by_type
-        tool_types = GoldSet(tuple(m.gold for m in a.matches)).counts_by_type
+        ann_types = Counter(g.pol_type for g in gold_all)
+        tool_types = Counter(m.gold.pol_type for m in a.matches)
         comp = Counter(m.completeness for m in a.matches)
         sim = Counter(m.similarity for m in a.matches)
         fp_kinds = Counter(kind for _, kind in a.false_positives)
@@ -498,25 +491,25 @@ class ComparisonReport(NamedTuple):
 
 
 def comparison_table(
-    gold: GoldSet,
+    gold: Sequence[GoldAnnotation],
     methods: Mapping[str, Sequence[AlignmentResult]],
 ) -> ComparisonReport:
     """Cross-method comparison against the whole gold set, plus error shares.
 
-    Each method must align exactly the annotations in ``gold``; percentages
-    are computed against the whole-gold counts and rounded half-up to one
-    decimal.
+    ``gold`` is the annotations ``load_gold`` returns. Each method must
+    align exactly those annotations; percentages are computed against the
+    whole-gold counts and rounded half-up to one decimal.
     """
     if len(methods) < 2:
         raise ValueError("need at least two methods to compare")
-    annotations = set(gold.annotations)
+    annotations = set(gold)
     for name, alignments in methods.items():
         aligned = {m.gold for a in alignments for m in a.matches}
         if aligned.union(*(a.false_negatives for a in alignments)) != annotations:
             raise GoldMismatch(f"method {name!r} is not aligned against the given gold set")
 
     whole = len(gold)
-    whole_types = gold.counts_by_type
+    whole_types = Counter(a.pol_type for a in gold)
     columns = [
         "Method", "PoLs", "PoLs %",
         "Implicit", "Implicit %",
@@ -536,7 +529,7 @@ def comparison_table(
     err_rows: list[list[object]] = []
     for name, alignments in methods.items():
         found = [m.gold for a in alignments for m in a.matches]
-        found_types = GoldSet(tuple(found)).counts_by_type
+        found_types = Counter(g.pol_type for g in found)
         tp = len(found)
         fp_kinds = Counter(kind for a in alignments for _, kind in a.false_positives)
         fp = sum(fp_kinds.values())
@@ -569,9 +562,10 @@ def comparison_table(
 
 
 def summarize(alignments: Sequence[AlignmentResult]) -> dict:
-    """Corpus-level counts, both metric modes, and per-document rows."""
-    per_doc = {a.doc_id: confusion(a) for a in alignments}
-    total = merge_counts(list(per_doc.values()))
+    """Corpus-level counts, both metric modes, and one per-document row per
+    alignment, in input order."""
+    per_doc = [confusion(a) for a in alignments]
+    total = sum(per_doc, ConfusionCounts())
     paper = metrics(total, MetricsMode.PAPER)
     standard = metrics(total, MetricsMode.STANDARD)
     return {
@@ -587,7 +581,7 @@ def summarize(alignments: Sequence[AlignmentResult]) -> dict:
             },
         },
         "per_document": [
-            {"doc_id": doc_id, "tp": c.tp, "fp": c.fp, "fn": c.fn}
-            for doc_id, c in per_doc.items()
+            {"doc_id": a.doc_id, "tp": c.tp, "fp": c.fp, "fn": c.fn}
+            for a, c in zip(alignments, per_doc)
         ],
     }

@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 from xml.etree import ElementTree as ET
 
 from .corpus import W, docx_paragraphs, open_docx
@@ -83,45 +82,6 @@ class GoldAnnotation(NamedTuple):
         return cls(doc_id, index, span_text, pol_type, annotator_id, origin)
 
 
-class GoldSet:
-    """Gold annotations in gold order; equal to another set with the same."""
-
-    __slots__ = ("_annotations",)
-
-    def __init__(self, annotations: tuple[GoldAnnotation, ...]):
-        self._annotations = annotations
-
-    @property
-    def annotations(self) -> tuple[GoldAnnotation, ...]:
-        return self._annotations
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GoldSet):
-            return NotImplemented
-        return self._annotations == other._annotations
-
-    def __hash__(self) -> int:
-        return hash(self._annotations)
-
-    def __repr__(self) -> str:
-        return f"GoldSet(annotations={self._annotations!r})"
-
-    @property
-    def counts_by_type(self) -> dict[PoLType, int]:
-        counts = Counter(a.pol_type for a in self.annotations)
-        return {t: counts.get(t, 0) for t in PoLType}
-
-    def __len__(self) -> int:
-        return len(self.annotations)
-
-    def by_doc(self) -> dict[str, tuple[GoldAnnotation, ...]]:
-        """Each judgment's annotations in gold order, grouped in one pass."""
-        grouped: dict[str, list[GoldAnnotation]] = {}
-        for a in self.annotations:
-            grouped.setdefault(a.doc_id, []).append(a)
-        return {doc_id: tuple(annotations) for doc_id, annotations in grouped.items()}
-
-
 def _run_highlight(run: ET.Element) -> str | None:
     rpr = run.find(_W_RPR)
     if rpr is None:
@@ -189,15 +149,16 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
     return annotations
 
 
-def save_gold(gold: GoldSet, path: str | Path) -> Path:
+def save_gold(gold: Sequence[GoldAnnotation], path: str | Path) -> Path:
     p = Path(path)
-    payload = {"annotations": [a.to_dict() for a in gold.annotations]}
+    payload = {"annotations": [a.to_dict() for a in gold]}
     with atomic_write(p) as fh:
         fh.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
     return p
 
 
-def load_gold(path: str | Path) -> GoldSet:
+def load_gold(path: str | Path) -> tuple[GoldAnnotation, ...]:
+    """The file's annotations in file order; a duplicate key is a ``SchemaError``."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # bytes that are not UTF-8 too
@@ -216,4 +177,4 @@ def load_gold(path: str | Path) -> GoldSet:
                 f"duplicate annotation {ann.doc_id}#{ann.paragraph_index}: {ann.span_text[:60]!r}",
             )
         seen.add(key)
-    return GoldSet(annotations=tuple(annotations))
+    return tuple(annotations)

@@ -264,8 +264,12 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
     2. Index (``SourceParagraphs.index``): any passage the search does not
        settle. The screen answers ``None`` for a passage none of whose
        tokens is a token of the judgment, which scores 0 everywhere and is
-       unresolved; otherwise every paragraph sharing a token with the
-       passage is scored, exactly as without the search.
+       unresolved; otherwise the paragraphs ``TokenIndex.overlapping``
+       lists at the threshold are ranked by their shared counts. A
+       paragraph's containment of the passage never exceeds their overlap
+       coefficient, so every paragraph at or above the threshold is listed,
+       and with it every tie for the top score: the answer is the one a
+       score of every paragraph gives.
 
     Work is linear in the passages: one counter comparison per passage,
     plus the index, which is built at most once per judgment, from the
@@ -283,7 +287,7 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
         return -1
     total = sum(passage_counts.values())
     best_index, best_score = -1, 0.0
-    for position, shared in index.shared(passage_counts).items():
+    for position, shared in index.overlapping(passage_counts, threshold).items():
         score = shared / total
         if score > best_score or (score == best_score and position < best_index):
             best_index, best_score = position, score

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 # Curly/angle/straight quotation marks plus apostrophes, stripped from span edges.
@@ -264,10 +264,13 @@ def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:
 class TokenIndex:
     """Token postings over a list of counters, for exact similarity joins.
 
-    Overlap coefficient and containment are 0 for two texts that share no
-    token, and every threshold is above 0, so only the positions a probe
-    co-occurs with in some posting list can pass one (Chaudhuri, Ganti &
-    Kaushik, ICDE 2006). Positions are ranked by size, ties by position,
+    Overlap coefficient is 0 for two texts that share no token, and every
+    threshold is above 0, so only the positions a probe co-occurs with in
+    some posting list can pass one (Chaudhuri, Ganti & Kaushik, ICDE 2006).
+    A text's containment of the probe, ``shared / |probe|``, never exceeds
+    their overlap coefficient, so every position reaching a containment
+    threshold is among those ``overlapping`` returns for the same threshold,
+    with its shared count. Positions are ranked by size, ties by position,
     and each posting list holds the ranks of the positions holding its
     token in ascending order, so the positions up to a size are one prefix
     of it. The counters are kept, not copied.
@@ -285,33 +288,16 @@ class TokenIndex:
             for token in counters[position]:
                 self._postings.setdefault(token, []).append(rank)
 
-    def shared(self, probe: Counter[str]) -> Counter[int]:
-        """``|probe & counters[i]|`` for every position ``i`` sharing a token with the probe.
-
-        Each common token counts once, in one count over the concatenated
-        posting lists; a token both sides repeat adds the rest of its
-        ``min`` count.
-        """
-        postings, order, counters = self._postings, self._order, self._counters
-        ranks = Counter(chain.from_iterable(postings.get(token, ()) for token in probe))
-        shared = Counter({order[rank]: count for rank, count in ranks.items()})
-        for token, count in probe.items():
-            if count > 1:
-                for rank in postings.get(token, ()):
-                    position = order[rank]
-                    indexed = counters[position][token]
-                    if indexed > 1:
-                        shared[position] += min(count, indexed) - 1
-        return shared
-
-    def overlapping(self, probe: Counter[str], threshold: float) -> list[int]:
-        """Positions whose ``overlap_coefficient`` with the probe is at least
+    def overlapping(self, probe: Counter[str], threshold: float) -> dict[int, int]:
+        """``{position: |probe & counters[position]|}`` for the positions
+        whose ``overlap_coefficient`` with the probe is at least
         ``threshold``, in no particular order.
 
         ``threshold`` must be above 0: positions sharing no token are not
         listed. Each listed position is verified with the exact shared
         count and ``overlap_coefficient``'s own expression, so a pair at
-        exactly the threshold passes here as it does there. Only the
+        exactly the threshold passes here as it does there, and the count
+        it is verified with is the one returned. Only the
         positions that could still pass are visited (prefix filtering:
         Bayardo, Ma & Srikant, WWW 2007; Xiao et al., WWW 2008), bounded
         per size because of the ``min`` denominator:
@@ -357,7 +343,7 @@ class TokenIndex:
             remaining -= probe[token]
         order, counters = self._order, self._counters
         items = probe.items()
-        overlapping = []
+        overlapping = {}
         for rank in candidates:
             counter = counters[order[rank]]
             shared = 0
@@ -366,7 +352,7 @@ class TokenIndex:
                 if indexed:
                     shared += count if count < indexed else indexed
             if shared / min(total, sizes[rank]) >= threshold:
-                overlapping.append(order[rank])
+                overlapping[order[rank]] = shared
         return overlapping
 
 

@@ -1,4 +1,5 @@
-"""Fixed three-judgment corpus used for golden-file CSV comparison.
+"""Fixed three-judgment corpus used for golden-file CSV comparison, with
+three highlighted gold spans for the import-gold and evaluate read path.
 
 The golden CSVs under data/golden/ were produced by replaying the original
 generated script (see oracles.replay_refined) over these paragraphs and
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from docxbuild import make_docx
+from docxbuild import Run, make_docx
 
 FIXTURE_PARAGRAPHS: dict[str, list[str]] = {
     "s01.docx": [
@@ -35,9 +36,30 @@ FIXTURE_PARAGRAPHS: dict[str, list[str]] = {
     ],
 }
 
+# Gold highlights: judgment -> {position in FIXTURE_PARAGRAPHS: (span, colour)}.
+# Each span is a substring of its paragraph, which is written as the runs
+# before, in and after it, so the paragraph text is unchanged. One span per
+# colour class: the rules extractor finds the paragraphs of the first two
+# and misses the third, so evaluate on its candidates reads tp=2 fp=5 fn=1.
+FIXTURE_HIGHLIGHTS: dict[str, dict[int, tuple[str, str]]] = {
+    "s01.docx": {0: ("il principio va tutelato", "yellow")},
+    "s02.docx": {0: ("i diritti fondamentali, dice, \"vanno\" garantiti", "cyan")},
+    "s03.docx": {1: ("Paragrafo semplice senza pattern.", "lightGray")},
+}
+
+
+def _runs(paragraph: str, highlight: tuple[str, str] | None) -> str | list[Run]:
+    if highlight is None:
+        return paragraph
+    span, colour = highlight
+    before, found, after = paragraph.partition(span)
+    assert found, (paragraph, span)
+    return [(text, hl) for text, hl in ((before, None), (span, colour), (after, None)) if text]
+
 
 def build_fixture_corpus(directory: Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     for name, paragraphs in FIXTURE_PARAGRAPHS.items():
-        make_docx(directory / name, list(paragraphs))
+        highlights = FIXTURE_HIGHLIGHTS[name]
+        make_docx(directory / name, [_runs(text, highlights.get(i)) for i, text in enumerate(paragraphs)])
     return directory

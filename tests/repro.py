@@ -18,7 +18,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from polminer.extractor import PoLCandidate, PoLType, Source
-from polminer.goldstore import GoldAnnotation, GoldSet
+from polminer.goldstore import GoldAnnotation
 
 N_DOCS = 60
 
@@ -100,8 +100,8 @@ class ReproFixture:
                 self.paragraphs[doc_id].append(_filler_text(i, slot))
                 self.filler_position[(i, slot)] = (doc_id, index)
 
-    def gold_set(self) -> GoldSet:
-        return GoldSet(annotations=tuple(self.gold))
+    def gold_set(self) -> tuple[GoldAnnotation, ...]:
+        return tuple(self.gold)
 
     def write_corpus(self, directory: Path) -> Path:
         directory.mkdir(parents=True, exist_ok=True)

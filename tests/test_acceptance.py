@@ -28,7 +28,6 @@ from polminer.evaluation import (
     align,
     comparison_table,
     confusion,
-    merge_counts,
     metrics,
 )
 from polminer.extractor import PoLType, emit_csv, extract_candidates
@@ -68,7 +67,7 @@ def repro(tmp_path_factory):
     corpus = fixture.write_corpus(tmp_path_factory.mktemp("acc_corpus"))
     documents = {doc_id: load_document(corpus / doc_id) for doc_id in fixture.paragraphs}
     gold = fixture.gold_set()
-    gold_by_doc = gold.by_doc()
+    gold_by_doc = {doc_id: tuple(a for a in gold if a.doc_id == doc_id) for doc_id in documents}
 
     def _align(candidates):
         by_doc: dict[str, list] = {}
@@ -225,7 +224,7 @@ def test_criterion_08_monoid_law():
             ConfusionCounts(rng.randint(0, 30), rng.randint(0, 10), rng.randint(0, 30))
             for _ in range(60)
         ]
-        corpus_total = merge_counts(per_doc)
+        corpus_total = sum(per_doc, ConfusionCounts())
         for mode in (MetricsMode.PAPER, MetricsMode.STANDARD):
             corpus_metrics = metrics(corpus_total, mode)
             for _ in range(120):
@@ -236,7 +235,7 @@ def test_criterion_08_monoid_law():
                     if groups[-1] and rng.random() < 0.3:
                         groups.append([])
                     groups[-1].append(item)
-                merged = merge_counts([merge_counts(g) for g in groups])
+                merged = sum((sum(g, ConfusionCounts()) for g in groups), ConfusionCounts())
                 assert merged == corpus_total
                 assert metrics(merged, mode) == corpus_metrics
 

@@ -14,7 +14,7 @@ from repro import ReproFixture
 from polminer import cli, evaluation
 from polminer.cli import main
 from polminer.extractor import PoLCandidate, PoLType, save_candidates_jsonl
-from polminer.goldstore import GoldAnnotation, GoldSet, load_gold, save_gold
+from polminer.goldstore import GoldAnnotation, load_gold, save_gold
 
 
 def test_extract_fixture_corpus_matches_golden_files(tmp_path, capsys):
@@ -27,6 +27,21 @@ def test_extract_fixture_corpus_matches_golden_files(tmp_path, capsys):
         assert produced.read_bytes() == (golden_dir / produced.name).read_bytes()
     assert (out / "candidates.jsonl").is_file()
     assert "3 ok, 0 failed" in capsys.readouterr().err
+
+
+def test_evaluate_on_the_fixture_corpus_finds_two_of_its_three_highlights(tmp_path, capsys):
+    corpus = build_fixture_corpus(tmp_path / "Sentenze")
+    gold = tmp_path / "gold.json"
+    assert main(["extract", "--input", str(corpus), "--out", str(tmp_path / "Principi")]) == 0
+    assert main(["import-gold", str(corpus), "--out", str(gold)]) == 0
+    assert capsys.readouterr().err.endswith(
+        "imported 3 annotations from 3 files: {'Implicit': 1, 'ExplicitDirect': 1, 'ExplicitIndirect': 1}\n"
+    )
+    assert main([
+        "evaluate", str(gold), str(tmp_path / "Principi" / "candidates.jsonl"),
+        "--input", str(corpus), "--out", str(tmp_path / "evaluate"),
+    ]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "tp=2 fp=5 fn=1"
 
 
 def test_extract_partial_failure_exit_code(tmp_path, capsys):
@@ -272,7 +287,10 @@ def test_import_gold_names_an_unknown_color_with_its_path(tmp_path, capsys):
     assert main(["import-gold", str(src), "--out", str(tmp_path / "gold.json")]) == 0
     err = capsys.readouterr().err
     assert f"warning: {path}: paragraph 1: ignoring highlight color 'green'\n" in err
-    assert "imported 1 annotations from 1 files" in err
+    # every type in enum order, a zero count included
+    assert err.endswith(
+        "imported 1 annotations from 1 files: {'Implicit': 0, 'ExplicitDirect': 1, 'ExplicitIndirect': 0}\n"
+    )
 
 
 def test_import_gold_imports_a_repeated_highlight_once(tmp_path, capsys):
@@ -285,7 +303,9 @@ def test_import_gold_imports_a_repeated_highlight_once(tmp_path, capsys):
     assert main(["import-gold", str(src), "--out", str(out)]) == 0
     err = capsys.readouterr().err
     assert f"warning: {path}: paragraph 0: duplicate highlight 'uno' imported once\n" in err
-    assert "imported 2 annotations from 1 files" in err
+    assert err.endswith(
+        "imported 2 annotations from 1 files: {'Implicit': 0, 'ExplicitDirect': 1, 'ExplicitIndirect': 1}\n"
+    )
     data = json.loads(out.read_text(encoding="utf-8"))
     assert [a["span_text"] for a in data["annotations"]] == ["uno", "altro principio"]
 
@@ -553,9 +573,9 @@ def test_compare_same_file_twice_is_usage_error(repro_files, capsys):
 
 
 def _one_doc_inputs(tmp_path, gold_doc_id: str, candidate_doc_id: str):
-    gold = save_gold(GoldSet(annotations=(GoldAnnotation(
+    gold = save_gold((GoldAnnotation(
         doc_id=gold_doc_id, paragraph_index=0, span_text="principio", pol_type=PoLType.IMPLICIT,
-    ),)), tmp_path / "gold.json")
+    ),), tmp_path / "gold.json")
     candidates = save_candidates_jsonl([PoLCandidate(
         doc_id=candidate_doc_id, paragraph_index=0, text="principio", quote="",
         trigger=None, pol_type=PoLType.IMPLICIT,
@@ -633,7 +653,7 @@ def test_compare_groups_gold_once_and_gives_every_set_the_same_tuple(repro_files
         "compare", str(gold_path), str(paths["chat"]), str(paths["regex"]), str(paths["annotators"]),
         "--input", str(corpus), "--out", str(tmp_path / "cmp"),
     ]) == 0
-    annotations = load_gold(gold_path).annotations
+    annotations = load_gold(gold_path)
     for doc_id in {doc_id for doc_id, _ in aligned}:
         golds = [gold for aligned_id, gold in aligned if aligned_id == doc_id]
         assert len(golds) == 3
@@ -865,7 +885,7 @@ def test_import_gold_of_a_directory_skips_a_docx_named_not_utf8(tmp_path, capfd)
     out = tmp_path / "gold.json"
     assert main(["import-gold", str(src), "--out", str(out)]) == 2
     assert capfd.readouterr().err.count("file name is not UTF-8") == 1
-    assert [a.doc_id for a in load_gold(out).annotations] == ["g1.docx"]
+    assert [a.doc_id for a in load_gold(out)] == ["g1.docx"]
 
 
 def test_compare_of_a_candidates_file_named_not_utf8_is_a_usage_error(repro_files, tmp_path, capfd):

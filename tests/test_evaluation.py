@@ -21,12 +21,11 @@ from polminer.evaluation import (
     align,
     comparison_table,
     confusion,
-    merge_counts,
     metrics,
     tracking_table,
 )
 from polminer.extractor import PoLCandidate, PoLType, Source
-from polminer.goldstore import GoldAnnotation, GoldSet
+from polminer.goldstore import GoldAnnotation
 
 
 def _doc(texts: list[str], doc_id: str = "d.txt", pages: int | None = None) -> Document:
@@ -218,11 +217,11 @@ def test_mode_duality(tp, fp, fn):
 @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 50), st.integers(0, 50)), max_size=30))
 def test_counts_merge_is_a_commutative_monoid(triples):
     counts = [ConfusionCounts(*t) for t in triples]
-    total = merge_counts(counts)
+    total = sum(counts, ConfusionCounts())
     shuffled = list(counts)
     random.Random(0).shuffle(shuffled)
-    assert merge_counts(shuffled) == total
-    assert merge_counts([total, ConfusionCounts()]) == total
+    assert sum(shuffled, ConfusionCounts()) == total
+    assert total + ConfusionCounts() == total
 
 
 def _match(pol_type: PoLType, completeness: Completeness, similarity: SimilarityClass,
@@ -315,7 +314,7 @@ def repro_alignments(tmp_path_factory):
     for doc_id in fixture.paragraphs:
         documents[doc_id] = load_document(corpus_dir / doc_id)
     gold = fixture.gold_set()
-    gold_by_doc = gold.by_doc()
+    gold_by_doc = {doc_id: tuple(a for a in gold if a.doc_id == doc_id) for doc_id in documents}
 
     def _align_method(candidates):
         by_doc = {}
@@ -335,7 +334,7 @@ def repro_alignments(tmp_path_factory):
 
 def test_repro_corpus_confusion_counts(repro_alignments):
     _, methods = repro_alignments
-    totals = {name: merge_counts([confusion(a) for a in alignments])
+    totals = {name: sum(map(confusion, alignments), ConfusionCounts())
               for name, alignments in methods.items()}
     assert totals["chat"] == ConfusionCounts(161, 45, 525)
     assert totals["regex"] == ConfusionCounts(365, 87, 321)
@@ -390,7 +389,7 @@ def test_error_share_table(repro_alignments):
 
 def test_comparison_method_identical_to_gold_is_100_percent(repro_alignments):
     gold, methods = repro_alignments
-    fixture_gold_keys = {a.key() for a in gold.annotations}
+    fixture_gold_keys = {a.key() for a in gold}
     perfect = []
     for alignment in methods["annotators"]:
         matches = alignment.matches + tuple(
@@ -409,17 +408,17 @@ def test_comparison_method_identical_to_gold_is_100_percent(repro_alignments):
 
 def test_comparison_rejects_mismatched_gold(repro_alignments):
     gold, methods = repro_alignments
-    truncated = GoldSet(annotations=gold.annotations[:-1])
+    truncated = gold[:-1]
     with pytest.raises(GoldMismatch):
         comparison_table(truncated, methods)
 
 
 def test_comparison_rejects_gold_with_the_same_keys_but_another_type(repro_alignments):
     gold, methods = repro_alignments
-    first = gold.annotations[0]
+    first = gold[0]
     other = next(t for t in PoLType if t != first.pol_type)
-    retyped = GoldSet(annotations=(first._replace(pol_type=other),) + gold.annotations[1:])
-    assert {a.key() for a in retyped.annotations} == {a.key() for a in gold.annotations}
+    retyped = (first._replace(pol_type=other),) + gold[1:]
+    assert {a.key() for a in retyped} == {a.key() for a in gold}
     # the methods aligned against ``first`` as typed in ``gold``, so none covers ``retyped``
     with pytest.raises(GoldMismatch):
         comparison_table(retyped, methods)
@@ -434,14 +433,14 @@ def test_comparison_needs_two_methods(repro_alignments):
 def test_merged_metrics_equal_corpus_metrics(repro_alignments):
     _, methods = repro_alignments
     per_doc = [confusion(a) for a in methods["chat"]]
-    merged = merge_counts(per_doc)
+    merged = sum(per_doc, ConfusionCounts())
     rng = random.Random(42)
     for _ in range(100):
         shuffled = list(per_doc)
         rng.shuffle(shuffled)
         cut = rng.randrange(len(shuffled) + 1)
-        left = merge_counts(shuffled[:cut])
-        right = merge_counts(shuffled[cut:])
+        left = sum(shuffled[:cut], ConfusionCounts())
+        right = sum(shuffled[cut:], ConfusionCounts())
         assert metrics(left + right, MetricsMode.PAPER) == metrics(merged, MetricsMode.PAPER)
 
 
@@ -505,3 +504,14 @@ def test_aligning_three_candidate_sets_tokenizes_each_paragraph_once(monkeypatch
         align(candidates, gold, document)
     assert all(tokenized.count(text) <= 1 for text in texts)
     assert set(texts) <= set(tokenized)
+
+
+def test_summarize_counts_every_alignment_of_a_repeated_judgment():
+    doc = _doc(["una frase qualunque del testo"])
+    alignment = align([_cand("una frase qualunque del testo")], [], doc)
+    assert confusion(alignment) == ConfusionCounts(0, 1, 0)
+    summary = evaluation.summarize([alignment, alignment])
+    assert summary["confusion"] == {"tp": 0, "fp": 2, "fn": 0}
+    # one row per alignment, in input order, as the tracking table has
+    assert summary["per_document"] == [{"doc_id": "d.txt", "tp": 0, "fp": 1, "fn": 0}] * 2
+    assert tracking_table([alignment, alignment]).to_records()[-1]["Not-PoL"] == 2

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -10,7 +11,6 @@ from polminer.errors import DuplicateHighlightWarning, SchemaError, UnknownColor
 from polminer.extractor import PoLType
 from polminer.goldstore import (
     GoldAnnotation,
-    GoldSet,
     import_docx_highlights,
     load_gold,
     save_gold,
@@ -133,15 +133,15 @@ def test_alternate_content_text_box_is_read_once(tmp_path):
 
 
 def test_gold_roundtrip_and_counts(tmp_path):
-    gold = GoldSet(annotations=(
+    gold = (
         _ann(0, PoLType.IMPLICIT),
         _ann(1, PoLType.EXPLICIT_DIRECT),
         _ann(2, PoLType.EXPLICIT_INDIRECT),
-    ))
+    )
     path = save_gold(gold, tmp_path / "gold.json")
     loaded = load_gold(path)
     assert loaded == gold
-    assert loaded.counts_by_type == {
+    assert Counter(a.pol_type for a in loaded) == {
         PoLType.IMPLICIT: 1,
         PoLType.EXPLICIT_DIRECT: 1,
         PoLType.EXPLICIT_INDIRECT: 1,
@@ -215,7 +215,7 @@ def test_load_gold_keeps_a_string_or_null_annotator_id(tmp_path):
     anns = [{**_ann(0).to_dict(), "annotator_id": "ann"}, {**_ann(1).to_dict(), "annotator_id": None}]
     path = tmp_path / "gold.json"
     path.write_text(json.dumps({"annotations": anns}), encoding="utf-8")
-    assert [a.annotator_id for a in load_gold(path).annotations] == ["ann", None]
+    assert [a.annotator_id for a in load_gold(path)] == ["ann", None]
 
 
 def test_load_gold_rejects_duplicates(tmp_path):
@@ -226,15 +226,15 @@ def test_load_gold_rejects_duplicates(tmp_path):
         load_gold(path)
 
 
-def test_counts_match_annotation_distribution():
+def test_counts_match_annotation_distribution(tmp_path):
     annotations = tuple(
         [_ann(i, PoLType.IMPLICIT) for i in range(87)]
         + [_ann(100 + i, PoLType.EXPLICIT_DIRECT) for i in range(293)]
         + [_ann(500 + i, PoLType.EXPLICIT_INDIRECT) for i in range(302)]
     )
-    gold = GoldSet(annotations=annotations)
+    gold = load_gold(save_gold(annotations, tmp_path / "gold.json"))
     assert len(gold) == 682
-    assert gold.counts_by_type == {
+    assert Counter(a.pol_type for a in gold) == {
         PoLType.IMPLICIT: 87,
         PoLType.EXPLICIT_DIRECT: 293,
         PoLType.EXPLICIT_INDIRECT: 302,
@@ -251,7 +251,7 @@ def test_type_conservation_through_import_save_load(tmp_path):
         ],
     )
     anns = import_docx_highlights(path)
-    saved = save_gold(GoldSet(annotations=tuple(anns)), tmp_path / "gold.json")
+    saved = save_gold(anns, tmp_path / "gold.json")
     loaded = load_gold(saved)
-    assert [a.span_text for a in loaded.annotations] == [a.span_text for a in anns]
-    assert [a.pol_type for a in loaded.annotations] == [a.pol_type for a in anns]
+    assert [a.span_text for a in loaded] == [a.span_text for a in anns]
+    assert [a.pol_type for a in loaded] == [a.pol_type for a in anns]

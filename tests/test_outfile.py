@@ -8,7 +8,7 @@ import stat
 import pytest
 
 from polminer.extractor import PoLCandidate, PoLType, Source, emit_csv, save_candidates_jsonl
-from polminer.goldstore import GoldAnnotation, GoldSet, save_gold
+from polminer.goldstore import GoldAnnotation, save_gold
 from polminer.outfile import atomic_write
 
 
@@ -76,7 +76,7 @@ def test_new_file_mode_follows_the_umask(tmp_path, restore_umask, mask):
     written = [
         save_candidates_jsonl([_cand(0)], tmp_path / "candidates.jsonl"),
         emit_csv([_cand(0)], "j01.txt", tmp_path),
-        save_gold(GoldSet(annotations=(GoldAnnotation("j01.txt", 0, "tutela", PoLType.IMPLICIT),)),
+        save_gold((GoldAnnotation("j01.txt", 0, "tutela", PoLType.IMPLICIT),),
                   tmp_path / "gold.json"),
     ]
     with open(tmp_path / "plain.txt", "w") as fh:

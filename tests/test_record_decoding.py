@@ -342,11 +342,11 @@ def test_a_gold_file_that_is_not_utf8(tmp_path):
 def test_a_gold_annotation_reads_back_with_its_types(tmp_path):
     loaded = load_gold(_write_gold(tmp_path, [ANNOTATION, _annotation(paragraph_index=3, origin="ToolConfirmed",
                                                                       annotator_id="a", pol_type="ExplicitDirect")]))
-    assert loaded.annotations == (
+    assert loaded == (
         GoldAnnotation("d.txt", 0, "x", PoLType.IMPLICIT, None, "Human"),
         GoldAnnotation("d.txt", 3, "x", PoLType.EXPLICIT_DIRECT, "a", "ToolConfirmed"),
     )
-    assert all(type(a.pol_type) is PoLType for a in loaded.annotations)
+    assert all(type(a.pol_type) is PoLType for a in loaded)
 
 
 def _llm_response(paragraphs: list[str], draw: st.DataObject) -> str:
