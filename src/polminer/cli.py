@@ -1,6 +1,8 @@
 """Command-line surface: extract, import-gold, evaluate, compare, llm-extract.
 
-Exit codes: 0 success, 1 fatal, 2 partial (some files failed); a command
+Each command's flags are its whole configuration, and the parser checks
+every value. Exit codes: 0 success, 1 fatal, 2 partial (some files failed)
+or a usage error (a bad flag or value, named by the parser); a command
 whose judgments all fail writes nothing. Outputs are re-runnable: identical
 inputs produce identical files, with no timestamps in data files.
 """
@@ -36,69 +38,6 @@ def _read_json(path: str, what: str) -> object:
     # ValueError covers invalid JSON and bytes that are not UTF-8
     except (OSError, ValueError) as exc:
         raise PolminerError(f"cannot read {what}: {exc}") from exc
-
-
-class RunConfig:
-    """A command's settings: defaults, then a ``--config`` file, then flags."""
-
-    # the fields a config file may set
-    __slots__ = ("input_dir", "output_dir", "profile", "overlap_threshold", "hallucination_threshold", "report_formats")
-
-    def __init__(self) -> None:
-        self.input_dir = "."
-        self.output_dir = "Principi"
-        self.profile = "v2_refined"
-        self.overlap_threshold = 0.8
-        self.hallucination_threshold = 0.6
-        self.report_formats: tuple[str, ...] = REPORT_FORMATS
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        cfg = cls()
-        if getattr(args, "config", None):
-            data = _read_json(args.config, f"config {args.config}")
-            if not isinstance(data, dict):
-                raise PolminerError(f"config {args.config} must hold a JSON object")
-            for key, value in data.items():
-                if key not in cls.__slots__:
-                    raise PolminerError(f"unknown config field {key!r}")
-                if key == "report_formats":
-                    # a string would be read letter by letter
-                    if not isinstance(value, list):
-                        raise PolminerError(f"report_formats must be a list of names, got {value!r}")
-                    value = tuple(value)
-                setattr(cfg, key, value)
-        # flags win over config file values
-        mapping = {
-            "input_dir": "input",
-            "output_dir": "out",
-            "profile": "profile",
-            "overlap_threshold": "overlap",
-            "hallucination_threshold": "hallucination_threshold",
-        }
-        for attr, flag in mapping.items():
-            value = getattr(args, flag, None)
-            if value is not None:
-                setattr(cfg, attr, value)
-        if getattr(args, "format", None) is not None:
-            cfg.report_formats = tuple(part.strip() for part in args.format.split(",") if part.strip())
-        for name in ("input_dir", "output_dir", "profile"):
-            value = getattr(cfg, name)
-            if not isinstance(value, str):
-                raise PolminerError(f"{name} must be a string, got {value!r}")
-        if cfg.profile not in PROFILES:
-            raise PolminerError(f"unknown profile {cfg.profile!r}; expected one of {sorted(PROFILES)}")
-        unknown = [name for name in cfg.report_formats if name not in REPORT_FORMATS]
-        if unknown or not cfg.report_formats:
-            found = f"unknown report format {unknown[0]!r}" if unknown else "no report format"
-            raise PolminerError(f"{found}; expected some of {', '.join(REPORT_FORMATS)}")
-        for name in ("overlap_threshold", "hallucination_threshold"):
-            value = getattr(cfg, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise PolminerError(f"{name} must be a number, got {value!r}")
-            if not 0 < value <= 1:
-                raise PolminerError(f"{name} must be in (0, 1], got {value}")
-        return cfg
 
 
 def _err(message: str) -> None:
@@ -145,10 +84,10 @@ def _finish(summary: str, ok: int, failed: int, save: Callable[[], object]) -> i
     return EXIT_PARTIAL if failed else EXIT_OK
 
 
-def cmd_extract(cfg: RunConfig) -> int:
-    paths, skipped = list_judgments(cfg.input_dir)
-    profile = get_profile(cfg.profile)
-    out_dir = Path(cfg.output_dir)
+def cmd_extract(args: argparse.Namespace) -> int:
+    paths, skipped = list_judgments(args.input)
+    profile = get_profile(args.profile)
+    out_dir = Path(args.out)
     all_candidates: list[extractor.PoLCandidate] = []
     # CSVs are named by stem: the first judgment to claim one keeps it
     claimed: dict[str, str] = {}
@@ -206,19 +145,20 @@ def _by_doc(records: Iterable[goldstore.GoldAnnotation | extractor.PoLCandidate]
 
 
 def _load_and_align(
-    cfg: RunConfig, gold_path: str, candidate_paths: list[str]
+    args: argparse.Namespace, candidate_paths: list[str]
 ) -> tuple[tuple[goldstore.GoldAnnotation, ...], list[list[evaluation.AlignmentResult]]]:
-    """Gold, and each candidate file's alignments with it, one per judgment
-    that the file or gold names.
+    """Gold (``args.gold``), and each candidate file's alignments with it at
+    the ``--overlap`` and ``--hallucination-threshold`` of ``args``, one per
+    judgment that the file or gold names.
 
     Every ``doc_id`` is checked to be a plain file name, and UTF-8, before
     any judgment is read. Gold and each candidate file are grouped by
     judgment in one pass each. Alignment is judgment by judgment: each
-    judgment is read from ``cfg.input_dir`` once and aligned with every
+    judgment is read from ``--input`` once and aligned with every
     candidate file in turn against the same gold tuple, which lets
     ``align`` share its work across the files.
     """
-    gold = goldstore.load_gold(gold_path)
+    gold = goldstore.load_gold(args.gold)
     gold_by_doc = _by_doc(gold)
     by_doc_sets = [_by_doc(extractor.load_candidates_jsonl(path)) for path in candidate_paths]
     doc_ids = sorted(set(gold_by_doc).union(*by_doc_sets))
@@ -227,7 +167,7 @@ def _load_and_align(
             raise DocMismatch(f"doc_id {doc_id!r} is not a plain file name")
         if find_lone_surrogate(doc_id):
             raise DocMismatch(f"doc_id {doc_id!r} is not UTF-8")
-    directory = Path(cfg.input_dir)
+    directory = Path(args.input)
     alignments: list[list[evaluation.AlignmentResult]] = [[] for _ in by_doc_sets]
     for doc_id in doc_ids:
         path = directory / doc_id
@@ -241,8 +181,8 @@ def _load_and_align(
                     by_doc.get(doc_id, ()),
                     doc_gold,
                     document,
-                    overlap_threshold=cfg.overlap_threshold,
-                    hallucination_threshold=cfg.hallucination_threshold,
+                    overlap_threshold=args.overlap,
+                    hallucination_threshold=args.hallucination_threshold,
                 ))
     return gold, alignments
 
@@ -265,15 +205,15 @@ def _print_metrics(summary: dict) -> None:
         )
 
 
-def cmd_evaluate(cfg: RunConfig, gold_path: str, candidates_path: str) -> int:
-    _, (alignments,) = _load_and_align(cfg, gold_path, [candidates_path])
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    _, (alignments,) = _load_and_align(args, [args.candidates])
     summary = evaluation.summarize(alignments)
     _print_metrics(summary)
-    out_dir = Path(cfg.output_dir)
-    if "json" in cfg.report_formats:
+    out_dir = Path(args.out)
+    if "json" in args.format:
         with atomic_write(out_dir / "evaluation.json") as fh:
             fh.write(json.dumps(summary, ensure_ascii=False, indent=2) + "\n")
-    _write_report(out_dir, "tracking", evaluation.tracking_table(alignments), cfg.report_formats)
+    _write_report(out_dir, "tracking", evaluation.tracking_table(alignments), args.format)
     return EXIT_OK
 
 
@@ -287,11 +227,11 @@ def _method_names(candidate_paths: list[str]) -> list[str]:
     ]
 
 
-def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> int:
-    if len(candidate_paths) < 2:
+def cmd_compare(args: argparse.Namespace) -> int:
+    if len(args.candidates) < 2:
         _err("usage error: compare needs at least two candidate files")
         return EXIT_FATAL
-    names = _method_names(candidate_paths)
+    names = _method_names(args.candidates)
     # a method's name is written to the reports
     if any(find_lone_surrogate(name) for name in names):
         _err("usage error: compare needs candidate file names that are UTF-8")
@@ -299,30 +239,28 @@ def cmd_compare(cfg: RunConfig, gold_path: str, candidate_paths: list[str]) -> i
     if len(set(names)) < len(names):
         _err("usage error: compare needs candidate files that name distinct methods")
         return EXIT_FATAL
-    gold, alignments = _load_and_align(cfg, gold_path, candidate_paths)
+    gold, alignments = _load_and_align(args, args.candidates)
     report = evaluation.comparison_table(gold, dict(zip(names, alignments)))
     print(report.comparison.to_markdown())
     print(report.error_share.to_markdown())
-    out_dir = Path(cfg.output_dir)
-    _write_report(out_dir, "comparison", report.comparison, cfg.report_formats)
-    _write_report(out_dir, "error_share", report.error_share, cfg.report_formats)
+    out_dir = Path(args.out)
+    _write_report(out_dir, "comparison", report.comparison, args.format)
+    _write_report(out_dir, "error_share", report.error_share, args.format)
     return EXIT_OK
 
 
-def cmd_llm_extract(cfg: RunConfig, args: argparse.Namespace) -> int:
-    paths, skipped = list_judgments(cfg.input_dir)
-    if args.mock:
+def cmd_llm_extract(args: argparse.Namespace) -> int:
+    paths, skipped = list_judgments(args.input)
+    # the parser takes exactly one of --mock and --endpoint
+    if args.endpoint is None:
         responses = _read_json(args.mock, "mock fixtures")
         if not isinstance(responses, dict) or not all(isinstance(r, str) for r in responses.values()):
             raise PolminerError(f"mock fixtures {args.mock} must map each doc_id to a response string")
         transport: llm.Transport = llm.ScriptedTransport(responses=responses)
-    elif args.endpoint:
-        transport = llm.HttpChatTransport(api_key=os.environ.get("POLMINER_API_KEY"))
     else:
-        _err("usage error: llm-extract needs --mock or --endpoint")
-        return EXIT_FATAL
+        transport = llm.HttpChatTransport(api_key=os.environ.get("POLMINER_API_KEY"))
     session = llm.LlmSession(
-        endpoint=args.endpoint or "mock://",
+        endpoint="mock://" if args.endpoint is None else args.endpoint,
         model_name=args.model,
         temperature=args.temperature,
         max_queries_per_session=args.budget,
@@ -350,16 +288,38 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _float(text: str) -> float:
+    # NaN for text that is not a number: every check below rejects it
+    try:
+        return float(text)
+    except ValueError:
+        return math.nan
+
+
 def _finite_float(text: str) -> float:
     # float() reads "nan" and "inf", which the audit log would write as
     # NaN and Infinity, neither of them JSON
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
+    value = _float(text)
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
     return value
+
+
+def _threshold(text: str) -> float:
+    value = _float(text)
+    # NaN fails the comparison, and so does an infinity
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1], got {text!r}")
+    return value
+
+
+def _report_formats(text: str) -> tuple[str, ...]:
+    formats = tuple(part.strip() for part in text.split(",") if part.strip())
+    unknown = [name for name in formats if name not in REPORT_FORMATS]
+    if unknown or not formats:
+        found = f"unknown report format {unknown[0]!r}" if unknown else "no report format"
+        raise argparse.ArgumentTypeError(f"{found}; expected some of {', '.join(REPORT_FORMATS)}")
+    return formats
 
 
 def _utf8_text(text: str) -> str:
@@ -371,23 +331,25 @@ def _utf8_text(text: str) -> str:
 
 
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its fields")
-    p.add_argument("--input", help="input corpus directory")
+    p.add_argument("--input", default=".", help="input corpus directory (default: %(default)s)")
 
 
 def _report_flags(p: argparse.ArgumentParser) -> None:
     _corpus_flags(p)
-    p.add_argument("--out", help="report directory")
-    p.add_argument("--format", help="comma-separated report formats (csv,md,json)")
-    p.add_argument("--overlap", type=float, help="match threshold in (0,1]")
-    p.add_argument("--hallucination-threshold", dest="hallucination_threshold", type=float,
-                   help="triage threshold in (0,1]")
+    p.add_argument("--out", default="Principi", help="report directory (default: %(default)s)")
+    # a string default goes through the type converter as a flag value does
+    p.add_argument("--format", type=_report_formats, default=",".join(REPORT_FORMATS),
+                   help="comma-separated report formats (default: %(default)s)")
+    p.add_argument("--overlap", type=_threshold, default=0.8, help="match threshold in (0,1] (default: %(default)s)")
+    p.add_argument("--hallucination-threshold", type=_threshold, default=0.6,
+                   help="triage threshold in (0,1] (default: %(default)s)")
 
 
 def _extract_flags(p: argparse.ArgumentParser) -> None:
     _corpus_flags(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--profile", choices=sorted(PROFILES), help="rule profile")
+    p.add_argument("--out", default="Principi", help="output directory (default: %(default)s)")
+    p.add_argument("--profile", choices=sorted(PROFILES), default="v2_refined",
+                   help="rule profile (default: %(default)s)")
 
 
 def _import_gold_flags(p: argparse.ArgumentParser) -> None:
@@ -410,8 +372,10 @@ def _compare_flags(p: argparse.ArgumentParser) -> None:
 
 def _llm_extract_flags(p: argparse.ArgumentParser) -> None:
     _corpus_flags(p)
-    p.add_argument("--mock", help="JSON file mapping doc_id to canned response")
-    p.add_argument("--endpoint", type=_utf8_text, help="chat-completions endpoint URL")
+    # the audit log records the endpoint that answered: never both
+    transport = p.add_mutually_exclusive_group(required=True)
+    transport.add_argument("--mock", help="JSON file mapping doc_id to canned response")
+    transport.add_argument("--endpoint", type=_utf8_text, help="chat-completions endpoint URL")
     p.add_argument("--model", type=_utf8_text, default="gpt-4o", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
     p.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")
@@ -425,33 +389,13 @@ def _llm_extract_flags(p: argparse.ArgumentParser) -> None:
 COMMANDS: dict[str, tuple[
     str,
     Callable[[argparse.ArgumentParser], None],
-    Callable[[RunConfig, argparse.Namespace], int],
+    Callable[[argparse.Namespace], int],
 ]] = {
-    "extract": (
-        "run the rule extractor over a corpus directory",
-        _extract_flags,
-        lambda cfg, args: cmd_extract(cfg),
-    ),
-    "import-gold": (
-        "import highlight annotations from .docx files",
-        _import_gold_flags,
-        lambda cfg, args: cmd_import_gold(args),
-    ),
-    "evaluate": (
-        "align candidates with gold and print metrics",
-        _one_set_flags,
-        lambda cfg, args: cmd_evaluate(cfg, args.gold, args.candidates),
-    ),
-    "compare": (
-        "compare two or more candidate sets against one gold",
-        _compare_flags,
-        lambda cfg, args: cmd_compare(cfg, args.gold, args.candidates),
-    ),
-    "llm-extract": (
-        "extract via an LLM endpoint or offline mock",
-        _llm_extract_flags,
-        cmd_llm_extract,
-    ),
+    "extract": ("run the rule extractor over a corpus directory", _extract_flags, cmd_extract),
+    "import-gold": ("import highlight annotations from .docx files", _import_gold_flags, cmd_import_gold),
+    "evaluate": ("align candidates with gold and print metrics", _one_set_flags, cmd_evaluate),
+    "compare": ("compare two or more candidate sets against one gold", _compare_flags, cmd_compare),
+    "llm-extract": ("extract via an LLM endpoint or offline mock", _llm_extract_flags, cmd_llm_extract),
 }
 
 
@@ -489,8 +433,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     args = _build_parser(argv).parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[args.command][2](cfg, args)
+        return COMMANDS[args.command][2](args)
     except (PolminerError, OSError) as exc:
         _err(f"fatal: {exc}")
         return EXIT_FATAL

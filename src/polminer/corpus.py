@@ -184,6 +184,9 @@ def _plaintext_paragraphs(path: Path) -> list[str]:
         raw = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise EncodingError(path, f"not valid UTF-8 ({exc})") from exc
+    # a byte order mark is not text; decoding as utf-8-sig would drop it
+    # too, but then a decode error's offset would not count its 3 bytes
+    raw = raw.removeprefix("\ufeff")
     blocks: list[str] = []
     current: list[str] = []
     for line in raw.splitlines():

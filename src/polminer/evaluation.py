@@ -405,7 +405,7 @@ class Table:
         return json.dumps(payload, ensure_ascii=False, indent=2) + "\n"
 
     def to_markdown(self) -> str:
-        cells = [self.columns] + [[_fmt_cell(v) for v in row] for row in self.rows]
+        cells = [[_md_cell(_fmt_cell(v)) for v in row] for row in [self.columns, *self.rows]]
         widths = [max(len(row[i]) for row in cells) for i in range(len(self.columns))]
         lines = []
         if self.title:
@@ -425,6 +425,13 @@ def _fmt_cell(value: object) -> str:
     if isinstance(value, float):
         return f"{value:g}"
     return "" if value is None else str(value)
+
+
+def _md_cell(text: str) -> str:
+    """``text`` as one markdown table cell: ``|`` escaped, each line break
+    written as ``<br>``."""
+    # the sentinel keeps a trailing line break, which splitlines drops
+    return "<br>".join((text + ".").splitlines())[:-1].replace("|", "\\|")
 
 
 TRACKING_COLUMNS = [

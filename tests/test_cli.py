@@ -164,53 +164,6 @@ def test_an_input_without_judgments_writes_empty_output(tmp_path, capsys, comman
     assert json.loads(text)["annotations"] == [] if command == "import-gold" else text == ""
 
 
-def test_config_file_with_flag_override(tmp_path):
-    corpus = build_fixture_corpus(tmp_path / "S")
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"input_dir": str(corpus), "output_dir": str(tmp_path / "FromConfig")}))
-    out = tmp_path / "FromFlag"
-    assert main(["extract", "--config", str(config), "--out", str(out)]) == 0
-    assert out.is_dir() and not (tmp_path / "FromConfig").exists()
-
-
-def test_unknown_profile_is_fatal(tmp_path):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({"profile": "v9"}))
-    assert main(["extract", "--config", str(config)]) == 1
-
-
-@pytest.mark.parametrize("config, argv, reason", [
-    ({"overlap_threshold": "0.8"}, [], "overlap_threshold must be a number, got '0.8'"),
-    ({"hallucination_threshold": True}, [], "hallucination_threshold must be a number, got True"),
-    ({"report_formats": "csv"}, [], "report_formats must be a list of names, got 'csv'"),
-    ({"report_formats": ["cvs"]}, [], "unknown report format 'cvs'"),
-    ({}, ["--format", "cvs,mdd"], "unknown report format 'cvs'"),
-    ({}, ["--format", ","], "no report format"),
-    ({"input_dir": 3}, [], "input_dir must be a string, got 3"),
-    ({}, ["--format", ""], "no report format"),
-])
-def test_evaluate_rejects_a_wrong_config_value(repro_files, tmp_path, capsys, config, argv, reason):
-    base, corpus, gold_path, paths = repro_files
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(config))
-    out = tmp_path / "rep"
-    code = main([
-        "evaluate", str(gold_path), str(paths["chat"]), "--config", str(path),
-        "--out", str(out), *argv, *([] if "input_dir" in config else ["--input", str(corpus)]),
-    ])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(f"fatal: {reason}")
-    assert captured.out == "" and not out.exists()
-
-
-def test_config_must_be_a_json_object(tmp_path, capsys):
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(["csv"]))
-    assert main(["extract", "--config", str(path)]) == 1
-    assert capsys.readouterr().err == f"fatal: config {path} must hold a JSON object\n"
-
-
 def test_llm_extract_names_each_unreadable_judgment_once(tmp_path, capsys):
     corpus = tmp_path / "S"
     corpus.mkdir()
@@ -540,10 +493,70 @@ def test_llm_extract_non_finite_temperature_is_a_usage_error(tmp_path, capsys, m
     assert f"--temperature: must be a finite number, got '{temperature}'" in capsys.readouterr().err
 
 
-def test_llm_extract_requires_transport_choice(tmp_path):
+def test_llm_extract_requires_transport_choice(tmp_path, capsys):
     corpus = tmp_path / "S"
     corpus.mkdir()
-    assert main(["llm-extract", "--input", str(corpus)]) == 1
+    with pytest.raises(SystemExit) as exit_info:
+        main(["llm-extract", "--input", str(corpus)])
+    assert exit_info.value.code == 2
+    assert "one of the arguments --mock --endpoint is required" in capsys.readouterr().err
+
+
+def test_llm_extract_given_both_mock_and_endpoint_is_a_usage_error(tmp_path, capsys):
+    # the mock would answer while every audit line named the endpoint
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    mock = tmp_path / "mock.json"
+    mock.write_text(json.dumps({"j01.txt": "Il giudice"}), encoding="utf-8")
+    out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "llm-extract", "--input", str(corpus), "--mock", str(mock),
+            "--endpoint", "https://api.example.invalid/v1/chat", "--audit", str(audit), "--out-file", str(out_file),
+        ])
+    assert exit_info.value.code == 2
+    assert not out_file.exists() and not audit.exists()
+    assert "argument --endpoint: not allowed with argument --mock" in capsys.readouterr().err
+
+
+BAD_FLAG_VALUES = [
+    ("--overlap", "1.5", "must be a number in (0, 1], got '1.5'"),
+    ("--overlap", "0", "must be a number in (0, 1], got '0'"),
+    ("--hallucination-threshold", "nan", "must be a number in (0, 1], got 'nan'"),
+    ("--format", "cvs", "unknown report format 'cvs'; expected some of csv, md, json"),
+    ("--format", "cvs,mdd", "unknown report format 'cvs'; expected some of csv, md, json"),
+    ("--format", "", "no report format; expected some of csv, md, json"),
+    ("--format", ",", "no report format; expected some of csv, md, json"),
+]
+
+
+@pytest.mark.parametrize("flag, value, reason", BAD_FLAG_VALUES,
+                         ids=[f"{flag} {value!r}" for flag, value, _ in BAD_FLAG_VALUES])
+def test_a_bad_threshold_or_report_format_is_a_usage_error_naming_the_flag(
+    repro_files, tmp_path, capsys, flag, value, reason
+):
+    base, corpus, gold_path, paths = repro_files
+    out = tmp_path / "rep"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["evaluate", str(gold_path), str(paths["chat"]), "--input", str(corpus), "--out", str(out), flag, value])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 2
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [f"polminer evaluate: error: argument {flag}: {reason}"]
+    assert captured.out == "" and not out.exists()
+
+
+def test_flags_take_their_defaults_and_a_threshold_of_one():
+    args = cli._build_parser(["evaluate"]).parse_args(["evaluate", "g.json", "c.jsonl"])
+    assert (args.input, args.out, args.format, args.overlap, args.hallucination_threshold) == (
+        ".", "Principi", ("csv", "md", "json"), 0.8, 0.6,
+    )
+    args = cli._build_parser(["extract"]).parse_args(["extract"])
+    assert (args.input, args.out, args.profile) == (".", "Principi", "v2_refined")
+    argv = ["compare", "g.json", "a.jsonl", "b.jsonl", "--overlap", "1", "--hallucination-threshold", "1"]
+    args = cli._build_parser(argv).parse_args(argv)
+    assert (args.overlap, args.hallucination_threshold) == (1.0, 1.0)
 
 
 def test_compare_names_same_stem_files_by_parent(repro_files, tmp_path, capsys):
@@ -562,6 +575,31 @@ def test_compare_names_same_stem_files_by_parent(repro_files, tmp_path, capsys):
     methods = {row.split("|")[1].strip() for row in rows}
     assert {"v1/candidates", "v2/candidates"} <= methods
     assert "53.2" in out and "23.5" in out
+
+
+def test_compare_escapes_a_pipe_in_a_method_name(repro_files, tmp_path, capsys):
+    base, corpus, gold_path, paths = repro_files
+    piped = tmp_path / "x|y.jsonl"
+    piped.write_bytes(paths["regex"].read_bytes())
+    out = tmp_path / "cmp"
+    assert main(["compare", str(gold_path), str(paths["chat"]), str(piped), "--input", str(corpus), "--out", str(out)]) == 0
+    for text in (capsys.readouterr().out, (out / "comparison.md").read_text(encoding="utf-8")):
+        tables = [block.splitlines() for block in text.split("\n\n") if block.startswith("|")]
+        assert any(row.startswith("| x\\|y ") for rows in tables for row in rows)
+        # every row has as many column bars as its header
+        for rows in tables:
+            assert len({row.count("|") - row.count("\\|") for row in rows}) == 1
+
+
+def test_a_byte_order_mark_does_not_reach_the_outputs(tmp_path):
+    text = "La Corte afferma “il principio” (Cass. n. 1/2019).\n"
+    for name, data in (("plain", text), ("bom", "\ufeff" + text)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "s01.txt").write_text(data, encoding="utf-8")
+        assert main(["extract", "--input", str(tmp_path / name), "--out", str(tmp_path / f"{name}_out")]) == 0
+    assert "La Corte" in (tmp_path / "plain_out" / "s01.csv").read_text(encoding="utf-8")
+    for produced in ("s01.csv", "candidates.jsonl"):
+        assert (tmp_path / "bom_out" / produced).read_bytes() == (tmp_path / "plain_out" / produced).read_bytes()
 
 
 def test_compare_same_file_twice_is_usage_error(repro_files, capsys):
@@ -662,7 +700,7 @@ def test_compare_groups_gold_once_and_gives_every_set_the_same_tuple(repro_files
         assert golds[0] == tuple(a for a in annotations if a.doc_id == doc_id)
 
 
-REPORT_FLAGS = {"--config", "--input", "--out", "--format", "--overlap", "--hallucination-threshold"}
+REPORT_FLAGS = {"--input", "--out", "--format", "--overlap", "--hallucination-threshold"}
 
 
 def test_each_command_offers_only_the_flags_it_reads():
@@ -672,12 +710,12 @@ def test_each_command_offers_only_the_flags_it_reads():
         for name, sub in subparsers.choices.items()
     }
     assert offered == {
-        "extract": {"--config", "--input", "--out", "--profile"},
+        "extract": {"--input", "--out", "--profile"},
         "import-gold": {"--out", "--annotator"},
         "evaluate": REPORT_FLAGS,
         "compare": REPORT_FLAGS,
         "llm-extract": {
-            "--config", "--input", "--mock", "--endpoint", "--model", "--temperature",
+            "--input", "--mock", "--endpoint", "--model", "--temperature",
             "--budget", "--language", "--audit", "--out-file",
         },
     }
@@ -688,7 +726,7 @@ def test_each_command_offers_only_the_flags_it_reads():
     ["compare", "g.json", "a.jsonl", "b.jsonl", "--mode", "standard"],
     ["extract", "--overlap", "0.5"],
     ["extract", "--jobs", "1"],
-    ["llm-extract", "--profile", "v1_broad"],
+    ["llm-extract", "--mock", "m", "--profile", "v1_broad"],
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -698,39 +736,30 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["llm-extract", "--out", "P"],
+    ["llm-extract", "--mock", "m", "--out", "P"],
     ["extract", "--prof", "v1_broad"],
 ])
 def test_flag_prefixes_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["jobs", "metrics_mode"])
-def test_config_rejects_removed_fields(tmp_path, capsys, field):
-    config = tmp_path / "run.json"
-    config.write_text(json.dumps({field: 1}))
-    assert main(["extract", "--config", str(config), "--input", str(tmp_path / "S")]) == 1
-    assert f"unknown config field {field!r}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("kind", ["gold", "candidates", "config", "mock"])
+@pytest.mark.parametrize("kind", ["gold", "candidates", "mock"])
 def test_a_json_input_that_is_not_utf8_is_one_fatal_line(tmp_path, capsys, kind):
     corpus = tmp_path / "S"
     corpus.mkdir()
     (corpus / "d.txt").write_text("principio\n", encoding="utf-8")
     gold, candidates = _one_doc_inputs(tmp_path, "d.txt", "d.txt")
-    config, mock = tmp_path / "run.json", tmp_path / "mock.json"
-    config.write_text("{}", encoding="utf-8")
+    mock = tmp_path / "mock.json"
     mock.write_text(json.dumps({"d.txt": "principio"}), encoding="utf-8")
-    path = {"gold": gold, "candidates": candidates, "config": config, "mock": mock}[kind]
+    path = {"gold": gold, "candidates": candidates, "mock": mock}[kind]
     Path(path).write_bytes(b"\xff" + Path(path).read_bytes())
     if kind == "mock":
         argv = ["llm-extract", "--mock", str(mock), "--out-file", str(tmp_path / "llm.jsonl")]
     else:
-        argv = ["evaluate", gold, candidates, "--config", str(config), "--out", str(tmp_path / "R")]
+        argv = ["evaluate", gold, candidates, "--out", str(tmp_path / "R")]
     assert main([*argv, "--input", str(corpus)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("fatal: ") and "utf-8" in err
@@ -763,8 +792,14 @@ PARSE_CASES = [
     ["llm-extract", "--budget", "0"],
     ["llm-extract", "--temperature", "warm"],
     ["evaluate", "g.json", "c.jsonl", "--overlap", "high"],
+    ["evaluate", "g.json", "c.jsonl", "--overlap", "1.5"],
+    ["evaluate", "g.json", "c.jsonl", "--overlap", "0"],
+    ["evaluate", "g.json", "c.jsonl", "--hallucination-threshold", "nan"],
+    ["evaluate", "g.json", "c.jsonl", "--format", "cvs"],
+    ["evaluate", "g.json", "c.jsonl", "--format", ""],
+    ["evaluate", "g.json", "c.jsonl", "--format", ","],
     ["llm-extract", "--language", "fr"],
-    ["llm-extract", "--out-f", "x.jsonl"],
+    ["llm-extract", "--mock", "m", "--out-f", "x.jsonl"],
     ["extract", "--input", "S", "extra"],
     ["compare", "g.json", "a.jsonl", "b.jsonl", "--out", "R", "--format", "md"],
     ["import-gold", "S", "--annotator", "a1"],
@@ -931,9 +966,11 @@ def test_llm_extract_text_flag_that_is_not_utf8_is_a_usage_error(tmp_path, capsy
     opened = []
     monkeypatch.setattr(cli, "load_document", lambda path: opened.append(path))
     out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    # --mock with --endpoint is a usage error of its own
+    transport = [] if flag == "--endpoint" else ["--mock", str(mock)]
     with pytest.raises(SystemExit) as exit_info:
         main([
-            "llm-extract", "--input", str(corpus), "--mock", str(mock), "--audit", str(audit),
+            "llm-extract", "--input", str(corpus), *transport, "--audit", str(audit),
             "--out-file", str(out_file), flag, NOT_UTF8,
         ])
     assert exit_info.value.code == 2

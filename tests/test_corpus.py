@@ -85,6 +85,24 @@ def test_plaintext_empty_file(tmp_path):
     assert load_document(path).paragraphs == ()
 
 
+def test_plaintext_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeffprimo\n\nsecondo \ufeff terzo\n", encoding="utf-8")
+    assert load_document(path).paragraphs == ("primo", "secondo \ufeff terzo")
+    # a line that holds only the mark is blank, and a second mark is text
+    path.write_text("\ufeff\n\nprimo\n", encoding="utf-8")
+    assert load_document(path).paragraphs == ("primo",)
+    path.write_text("\ufeff\ufeffprimo\n", encoding="utf-8")
+    assert load_document(path).paragraphs == ("\ufeffprimo",)
+
+
+def test_plaintext_decode_error_counts_the_byte_order_mark(tmp_path):
+    path = tmp_path / "latin.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + "città\n".encode("latin-1"))
+    with pytest.raises(EncodingError, match="position 7"):
+        load_document(path)
+
+
 def test_plaintext_rejects_bad_encoding(tmp_path):
     path = tmp_path / "latin.txt"
     path.write_bytes("città\n".encode("latin-1"))

@@ -251,6 +251,21 @@ def test_tracking_table_small_rows():
     assert row["Pag."] == 5
 
 
+def test_markdown_escapes_pipes_and_line_breaks_in_cells():
+    table = evaluation.Table("T", ["Method", "x|y"], [["a|b.txt", 1], ["r1\nr2\r\n", 2.5], [None, "|"]])
+    lines = table.to_markdown().splitlines()[2:]
+    assert lines == [
+        "| Method       | x\\|y |",
+        "|--------------|------|",
+        "| a\\|b.txt     | 1    |",
+        "| r1<br>r2<br> | 2.5  |",
+        "|              | \\|   |",
+    ]
+    # CSV and JSON keep the text as it is
+    assert table.to_csv().splitlines()[1] == "a|b.txt,1"
+    assert table.to_records()[1]["Method"] == "r1\nr2\r\n"
+
+
 def test_tracking_table_zero_candidates_row():
     gold = tuple(_gold(f"span {k}", index=k, doc_id="j05.txt") for k in range(4))
     result = AlignmentResult(doc_id="j05.txt", matches=(), false_positives=(),
