@@ -330,6 +330,13 @@ def _utf8_text(text: str) -> str:
     return text
 
 
+def _endpoint(text: str) -> str:
+    # an empty URL would pass the parser and then fail every request
+    if not text.strip():
+        raise argparse.ArgumentTypeError(f"must be a URL, got {text!r}")
+    return _utf8_text(text)
+
+
 def _corpus_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", default=".", help="input corpus directory (default: %(default)s)")
 
@@ -375,7 +382,7 @@ def _llm_extract_flags(p: argparse.ArgumentParser) -> None:
     # the audit log records the endpoint that answered: never both
     transport = p.add_mutually_exclusive_group(required=True)
     transport.add_argument("--mock", help="JSON file mapping doc_id to canned response")
-    transport.add_argument("--endpoint", type=_utf8_text, help="chat-completions endpoint URL")
+    transport.add_argument("--endpoint", type=_endpoint, help="chat-completions endpoint URL")
     p.add_argument("--model", type=_utf8_text, default="gpt-4o", help="model name sent to the endpoint")
     p.add_argument("--temperature", type=_finite_float, help="sampling temperature (a finite number)")
     p.add_argument("--budget", type=_positive_int, default=5, help="queries per session before reset (at least 1)")

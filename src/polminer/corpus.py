@@ -124,7 +124,7 @@ def docx_paragraph_elements(archive: zipfile.ZipFile) -> list[ET.Element]:
     for alternate in list(body.iter(_MC + "AlternateContent")):
         for fallback in alternate.findall(_MC + "Fallback"):
             alternate.remove(fallback)
-    return [child for child in body if child.tag == _W_P]
+    return body.findall(_W_P)
 
 
 def run_text(run: ET.Element) -> str:
@@ -150,8 +150,9 @@ def docx_paragraphs(archive: zipfile.ZipFile) -> list[list[tuple[ET.Element, str
     in order, each as its runs (nested ones included) with their run text.
 
     A paragraph's index is its position in the list, and its text joins its
-    runs' text. Loading and gold import both read paragraphs here, so
-    highlight spans line up with the loaded text.
+    runs' text. Gold import reads paragraphs here, and ``load_document``
+    joins the same runs and keeps the same paragraphs, so highlight spans
+    line up with the loaded text.
     """
     paragraphs = []
     for p_elem in docx_paragraph_elements(archive):
@@ -213,7 +214,9 @@ def load_document(path: str | Path) -> Document:
     if is_docx(p):
         # both parts come from one open of the archive
         with open_docx(p) as archive:
-            texts = ["".join(text for _, text in runs) for runs in docx_paragraphs(archive)]
+            # each paragraph's text as docx_paragraphs joins it, kept under the same test
+            joined = ("".join(map(run_text, p_elem.iter(_W_R))) for p_elem in docx_paragraph_elements(archive))
+            texts = [text for text in joined if text.strip()]
             pages = _docx_page_count(archive)
     else:
         texts, pages = _plaintext_paragraphs(p), None

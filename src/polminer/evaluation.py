@@ -30,7 +30,7 @@ from .goldstore import GoldAnnotation
 from .textnorm import (
     SourceParagraphs,
     TokenIndex,
-    containment,
+    _shared,
     normalize_text,
     overlap_coefficient,
     token_counts,
@@ -198,10 +198,15 @@ def _classify_match(
     overlap_threshold: float,
 ) -> tuple[Completeness, SimilarityClass]:
     """Completeness and similarity of a match between a gold span and the
-    candidate text ``candidate``, both normalized and tokenized."""
-    gold_counter, cand_counter = gold_text.counts, cand_text.counts
-    coverage = containment(gold_counter, cand_counter)
-    if coverage >= FULL_COVERAGE:
+    candidate text ``candidate``, both normalized and tokenized.
+
+    Coverage, the gold span's containment in the candidate, and the
+    candidate's containment in the gold span both divide the one count of
+    the tokens they share; a match shares a token, so neither side is empty.
+    """
+    gold_tokens, cand_tokens = gold_text.tokens, cand_text.tokens
+    shared = _shared(gold_text.counts, cand_text.counts)
+    if shared / len(gold_tokens) >= FULL_COVERAGE:
         completeness = Completeness.FULL
     elif _ends_with_ellipsis(candidate):
         completeness = Completeness.PARTIAL_ELLIPSIS
@@ -211,7 +216,6 @@ def _classify_match(
     if cand_text.text == gold_text.text:
         similarity = SimilarityClass.SAME_TEXT
     else:
-        gold_tokens, cand_tokens = gold_text.tokens, cand_text.tokens
         edit = token_edit_ratio(cand_tokens, gold_tokens)
         length_delta = abs(len(cand_tokens) - len(gold_tokens))
         if (
@@ -221,7 +225,7 @@ def _classify_match(
             similarity = SimilarityClass.WORD_EXCHANGE
         elif (
             len(cand_tokens) <= SUMMARY_MAX_LENGTH_RATIO * len(gold_tokens)
-            and containment(cand_counter, gold_counter) >= overlap_threshold
+            and shared / len(cand_tokens) >= overlap_threshold
         ):
             similarity = SimilarityClass.SUMMARY
         else:
@@ -270,6 +274,7 @@ class _Judgment:
         index = TokenIndex(counts)
         for gi, gold_text in enumerate(self.gold_texts):
             for position in index.overlapping(gold_text.counts, self.overlap_threshold):
+                # kept though overlapping returned the count: the traced evaluation.match_yield counts these calls
                 hits[position].append((gi, overlap_coefficient(gold_text.counts, counts[position])))
         self.scores.update(zip(new, hits))
 

@@ -187,9 +187,10 @@ def emit_csv(
 
 def save_candidates_jsonl(candidates: list[PoLCandidate], path: str | Path) -> Path:
     p = Path(path)
+    # the encoder json.dumps(..., ensure_ascii=False) builds per call, built once
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     with atomic_write(p) as fh:
-        for cand in candidates:
-            fh.write(json.dumps(cand.to_dict(), ensure_ascii=False) + "\n")
+        fh.writelines(encode(cand.to_dict()) + "\n" for cand in candidates)
     return p
 
 

@@ -252,13 +252,26 @@ def _positions(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _shared(a: Counter[str], b: Counter[str]) -> int:
+    """|a & b|, the occurrences two token multisets share, counted over the
+    side with fewer distinct tokens and with no counter built."""
+    if len(a) > len(b):
+        a, b = b, a
+    get = b.get
+    shared = 0
+    for token, count in a.items():
+        other = get(token)
+        if other:
+            shared += count if count < other else other
+    return shared
+
+
 def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:
     """Multiset overlap |a & b| / min(|a|, |b|); 0.0 when either side is empty."""
     ta, tb = sum(a.values()), sum(b.values())
     if ta == 0 or tb == 0:
         return 0.0
-    shared = sum((a & b).values())
-    return shared / min(ta, tb)
+    return _shared(a, b) / min(ta, tb)
 
 
 class TokenIndex:
@@ -342,17 +355,12 @@ class TokenIndex:
                     candidates.update(ranks)
             remaining -= probe[token]
         order, counters = self._order, self._counters
-        items = probe.items()
         overlapping = {}
         for rank in candidates:
-            counter = counters[order[rank]]
-            shared = 0
-            for token, count in items:
-                indexed = counter.get(token)
-                if indexed:
-                    shared += count if count < indexed else indexed
+            position = order[rank]
+            shared = _shared(probe, counters[position])
             if shared / min(total, sizes[rank]) >= threshold:
-                overlapping[order[rank]] = shared
+                overlapping[position] = shared
         return overlapping
 
 
@@ -373,7 +381,7 @@ def containment(a: Counter[str], b: Counter[str]) -> float:
     ta = sum(a.values())
     if ta == 0:
         return 0.0
-    return sum((a & b).values()) / ta
+    return _shared(a, b) / ta
 
 
 def token_edit_ratio(a: list[str], b: list[str]) -> float:

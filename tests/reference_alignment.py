@@ -8,8 +8,10 @@ they take quadratic time; tests only feed them small documents. The match
 classification is the earlier one too, which normalized and tokenized both
 texts again for every match, and so is its ``token_edit_ratio``, the
 dynamic program over the whole edit table that the bit-parallel one in
-``polminer.textnorm`` is checked against; the result types and the class
-thresholds are shared with the package.
+``polminer.textnorm`` is checked against. ``overlap_coefficient`` and
+``containment`` are the earlier ones too, which intersect two counters with
+``Counter.__and__``; the result types and the class thresholds are shared
+with the package.
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from polminer.evaluation import (
 )
 from polminer.extractor import PoLCandidate
 from polminer.goldstore import GoldAnnotation
-from polminer.textnorm import (
-    _TOKEN_RE,
-    containment,
-    normalize_text,
-    overlap_coefficient,
-    raw_token_counts,
-)
+from polminer.textnorm import _TOKEN_RE, normalize_text, raw_token_counts
 
 
 def tokens(text: str) -> list[str]:
@@ -49,6 +45,23 @@ def tokens(text: str) -> list[str]:
 
 def token_counts(text: str) -> Counter[str]:
     return Counter(tokens(text))
+
+
+def overlap_coefficient(a: Counter[str], b: Counter[str]) -> float:
+    """Multiset overlap |a & b| / min(|a|, |b|); 0.0 when either side is empty."""
+    ta, tb = sum(a.values()), sum(b.values())
+    if ta == 0 or tb == 0:
+        return 0.0
+    shared = sum((a & b).values())
+    return shared / min(ta, tb)
+
+
+def containment(a: Counter[str], b: Counter[str]) -> float:
+    """Fraction of a's tokens present in b; 0.0 when a is empty."""
+    ta = sum(a.values())
+    if ta == 0:
+        return 0.0
+    return sum((a & b).values()) / ta
 
 
 def token_edit_ratio(a: list[str], b: list[str]) -> float:

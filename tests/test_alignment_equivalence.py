@@ -126,7 +126,7 @@ def _own_paragraph_settles(candidate: PoLCandidate, paragraphs: list[str], thres
     own = candidate.paragraph_index
     return not probe or (
         0 <= own < len(paragraphs)
-        and overlap_coefficient(probe, raw_token_counts(paragraphs[own])) >= threshold
+        and ref.overlap_coefficient(probe, raw_token_counts(paragraphs[own])) >= threshold
     )
 
 
@@ -255,7 +255,7 @@ def test_candidate_sets_aligned_in_turn_equal_reference(case):
         # set holding the text, and only when the pair reaches the threshold
         new_texts = {cand.text for cand in candidates} - scored_texts
         assert scores == sum(
-            overlap_coefficient(g, ref.token_counts(text)) >= overlap
+            ref.overlap_coefficient(g, ref.token_counts(text)) >= overlap
             for text in new_texts
             for g in gold_counts
         )
@@ -382,7 +382,7 @@ def test_overlapping_equals_brute_force(case):
     index = TokenIndex(counters)
     assert index.overlapping(probe, threshold) == {
         i: sum((probe & counter).values())
-        for i, counter in enumerate(counters) if overlap_coefficient(probe, counter) >= threshold
+        for i, counter in enumerate(counters) if ref.overlap_coefficient(probe, counter) >= threshold
     }
 
 

@@ -520,6 +520,23 @@ def test_llm_extract_given_both_mock_and_endpoint_is_a_usage_error(tmp_path, cap
     assert "argument --endpoint: not allowed with argument --mock" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", ["", "  "])
+def test_llm_extract_empty_endpoint_is_a_usage_error(tmp_path, capsys, endpoint):
+    # an empty URL used to pass the parser and fail every judgment's request
+    corpus = tmp_path / "S"
+    corpus.mkdir()
+    (corpus / "j01.txt").write_text("Il giudice deve garantire la tutela.\n", encoding="utf-8")
+    out_file, audit = tmp_path / "llm.jsonl", tmp_path / "audit.jsonl"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "llm-extract", "--input", str(corpus), "--endpoint", endpoint,
+            "--audit", str(audit), "--out-file", str(out_file),
+        ])
+    assert exit_info.value.code == 2
+    assert not out_file.exists() and not audit.exists()
+    assert f"argument --endpoint: must be a URL, got {endpoint!r}" in capsys.readouterr().err
+
+
 BAD_FLAG_VALUES = [
     ("--overlap", "1.5", "must be a number in (0, 1], got '1.5'"),
     ("--overlap", "0", "must be a number in (0, 1], got '0'"),
