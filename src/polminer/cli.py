@@ -227,18 +227,23 @@ def _method_names(candidate_paths: list[str]) -> list[str]:
     ]
 
 
+class _MethodFiles(argparse.Action):
+    """``compare``'s candidate files: two or more, whose method names are
+    UTF-8 and distinct, since each names its method in the reports."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if len(values) < 2:
+            parser.error("compare needs at least two candidate files")
+        names = _method_names(values)
+        if any(find_lone_surrogate(name) for name in names):
+            parser.error("compare needs candidate file names that are UTF-8")
+        if len(set(names)) < len(names):
+            parser.error("compare needs candidate files that name distinct methods")
+        setattr(namespace, self.dest, values)
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
-    if len(args.candidates) < 2:
-        _err("usage error: compare needs at least two candidate files")
-        return EXIT_FATAL
     names = _method_names(args.candidates)
-    # a method's name is written to the reports
-    if any(find_lone_surrogate(name) for name in names):
-        _err("usage error: compare needs candidate file names that are UTF-8")
-        return EXIT_FATAL
-    if len(set(names)) < len(names):
-        _err("usage error: compare needs candidate files that name distinct methods")
-        return EXIT_FATAL
     gold, alignments = _load_and_align(args, args.candidates)
     report = evaluation.comparison_table(gold, dict(zip(names, alignments)))
     print(report.comparison.to_markdown())
@@ -373,7 +378,7 @@ def _one_set_flags(p: argparse.ArgumentParser) -> None:
 
 def _compare_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("gold", help="gold JSON file")
-    p.add_argument("candidates", nargs="+", help="two or more candidates JSONL files")
+    p.add_argument("candidates", nargs="+", action=_MethodFiles, help="two or more candidates JSONL files")
     _report_flags(p)
 
 

@@ -492,8 +492,9 @@ def parse_citation(raw: str) -> CitationRef:
     return _parse(_strip_outer_parens(raw), [], 0, 0, raw=raw)[1]
 
 
-_PAREN_RE = re.compile(r"[()]")
-_DIGIT_RE = re.compile(r"\d")
+# an innermost parenthesized group holding a decimal digit, its inside in
+# group 1
+_GROUP_RE = re.compile(r"\(([^()\d]*\d[^()]*)\)")
 # everything up to and including the last decimal digit
 _UP_TO_LAST_DIGIT_RE = re.compile(r".*\d", re.DOTALL)
 # a run of letters (and other non-digit alphanumerics) at a word start whose
@@ -509,16 +510,19 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
     Parenthesized digit-bearing groups are tried first; the remaining text is
     scanned for inline citations anchored on court keywords.
 
-    The scan is linear in the paragraph length. A group reaching past
-    another "(" cannot parse, since no rule consumes a "(", so only
-    innermost groups, which never share a character, go to
-    ``parse_citation``. Inline attempts share one token list, read on
-    demand: a head starts where no word character precedes it, so it
-    starts a token, and an attempt indexes into the list from its head on.
-    Each token is read at most once, whichever attempts look at it, and an
-    attempt reads only as far as it parses plus at most four tokens of
-    look-ahead; the list skips text between heads that no attempt reached.
-    Failed attempts are memoized (see ``_parse``).
+    The scan is linear in the paragraph length. The groups come from one
+    pattern, ``_GROUP_RE``: the innermost parenthesized groups that hold a
+    decimal digit, leftmost first, each of which goes to
+    ``parse_citation``. No other group can parse: one reaching past
+    another "(" fails, since no rule consumes a "(", and one without a
+    digit has no number. The pattern's attempt at a "(" reads no further
+    than the next parenthesis. Inline attempts share one token list,
+    read on demand: a head starts where no word character precedes it, so
+    it starts a token, and an attempt indexes into the list from its head
+    on. Each token is read at most once, whichever attempts look at it,
+    and an attempt reads only as far as it parses plus at most four tokens
+    of look-ahead; the list skips text between heads that no attempt
+    reached. Failed attempts are memoized (see ``_parse``).
 
     Every citation needs a number, and numbers are read only from runs of
     decimal digits (regex ``\\d``), so a paragraph without one has no
@@ -535,29 +539,10 @@ def find_citations(paragraph_text: str) -> list[CitationRef]:
     if up_to_last_digit is None:
         return []
     last_digit = up_to_last_digit.end() - 1
-    opens: list[int] = []
-    closes: list[int] = []
-    for m in _PAREN_RE.finditer(text):
-        (opens if m.group() == "(" else closes).append(m.start())
     groups: list[tuple[int, int, CitationRef]] = []
-
-    # each "(" up to the first ")" after it; a parsed group resumes after
-    # its ")", a failed one at the next "("
-    c = 0
-    resume = 0
-    for o, i in enumerate(opens):
-        if i < resume:
-            continue
-        while c < len(closes) and closes[c] < i:
-            c += 1
-        if c == len(closes):
-            break
-        j = closes[c]
-        if (o + 1 < len(opens) and opens[o + 1] < j) or _DIGIT_RE.search(text, i, j) is None:
-            continue
+    for m in _GROUP_RE.finditer(text):
         try:
-            groups.append((i, j + 1, parse_citation(text[i + 1 : j].strip())))
-            resume = j + 1
+            groups.append((m.start(), m.end(), parse_citation(m.group(1).strip())))
         except UnparseableCitation:
             pass
 

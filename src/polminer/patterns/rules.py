@@ -17,15 +17,17 @@ quote characters and the keyword lexicon are the published ones for every
 profile; a profile is only its name and two switches.
 
 Every detector takes time linear in the paragraph length. The keyword
-matcher is a compiled alternation (one for the published profiles, one
-for ``extended``), with the original pattern's ``\\b`` boundaries written
-as lookarounds, so for the published profiles it matches exactly what the
-original pattern matches. The quote scan and the end-citation search are
-single passes that jump between compiled character-class hits; the
-original quote and citation patterns are quadratic on long lines of
-unclosed quotes or open parentheses. The test suite replays the original
-regex patterns as an independent oracle and checks 100% agreement, and
-fuzzes the detectors against the earlier character scanners.
+matcher is a compiled alternation (one for the published profiles, one for
+``extended``), with the original pattern's ``\\b`` boundaries written as
+lookarounds, so for the published profiles it matches exactly what the
+original pattern matches. The quote scan is a single pass that jumps
+between compiled character-class hits, and the unanchored end-citation
+search is the published pattern, tried once per line from its first "(";
+searched from every opener, the original quote and citation patterns are
+quadratic on long lines of unclosed quotes or open parentheses. The test
+suite replays the original regex patterns as an independent oracle and
+checks 100% agreement, and fuzzes the detectors against the earlier
+character scanners.
 """
 
 from __future__ import annotations
@@ -227,34 +229,21 @@ def _anchored_citation(text: str) -> str | None:
     return text[start:end] if start >= 0 else None
 
 
+_CITATION_RE = re.compile(r"\(.*?\d{4}\)")
+
+
 def _search_citation(text: str) -> str | None:
-    """First "(" followed, on its own line, by filler and "dddd)"; the
-    shortest such match. The "dddd)" ends are collected once and walked
-    with one pointer as the "(" positions increase."""
+    """The published ``\\(.*?\\d{4}\\)``, matched from each line's first "(":
+    a match never crosses a newline, and when one starts at a later "(" of
+    a line, one starts at the first too (``.`` matches "("). So each line is
+    read once; searched from every "(", the pattern is quadratic."""
     i = text.find("(")
-    if i < 0:
-        return None
-    # the end of every "dddd)": four decimal digits (regex \d) and ")"
-    ends = []
-    close = text.find(")", 4)
-    while close >= 0:
-        if text[close - 4 : close].isdecimal():
-            ends.append(close + 1)
-        close = text.find(")", close + 1)
-    k = 0
-    line_end = -1
     while i >= 0:
-        # the digits start after the "(": the end lies at i + 6 or later
-        while k < len(ends) and ends[k] < i + 6:
-            k += 1
-        if k == len(ends):
-            return None
-        if line_end <= i:
-            line_end = text.find("\n", i + 1)
-            if line_end < 0:
-                line_end = len(text)
-        if ends[k] <= line_end:
-            return text[i : ends[k]]
-        # every later "(" on this line needs an end at least as far
+        line_end = text.find("\n", i)
+        if line_end < 0:
+            line_end = len(text)
+        m = _CITATION_RE.match(text, i, line_end)
+        if m is not None:
+            return m.group()
         i = text.find("(", line_end)
     return None

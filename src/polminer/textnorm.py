@@ -376,14 +376,6 @@ def _largest_size(shared: int, threshold: float) -> int:
     return size
 
 
-def containment(a: Counter[str], b: Counter[str]) -> float:
-    """Fraction of a's tokens present in b; 0.0 when a is empty."""
-    ta = sum(a.values())
-    if ta == 0:
-        return 0.0
-    return _shared(a, b) / ta
-
-
 def token_edit_ratio(a: list[str], b: list[str]) -> float:
     """Levenshtein distance over token sequences, scaled by the longer length.
 

@@ -357,12 +357,14 @@ def test_compare_emits_published_totals(repro_files, capsys):
     assert (base / "cmp" / "error_share.md").is_file()
 
 
-def test_compare_single_method_is_usage_error(repro_files, capsys):
+def test_compare_single_method_is_usage_error(repro_files, tmp_path, capsys):
     base, corpus, gold_path, paths = repro_files
-    assert main([
-        "compare", str(gold_path), str(paths["chat"]), "--input", str(corpus),
-    ]) == 1
-    assert "usage error" in capsys.readouterr().err
+    out = tmp_path / "R"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", str(gold_path), str(paths["chat"]), "--input", str(corpus), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    assert "compare: error: compare needs at least two candidate files" in capsys.readouterr().err
 
 
 def test_compare_three_methods_in_input_order(repro_files, capsys):
@@ -619,12 +621,17 @@ def test_a_byte_order_mark_does_not_reach_the_outputs(tmp_path):
         assert (tmp_path / "bom_out" / produced).read_bytes() == (tmp_path / "plain_out" / produced).read_bytes()
 
 
-def test_compare_same_file_twice_is_usage_error(repro_files, capsys):
+def test_compare_same_file_twice_is_usage_error(repro_files, tmp_path, capsys):
     base, corpus, gold_path, paths = repro_files
-    assert main([
-        "compare", str(gold_path), str(paths["chat"]), str(paths["chat"]), "--input", str(corpus),
-    ]) == 1
-    assert "usage error" in capsys.readouterr().err
+    out = tmp_path / "R"
+    with pytest.raises(SystemExit) as exit_info:
+        main([
+            "compare", str(gold_path), str(paths["chat"]), str(paths["chat"]),
+            "--input", str(corpus), "--out", str(out),
+        ])
+    assert exit_info.value.code == 2
+    assert not out.exists()
+    assert "compare: error: compare needs candidate files that name distinct methods" in capsys.readouterr().err
 
 
 def _one_doc_inputs(tmp_path, gold_doc_id: str, candidate_doc_id: str):
@@ -945,10 +952,11 @@ def test_compare_of_a_candidates_file_named_not_utf8_is_a_usage_error(repro_file
     named = _not_utf8_path(tmp_path, ".jsonl")
     named.write_bytes(paths["regex"].read_bytes())
     out = tmp_path / "R"
-    assert main(["compare", str(gold_path), str(paths["chat"]), str(named),
-                 "--input", str(corpus), "--out", str(out)]) == 1
-    assert capfd.readouterr().err.startswith("usage error: ")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["compare", str(gold_path), str(paths["chat"]), str(named), "--input", str(corpus), "--out", str(out)])
+    assert exit_info.value.code == 2
     assert not out.exists()
+    assert "compare: error: compare needs candidate file names that are UTF-8" in capfd.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["gold", "candidates"])

@@ -81,6 +81,11 @@ def test_unanchored_citation_linear_on_open_parentheses():
     assert _growth(lambda t: citation_at_end(t, V1), "(ab ", "\n(x 2019)") < MAX_RATIO
 
 
+def test_unanchored_citation_linear_on_open_parentheses_before_four_digits():
+    # every "(" of the line has a four-digit run after it but no ")"
+    assert _growth(lambda t: citation_at_end(t, V1), "(1234 ", "\n(x 2019)") < MAX_RATIO
+
+
 def test_anchored_citation_linear_when_every_parenthesis_precedes_a_newline():
     # a quadratic scan here copies the rest of the line once per "(", and
     # that copy outweighs the per-character work only past about 10^4
@@ -107,8 +112,16 @@ def test_match_keywords_linear():
         # budget, each attempt reading a dozen tokens of the line's one
         # token list, which is read once for all of them
         ("Cass. sez. la Cass. sez. resistente ", "(Cass. Civ. 3102/2019)"),
+        # digit-bearing groups that never close: each attempt at a "(" reads
+        # on to the next one
+        ("(n. 12 ", ""),
+        # closed digit groups back to back, each of them parsed
+        ("(1) ", ""),
     ],
-    ids=["groups_and_heads", "repeated_heads", "heads_before_a_number", "heads_spending_the_budget"],
+    ids=[
+        "groups_and_heads", "repeated_heads", "heads_before_a_number", "heads_spending_the_budget",
+        "unclosed_digit_groups", "closed_digit_groups",
+    ],
 )
 def test_find_citations_linear(unit, tail):
     assert _growth(find_citations, unit, tail) < MAX_RATIO
