@@ -258,8 +258,9 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
        It scores 1.0, the top score, and wins the tie with every later
        paragraph. ``str.casefold`` maps each code point on its own, so each
        token of a paragraph occurs in the paragraph's folded text: the
-       candidates, the paragraphs whose folded text holds every token,
-       include every paragraph that contains the passage fully. The search
+       candidates, the paragraphs that every token hits, whole where the
+       judgment's fold keeps token classes (``SourceParagraphs``), include
+       every paragraph that contains the passage fully. The search
        compares one candidate with its counter.
     2. Index (``SourceParagraphs.index``): any passage the search does not
        settle. The screen answers ``None`` for a passage none of whose

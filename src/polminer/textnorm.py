@@ -71,11 +71,6 @@ _FOLD_CLASS_CHANGERS = (
 )
 # compiled on first use, through the re module's cache, and not at import
 _FOLD_CLASS_CHANGER_CLASS = f"[{_FOLD_CLASS_CHANGERS}]"
-# Occurrences of a token checked one by one before the regex engine takes
-# over: most tokens settle at their first occurrence, where a check costs
-# less than compiling a pattern, while a token inside many longer ones would
-# cost a Python step per occurrence.
-_WHOLE_SCAN_STEPS = 4
 
 
 class SourceParagraphs:
@@ -90,18 +85,19 @@ class SourceParagraphs:
     it, never on construction. The ``TokenIndex`` over every paragraph's
     counter is built once, when a question first needs it.
 
-    The screen (``may_share``) rests on ``str.casefold`` mapping each code
-    point on its own, so every token of a paragraph occurs in the folded
-    text. Where the judgment holds no code point whose casefold changes
-    token class, each character of the folded text has the class of the one
-    it came from, so the folded text's maximal token runs are exactly the
-    paragraphs' tokens: a probe token is one of them when it is all token
-    characters and occurs with no token character on either side, and the
-    answer is exact. Otherwise any occurrence counts, and only a ``False``
-    is exact: the probe shares no token with the judgment. The
-    class-changing code points are all non-ASCII, so they are looked for
-    only in the paragraphs that are not ASCII, the first time the screen
-    runs.
+    The search (``first_containing``) and the screen (``may_share``) read
+    one scan of the fold per token (``_hits_of``). It rests on
+    ``str.casefold`` mapping each code point on its own, so every token of
+    a paragraph occurs in the folded text. Where the judgment holds no code
+    point whose casefold changes token class, each character of the folded
+    text has the class of the one it came from, so the folded text's
+    maximal token runs are exactly the paragraphs' tokens: a token is one
+    of them when it is all token characters and occurs with no token
+    character on either side, and the hits are exact. Otherwise any
+    occurrence counts, and only a miss is exact. Either way a token's hits
+    hold every paragraph that has it as a token. The class-changing code
+    points are all non-ASCII, so they are looked for only in the paragraphs
+    that are not ASCII, when the judgment is folded.
     """
 
     def __init__(self, texts: Sequence[str]):
@@ -111,10 +107,10 @@ class SourceParagraphs:
         self._folded: list[str] | None = None
         self._joined = ""
         self._starts: list[int] = []
-        # token -> bit mask of the paragraphs whose folded text holds it
+        # whether no paragraph holds a class-changing code point, set by the fold
+        self._bounded = True
+        # token -> bit mask of the paragraphs it hits
         self._hits: dict[str, int] = {}
-        # whether no paragraph holds a class-changing code point; None until screened
-        self._bounded: bool | None = None
         self._index: TokenIndex | None = None
 
     def counter(self, position: int) -> Counter[str]:
@@ -128,15 +124,25 @@ class SourceParagraphs:
         self._folded = [text.casefold() for text in self.texts]
         self._joined = "\n".join(self._folded)
         self._starts = list(accumulate((len(text) + 1 for text in self._folded), initial=0))[:-1]
+        search = re.compile(_FOLD_CLASS_CHANGER_CLASS).search
+        self._bounded = not any(search(text) for text in self.texts if not text.isascii())
 
     def _hits_of(self, token: str) -> int:
-        """The paragraphs whose folded text holds ``token``, found once per judgment."""
+        """The paragraphs whose folded text holds ``token`` with no token
+        character on either side, or at all where the judgment is not
+        bounded, found once per judgment."""
         mask = self._hits.get(token)
         if mask is None:
             mask = 0
-            joined, starts = self._joined, self._starts
-            at = joined.find(token)
+            joined, starts, bounded = self._joined, self._starts, self._bounded
+            # every token of a bounded judgment is all token characters
+            at = joined.find(token) if token.isalnum() or not bounded else -1
             while at >= 0:
+                stop = at + len(token)
+                if bounded and (at and joined[at - 1].isalnum() or stop < len(joined) and joined[stop].isalnum()):
+                    # inside a longer token: a later occurrence may be whole
+                    at = joined.find(token, at + 1)
+                    continue
                 position = bisect_right(starts, at) - 1
                 mask |= 1 << position
                 if position + 1 == len(starts):
@@ -150,16 +156,18 @@ class SourceParagraphs:
         """The first paragraph whose ``raw_token_counts`` holds every token of
         ``counts`` at least as often, when the search finds it, or ``-1``.
 
-        Candidates are the paragraphs whose folded text holds the tokens,
-        longest first, as substrings, narrowed until at most one is left. A
-        token's hits are found over the whole judgment, and kept for later
-        passages, while more than half the paragraphs are still candidates;
-        after that only the candidates are searched for it. Only the first
-        candidate left is compared with its counter: one comparison per
-        search. Every paragraph holding the tokens is a candidate, so a
-        position returned is the first such paragraph, while ``-1`` leaves
-        the question open for the index. Once the index is built it answers
-        every question, and the search returns ``-1`` at once.
+        Candidates are the longest token's hits, narrowed by the other
+        tokens, longest first, until at most one is left. A token's hits
+        are read, and found over the whole judgment if no earlier question
+        found them, while more than half the paragraphs are still
+        candidates; after that only the candidates' folded texts are
+        searched for it as a substring, which drops only paragraphs that
+        lack the token. Only the first candidate left is compared with its
+        counter: one comparison per search. Every paragraph holding the
+        tokens is a candidate, so a position returned is the first such
+        paragraph, while ``-1`` leaves the question open for the index.
+        Once the index is built it answers every question, and the search
+        returns ``-1`` at once.
         """
         if self._index is not None:
             return -1
@@ -186,29 +194,9 @@ class SourceParagraphs:
 
     def may_share(self, tokens: Iterable[str]) -> bool:
         """``False`` only when none of ``tokens`` is a token of a paragraph."""
-        if self._bounded is None:
-            if self._folded is None:
-                self._fold()
-            search = re.compile(_FOLD_CLASS_CHANGER_CLASS).search
-            self._bounded = not any(search(text) for text in self.texts if not text.isascii())
-        if not self._bounded:
-            return any(token in self._joined for token in tokens)
-        return any(token.isalnum() and self._occurs_whole(token) for token in tokens)
-
-    def _occurs_whole(self, token: str) -> bool:
-        """Whether ``token`` occurs in the folded text with no token character on either side."""
-        folded = self._joined
-        start = folded.find(token)
-        for _ in range(_WHOLE_SCAN_STEPS):
-            if start < 0:
-                return False
-            stop = start + len(token)
-            if not (start and folded[start - 1].isalnum()) and not (stop < len(folded) and folded[stop].isalnum()):
-                return True
-            start = folded.find(token, start + 1)
-        # the lookbehind also sees the text before ``start``
-        word = re.escape(token)
-        return start >= 0 and re.compile(rf"{word}(?![^\W_])(?<![^\W_]{word})").search(folded, start) is not None
+        if self._folded is None:
+            self._fold()
+        return any(self._hits_of(token) for token in tokens)
 
     def index(self, probe: Counter[str]) -> TokenIndex | None:
         """The index over every paragraph's counter, or ``None`` when the

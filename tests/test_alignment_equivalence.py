@@ -17,9 +17,9 @@ underscore between two tokens, and code points whose casefold changes token
 class (``İ`` folds to ``i`` and a combining dot; the combining U+0345 in
 ``aͅb`` folds to the letter ``ι``) test the screen that settles a candidate
 sharing no token with its judgment before the paragraph index is built.
-Some paragraphs hold ``viola`` inside longer words more often than the
-screen checks occurrences one by one, so that its regex step decides, and
-some candidates are ``viola`` or ``İstanbul`` alone, which share a token
+Some paragraphs hold ``viola`` inside longer words several times before
+it occurs whole, if it does, so that the screen's hits pass over each
+occurrence that is not whole, and some candidates are ``viola`` or ``İstanbul`` alone, which share a token
 with such a judgment only where it holds the word whole.
 
 Passages are resolved in turn against one judgment whose paragraphs repeat
@@ -66,8 +66,8 @@ _WORDS = st.sampled_from((
     "a\u0345b", "a\u03b9b", "x_y", "\ufb01ne", "fine", "sviola", "cortese",
 ))
 _TEXTS = st.lists(_WORDS, max_size=7).map(" ".join)
-# "viola" inside longer words at the first _WHOLE_SCAN_STEPS (4) occurrences
-# and past them, where the screen's regex step decides, and sometimes whole
+# "viola" inside longer words four times, then more often or whole: the
+# screen's hits pass over every occurrence inside a longer word
 _CROWDED = st.lists(st.sampled_from(("violazione", "sviola", "viola")), min_size=1, max_size=4).map(
     lambda tail: " ".join(["violazione", "sviola"] * 2 + tail)
 )

@@ -255,34 +255,34 @@ def test_paragraph_counters_built_once_per_document(tokenized):
 
 
 def test_a_passage_the_search_does_not_settle_goes_to_the_index():
-    texts = ["violazione della legge", "viola la legge"]
+    texts = ["viola la legge", "legge viola legge"]
     source = llm.SourceParagraphs(texts)
-    # both folded paragraphs hold "viola" and "legge"; the search compares
-    # only the first, whose tokens do not hold "viola"
-    assert source.first_containing(raw_token_counts("viola legge")) == -1
+    # both paragraphs hold "legge" and "viola" as tokens; the search
+    # compares only the first, which holds "legge" once, not twice
+    assert source.first_containing(raw_token_counts("legge legge viola")) == -1
     assert source._index is None
-    assert llm.resolve_paragraph("viola legge", source) == 1
+    assert llm.resolve_paragraph("legge legge viola", source) == 1
     assert source._index is not None
-    assert ref.resolve_paragraph("viola legge", list(enumerate(map(raw_token_counts, texts)))) == 1
+    assert ref.resolve_paragraph("legge legge viola", list(enumerate(map(raw_token_counts, texts)))) == 1
 
 
 def test_once_the_index_is_built_a_passage_tokenizes_no_paragraph(tokenized):
-    texts = ["violazione della legge", "viola la legge", "alfa beta"]
+    texts = ["viola la legge", "legge viola legge", "alfa beta"]
     source = llm.SourceParagraphs(texts)
-    assert llm.resolve_paragraph("viola legge", source) == 1
+    assert llm.resolve_paragraph("legge legge viola", source) == 1
     assert source._index is not None
     # the index answers every later passage, and the search returns at once
     assert source.first_containing(raw_token_counts("alfa beta")) == -1
-    assert [llm.resolve_paragraph(p, source) for p in ("alfa beta", "la legge", "zeta")] == [2, 1, -1]
-    assert sorted(tokenized) == sorted(texts + ["viola legge", "alfa beta", "la legge", "zeta"])
+    assert [llm.resolve_paragraph(p, source) for p in ("alfa beta", "la legge", "zeta")] == [2, 0, -1]
+    assert sorted(tokenized) == sorted(texts + ["legge legge viola", "alfa beta", "la legge", "zeta"])
 
 
 def test_a_passage_sharing_no_token_leaves_the_index_unbuilt_however_many_searches_came_before():
     texts = ["alfa beta", "gamma delta", "alfa beta epsilon"]
     source = llm.SourceParagraphs(texts)
     assert [llm.resolve_paragraph(p, source) for p in ("beta alfa", "gamma delta", "epsilon")] == [0, 1, 2]
-    # "alf" occurs only inside "alfa": the search's one comparison fails,
-    # and the screen settles the passage with no index
+    # "alf" occurs only inside "alfa", so it hits no paragraph: the search
+    # has no candidate, and the screen settles the passage with no index
     assert llm.resolve_paragraph("alf", source) == -1
     assert source._index is None
 

@@ -67,8 +67,8 @@ def test_screen_is_exact_without_fold_class_changers():
         # token of a text without U+0130 does
         ("i\u0307stanbul", "\u0130stanbul", False),
         ("a\u03b9b", "a", False),
-        # past the occurrences checked one by one, inside longer tokens on
-        # either side, and then whole or never
+        # many times inside longer tokens on either side, and then whole or
+        # never
         ("xviola violaz " * 3 + "viola", "viola", True),
         ("xviola violaz " * 3 + "violetta", "viola", False),
     ]
