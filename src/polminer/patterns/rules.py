@@ -236,13 +236,15 @@ def _search_citation(text: str) -> str | None:
     """The published ``\\(.*?\\d{4}\\)``, matched from each line's first "(":
     a match never crosses a newline, and when one starts at a later "(" of
     a line, one starts at the first too (``.`` matches "("). So each line is
-    read once; searched from every "(", the pattern is quadratic."""
+    read once; searched from every "(", the pattern is quadratic. A match
+    ends at a ")", so it is read only up to the line's last one, and a line
+    with none after its first "(" is not read."""
     i = text.find("(")
     while i >= 0:
         line_end = text.find("\n", i)
         if line_end < 0:
             line_end = len(text)
-        m = _CITATION_RE.match(text, i, line_end)
+        m = _CITATION_RE.match(text, i, text.rfind(")", i, line_end) + 1)
         if m is not None:
             return m.group()
         i = text.find("(", line_end)

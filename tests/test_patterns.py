@@ -121,9 +121,21 @@ def test_citation_unanchored_profile():
     assert citation_at_end(text, V1) == "(Cass. 217/2019)"
 
 
+# lines that end a citation search early or late: a ")" only before the
+# line's first "(", a ")" after no four digits, two "(" on one line, and a
+# citation on the line after an unclosed one
+_CITATION_EDGES = [
+    "vedi) sopra (Cass. n. 12",
+    "la nota (vedi sopra) e oltre",
+    "(vedi sopra) e (Cass. n. 217/2019) poi",
+    "(aperta 2019\nchiusa) e (Trib. 2020) fine",
+    "(a (b 2019) c)",
+]
+
+
 @pytest.mark.parametrize("profile", [V1, V2])
 def test_detectors_agree_with_published_patterns(profile):
-    for text in synth.generate_paragraphs(400, seed=7):
+    for text in [*synth.generate_paragraphs(400, seed=7), *_CITATION_EDGES]:
         assert [s.text for s in find_quotes(text, profile)] == oracles.oracle_quotes(text), text
         assert match_keywords(text, profile) == oracles.oracle_keywords(text), text
         anchored = profile.conjunctive
