@@ -129,8 +129,8 @@ class SourceParagraphs:
 
     def _hits_of(self, token: str) -> int:
         """The paragraphs whose folded text holds ``token`` with no token
-        character on either side, or at all where the judgment is not
-        bounded, found once per judgment."""
+        character on either side, or at all in a judgment holding a
+        class-changing code point, found once per judgment."""
         mask = self._hits.get(token)
         if mask is None:
             mask = 0

@@ -122,8 +122,8 @@ def test_citation_unanchored_profile():
 
 
 # lines that end a citation search early or late: a ")" only before the
-# line's first "(", a ")" after no four digits, two "(" on one line, and a
-# citation on the line after an unclosed one
+# line's first "(", a ")" after no four digits, two "(" on one line, a
+# citation on the line after an unclosed one, and nested groups
 _CITATION_EDGES = [
     "vedi) sopra (Cass. n. 12",
     "la nota (vedi sopra) e oltre",
