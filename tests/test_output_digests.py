@@ -5,9 +5,12 @@ The six commands of a benchmark round (``_commands`` in
 llm-extract on scripted responses, evaluate and compare) run in-process
 through ``polminer.cli.main`` on the seed-1 inputs of each benchmark
 workload (``bench/generate.py``) and on the fixture corpus; evaluate of each
-candidate set and compare of all three run on the repro fixture. evaluate
-and compare run at the default thresholds and again at ``--overlap 0.7
---hallucination-threshold 0.5 --format md``. Each output file, and each
+candidate set and compare of all three run on the repro fixture; and evaluate
+of two LLM candidates, and compare of them with the annotators' set, run on
+the ``thresholds`` group, one judgment built here whose every verdict the
+second threshold pair moves, one of them settled by the paragraph index.
+evaluate and compare run at the default thresholds and again at ``--overlap
+0.7 --hallucination-threshold 0.5 --format md``. Each output file, and each
 command's stdout, stderr and exit code, is keyed by its path; the work
 directory reads ``WORK`` wherever it appears. A failure lists every key
 that moved. A change that moves an output on purpose rewrites the pins,
@@ -31,8 +34,8 @@ import pytest
 
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from polminer import cli
-from polminer.extractor import save_candidates_jsonl
-from polminer.goldstore import save_gold
+from polminer.extractor import PoLCandidate, PoLType, Source, save_candidates_jsonl
+from polminer.goldstore import GoldAnnotation, save_gold
 from repro import ReproFixture
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -40,7 +43,7 @@ import generate  # noqa: E402
 import pipeline  # noqa: E402
 
 DIGESTS = Path(__file__).parent / "data" / "output_digests.json"
-GROUPS = (*generate.WORKLOADS, "fixture", "repro")
+GROUPS = (*generate.WORKLOADS, "fixture", "repro", "thresholds")
 # the second threshold pair, written in the one report format md
 SECOND_THRESHOLDS = ("--overlap", "0.7", "--hallucination-threshold", "0.5", "--format", "md")
 # an LLM passage of the fixture corpus that no judgment holds
@@ -109,11 +112,41 @@ def _repro_commands(work: Path) -> list[tuple[str, list[str]]]:
     return commands
 
 
+def _thresholds_commands(work: Path) -> list[tuple[str, list[str]]]:
+    """One judgment whose two LLM candidates each change verdict between
+    the two threshold pairs. ``alfa beta gamma omega`` scores 0.75 against
+    the gold span: a match at 0.7, a Not-PoL under its own paragraph at 0.8.
+    ``uno due zeta eta`` names no paragraph and overlaps paragraph 1 by 0.5,
+    found only through the paragraph index: a Not-PoL at 0.5 and a
+    Hallucination at 0.6. The annotators' set holds the gold span."""
+    corpus = work / "corpus"
+    corpus.mkdir(parents=True)
+    (corpus / "t.txt").write_text("alfa beta gamma delta\n\nuno due tre quattro cinque sei\n", encoding="utf-8")
+    gold = str(save_gold([GoldAnnotation("t.txt", 0, "alfa beta gamma delta", PoLType.IMPLICIT)], work / "gold.json"))
+    sets = [
+        str(save_candidates_jsonl([
+            PoLCandidate("t.txt", own, text, "", None, PoLType.IMPLICIT, source=source)
+            for own, text in texts
+        ], work / f"{name}.jsonl"))
+        for name, source, texts in (
+            ("llm", Source.LLM, ((0, "alfa beta gamma omega"), (-1, "uno due zeta eta"))),
+            ("annotators", Source.HUMAN, ((0, "alfa beta gamma delta"),)),
+        )
+    ]
+    out = work / "out"
+    return [
+        ("evaluate_llm", ["evaluate", gold, sets[0], "--input", str(corpus), "--out", str(out / "evaluate_llm")]),
+        ("compare", ["compare", gold, *sets, "--input", str(corpus), "--out", str(out / "compare")]),
+    ]
+
+
 def group_digests(group: str, work: Path) -> dict[str, str | int]:
     """The digests of one group's outputs, made under ``work``, each key
     prefixed with the group."""
     if group == "repro":
         commands = _repro_commands(work)
+    elif group == "thresholds":
+        commands = _thresholds_commands(work)
     else:
         if group == "fixture":
             build_fixture_corpus(work / "corpus")
@@ -132,6 +165,12 @@ def test_outputs_are_the_pinned_bytes(group, tmp_path):
     got = group_digests(group, tmp_path / group)
     moved = sorted(key for key in pinned.keys() | got.keys() if pinned.get(key) != got.get(key))
     assert not moved, f"{len(moved)} outputs moved: {', '.join(moved)}"
+
+
+def test_the_second_thresholds_move_the_thresholds_group():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    for label in ("evaluate_llm", "compare"):
+        assert pinned[f"thresholds/cmd/{label}/stdout"] != pinned[f"thresholds/cmd/{label}_md/stdout"], label
 
 
 if __name__ == "__main__":
