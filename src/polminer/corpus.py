@@ -9,11 +9,20 @@ from __future__ import annotations
 
 import re
 import zipfile
+import zlib
 from pathlib import Path
 from typing import NamedTuple
 from xml.etree import ElementTree as ET
 
 from .errors import DirectoryNotFound, EncodingError, MalformedArchive
+
+try:
+    from lzma import LZMAError
+except ImportError:  # zipfile then reads no LZMA member: it raises RuntimeError
+    LZMAError = RuntimeError
+# a bad header or CRC, a corrupt deflate or LZMA stream, an encrypted member
+# (RuntimeError) or an unsupported compression method (NotImplementedError)
+_UNREADABLE = (zipfile.BadZipFile, OSError, zlib.error, LZMAError, RuntimeError, NotImplementedError)
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = "{%s}" % W_NS
@@ -91,7 +100,7 @@ def open_docx(path: Path) -> zipfile.ZipFile:
     """The .docx archive at ``path``, open for reading; the caller closes it."""
     try:
         return zipfile.ZipFile(path)
-    except (zipfile.BadZipFile, OSError) as exc:
+    except _UNREADABLE as exc:
         raise MalformedArchive(path, f"not a readable .docx archive ({exc})") from exc
 
 
@@ -100,7 +109,7 @@ def _docx_part(archive: zipfile.ZipFile, part: str) -> bytes | None:
         return archive.read(part)
     except KeyError:
         return None
-    except (zipfile.BadZipFile, OSError) as exc:
+    except _UNREADABLE as exc:
         raise MalformedArchive(archive.filename, f"not a readable .docx archive ({exc})") from exc
 
 

@@ -79,3 +79,54 @@ def truncate_file(path: str | Path, keep_bytes: int = 120) -> Path:
     data = p.read_bytes()
     p.write_bytes(data[:keep_bytes])
     return p
+
+
+# the compression a member must be written with for each kind of damage
+DAMAGE_COMPRESSION = {
+    "crc": zipfile.ZIP_STORED,
+    "deflate": zipfile.ZIP_DEFLATED,
+    "lzma": zipfile.ZIP_LZMA,
+    "encrypted": zipfile.ZIP_STORED,
+    "method": zipfile.ZIP_STORED,
+}
+
+
+def damage_member(path: str | Path, part: str, kind: str) -> Path:
+    """Damage the member ``part`` of the zip at ``path`` in place, written
+    with ``DAMAGE_COMPRESSION[kind]``, so that reading it raises:
+
+    - ``crc``: its first stored byte becomes ``X``: a CRC mismatch
+      (``zipfile.BadZipFile``);
+    - ``deflate``: its deflate stream opens with a reserved block type
+      (``zlib.error``);
+    - ``lzma``: its LZMA stream's first byte, always 0, becomes 0xFF
+      (``lzma.LZMAError``);
+    - ``encrypted``: its encryption flag is set (``RuntimeError``);
+    - ``method``: its compression method becomes 99, which no ``zipfile``
+      reads (``NotImplementedError``).
+    """
+    p = Path(path)
+    with zipfile.ZipFile(p) as zf:
+        info = zf.getinfo(part)
+    assert info.compress_type == DAMAGE_COMPRESSION[kind], (part, kind)
+    data = bytearray(p.read_bytes())
+    local = info.header_offset
+    # the local header is 30 bytes, then the name and the extra field
+    start = local + 30 + int.from_bytes(data[local + 26:local + 28], "little") \
+        + int.from_bytes(data[local + 28:local + 30], "little")
+    # the central directory record, whose name starts 46 bytes in
+    central = data.index(part.encode(), data.index(b"PK\x01\x02")) - 46
+    if kind == "crc":
+        data[start] = ord("X")
+    elif kind == "deflate":
+        data[start] = 0xFF
+    elif kind == "lzma":
+        # zipfile's LZMA header: 2 bytes of version, 2 of size, 5 of properties
+        data[start + 9] = 0xFF
+    elif kind == "encrypted":
+        data[local + 6] |= 1
+        data[central + 8] |= 1
+    else:
+        data[local + 8] = data[central + 10] = 99
+    p.write_bytes(bytes(data))
+    return p

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from docxbuild import make_docx, truncate_file
+from docxbuild import damage_member, make_docx, truncate_file
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
 from repro import ReproFixture
 from polminer import cli, evaluation
@@ -194,6 +194,26 @@ def test_extract_names_a_corrupt_judgment_once(tmp_path, capsys):
     assert main(["extract", "--input", str(corpus), "--out", str(tmp_path / "P")]) == 2
     (line,) = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning:")]
     assert line.startswith(f"warning: {broken}: ") and line.count(str(broken)) == 1
+
+
+@pytest.mark.parametrize("command", ["extract", "import-gold"])
+def test_a_docx_with_a_corrupt_stream_is_one_warning_beside_a_good_one(tmp_path, capsys, command):
+    # a deflate stream that zlib rejects, not a CRC mismatch
+    corpus = tmp_path / "S"
+    make_docx(corpus / "buono.docx", [[("La Corte afferma “il principio” (Cass. n. 1/2019).", "yellow")]])
+    broken = damage_member(make_docx(corpus / "rotto.docx", ["Testo."]), "word/document.xml", "deflate")
+    out = tmp_path / ("P" if command == "extract" else "gold.json")
+    argv = ["extract", "--input", str(corpus), "--out", str(out)] if command == "extract" else [
+        "import-gold", str(corpus), "--out", str(out)]
+    assert main(argv) == 2
+    (line,) = [w for w in capsys.readouterr().err.splitlines() if w.startswith("warning:")]
+    assert line.startswith(f"warning: {broken}: not a readable .docx archive (") and line.count(str(broken)) == 1
+    if command == "extract":
+        assert sorted(p.name for p in out.iterdir()) == ["buono.csv", "candidates.jsonl"]
+        records = [json.loads(line) for line in (out / "candidates.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert records and {r["doc_id"] for r in records} == {"buono.docx"}
+    else:
+        assert [a.doc_id for a in load_gold(out)] == ["buono.docx"]
 
 
 def test_import_gold_roundtrip(tmp_path, capsys):

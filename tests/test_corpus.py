@@ -4,7 +4,7 @@ import zipfile
 
 import pytest
 
-from docxbuild import make_docx, truncate_file
+from docxbuild import DAMAGE_COMPRESSION, damage_member, make_docx, truncate_file
 from polminer.corpus import W_NS, docx_paragraphs, list_judgments, load_document, open_docx
 from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
 
@@ -172,35 +172,44 @@ _BODY = f'<w:document xmlns:w="{W_NS}"><w:body><w:p><w:r><w:t>Testo.</w:t></w:r>
 _APP = "<Properties><Pages>3</Pages></Properties>"
 
 
-def _zip(path, parts: dict[str, str], corrupt: str | None = None):
-    """A zip of ``parts``, stored uncompressed; the data of the part named
-    ``corrupt`` is altered after writing, so that reading it fails its CRC."""
-    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as zf:
+def _zip(path, parts: dict[str, str], damaged: tuple[str, str] | None = None):
+    """A zip of ``parts``; the part a ``damaged`` pair names is written
+    with the compression its kind of damage needs and damaged after
+    writing (``docxbuild.damage_member``), every other part stored."""
+    part, kind = damaged or (None, None)
+    with zipfile.ZipFile(path, "w") as zf:
         for name, text in parts.items():
-            zf.writestr(name, text)
-    if corrupt is not None:
-        data = path.read_bytes()
-        at = data.index(parts[corrupt].encode("utf-8"))
-        path.write_bytes(data[:at] + b"X" + data[at + 1:])
-    return path
+            zf.writestr(name, text, DAMAGE_COMPRESSION[kind] if name == part else zipfile.ZIP_STORED)
+    return path if part is None else damage_member(path, part, kind)
+
+
+_NOT_READABLE = "not a readable .docx archive ("
 
 
 @pytest.mark.parametrize(
-    "parts, corrupt, reason",
+    "parts, damaged, reason",
     [
         ({"docProps/app.xml": _APP}, None, "missing word/document.xml"),
         ({"word/document.xml": "<w:document"}, None, "unparseable document XML"),
         ({"word/document.xml": f'<w:document xmlns:w="{W_NS}"/>'}, None, "document XML has no body"),
-        ({"word/document.xml": _BODY}, "word/document.xml", "not a readable .docx archive (Bad CRC-32"),
-        ({"word/document.xml": _BODY, "docProps/app.xml": _APP}, "docProps/app.xml",
-         "not a readable .docx archive (Bad CRC-32"),
+        ({"word/document.xml": _BODY}, ("word/document.xml", "crc"), _NOT_READABLE + "Bad CRC-32"),
+        ({"word/document.xml": _BODY, "docProps/app.xml": _APP}, ("docProps/app.xml", "crc"),
+         _NOT_READABLE + "Bad CRC-32"),
         # the main part is checked before the page count is read
-        ({"docProps/app.xml": _APP}, "docProps/app.xml", "missing word/document.xml"),
+        ({"docProps/app.xml": _APP}, ("docProps/app.xml", "crc"), "missing word/document.xml"),
+        # a corrupt stream, encryption or an unknown method, in either part
+        ({"word/document.xml": _BODY}, ("word/document.xml", "deflate"), _NOT_READABLE + "Error -3"),
+        ({"word/document.xml": _BODY}, ("word/document.xml", "lzma"), _NOT_READABLE + "Corrupt input data"),
+        ({"word/document.xml": _BODY}, ("word/document.xml", "encrypted"),
+         _NOT_READABLE + "File 'word/document.xml' is encrypted"),
+        ({"word/document.xml": _BODY, "docProps/app.xml": _APP}, ("docProps/app.xml", "method"),
+         _NOT_READABLE + "That compression method is not supported"),
     ],
-    ids=["no_document", "bad_xml", "no_body", "bad_document_crc", "bad_app_crc", "no_document_bad_app"],
+    ids=["no_document", "bad_xml", "no_body", "bad_document_crc", "bad_app_crc", "no_document_bad_app",
+         "bad_deflate", "bad_lzma", "encrypted", "unknown_method"],
 )
-def test_malformed_docx_reasons_in_order(tmp_path, parts, corrupt, reason):
-    path = _zip(tmp_path / "m.docx", parts, corrupt)
+def test_malformed_docx_reasons_in_order(tmp_path, parts, damaged, reason):
+    path = _zip(tmp_path / "m.docx", parts, damaged)
     with pytest.raises(MalformedArchive) as exc:
         load_document(path)
     assert exc.value.path == str(path)
