@@ -236,53 +236,47 @@ def _classify_match(
 class _Judgment:
     """The alignment work that the candidate sets of one judgment share.
 
-    A set's text is normalized and scored against every gold span the first
-    time any set holds it; a match of a gold span with a text is classified,
-    and an unmatched text under its own paragraph triaged, once. The
-    candidate sets of a ``compare`` repeat most of each other's texts.
+    The gold spans are indexed once; a text is scored against them the
+    first time any set holds it, and a match classified, and an unmatched
+    text under its own paragraph triaged, once. The candidate sets of a
+    ``compare`` repeat most of each other's texts.
     """
 
     def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
                  overlap_threshold: float, hallucination_threshold: float):
         self.source = SourceParagraphs(document.paragraphs)
         self.gold_texts = [_normalized(a.span_text) for a in gold]
+        self.gold_index = TokenIndex([g.counts for g in self.gold_texts])
         self.overlap_threshold = overlap_threshold
         self.hallucination_threshold = hallucination_threshold
-        # every text a set held, normalized; a classified text has been scored
-        self.texts: dict[str, _Normalized] = {}
-        # text -> (gold position, score) of every gold span it reaches overlap_threshold with
-        self.scores: dict[str, list[tuple[int, float]]] = {}
+        # text -> (its normalized form, what ``score`` returns for it)
+        self.texts: dict[str, tuple[_Normalized, list[tuple[int, float]]]] = {}
         self.classes: dict[tuple[int, str], tuple[Completeness, SimilarityClass]] = {}
         self.in_source: dict[tuple[str, int], bool] = {}
 
-    def score(self, texts: list[str]) -> None:
-        """Score the texts no earlier set held against every gold span.
-
-        Only texts sharing a token with a gold span are scored, through an
-        index over the new texts alone. Without gold spans no text can
-        match, so none is normalized or scored.
-        """
-        new = [text for text in dict.fromkeys(texts) if text not in self.scores]
-        if not new:
-            return
+    def score(self, text: str) -> list[tuple[int, float]]:
+        """(gold position, score) of every gold span ``text`` reaches
+        ``overlap_threshold`` with, found through the gold index the first
+        time any set holds the text. Without gold spans no text can match,
+        so none is normalized or scored."""
         if not self.gold_texts:
-            self.scores.update((text, []) for text in new)
-            return
-        self.texts.update((text, _normalized(text)) for text in new)
-        counts = [self.texts[text].counts for text in new]
-        hits: list[list[tuple[int, float]]] = [[] for _ in new]
-        index = TokenIndex(counts)
-        for gi, gold_text in enumerate(self.gold_texts):
-            for position in index.overlapping(gold_text.counts, self.overlap_threshold):
+            return []
+        record = self.texts.get(text)
+        if record is None:
+            normalized = _normalized(text)
+            counts = normalized.counts
+            record = self.texts[text] = (normalized, [
                 # kept though overlapping returned the count: the traced evaluation.match_yield counts these calls
-                hits[position].append((gi, overlap_coefficient(gold_text.counts, counts[position])))
-        self.scores.update(zip(new, hits))
+                (gi, overlap_coefficient(self.gold_texts[gi].counts, counts))
+                for gi in self.gold_index.overlapping(counts, self.overlap_threshold)
+            ])
+        return record[1]
 
     def classify(self, gi: int, text: str) -> tuple[Completeness, SimilarityClass]:
         classes = self.classes.get((gi, text))
         if classes is None:
             classes = self.classes[gi, text] = _classify_match(
-                self.gold_texts[gi], text, self.texts[text], self.overlap_threshold
+                self.gold_texts[gi], text, self.texts[text][0], self.overlap_threshold
             )
         return classes
 
@@ -315,15 +309,17 @@ def align(
 
     Pairs scoring at least ``overlap_threshold`` (multiset token overlap)
     match, highest score first; ties break on lowest gold paragraph index,
-    then lowest candidate paragraph index. Only pairs sharing a token are
-    scored, since any other pair scores 0. An unmatched candidate is a
-    Not-PoL if any source paragraph reaches ``hallucination_threshold``
-    against it, otherwise a Hallucination. A copy of its own paragraph is a
-    Not-PoL when it holds a token, with no paragraph tokenized; any other
-    text is scored against its own paragraph first. If that falls short, a
-    text sharing no token with the judgment's case-folded text is a
-    Hallucination, and only one that does is scored against the paragraphs
-    it shares a token with (``SourceParagraphs.in_source``). Scores,
+    then lowest candidate paragraph index. Each candidate text probes an
+    index over the gold spans, built once per judgment, so only pairs
+    sharing a token are scored, since any other pair scores 0. An unmatched
+    candidate is a Not-PoL if any source paragraph reaches
+    ``hallucination_threshold`` against it, otherwise a Hallucination. A
+    copy of its own paragraph is a Not-PoL when it holds a token, with no
+    paragraph tokenized; any other text is scored against its own
+    paragraph first. If that falls short, a text sharing no token with the
+    judgment's case-folded text is a Hallucination, and only one that does
+    is scored against the paragraphs it shares a token with
+    (``SourceParagraphs.reaching``). Scores,
     classes and verdicts are kept for the next call with the same judgment,
     gold and thresholds, so the candidate sets of one judgment aligned in
     turn compute each only once.
@@ -337,12 +333,10 @@ def align(
         raise DocMismatch(f"mixed doc_ids in one alignment: {sorted(doc_ids)}")
 
     judgment = _judgment(document, tuple(gold), overlap_threshold, hallucination_threshold)
-    judgment.score([c.text for c in candidates])
-    scores = judgment.scores
     scored = [
         (score, gold[gi].paragraph_index, cand.paragraph_index, gi, ci)
         for ci, cand in enumerate(candidates)
-        for gi, score in scores[cand.text]
+        for gi, score in judgment.score(cand.text)
     ]
     scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3], item[4]))
 

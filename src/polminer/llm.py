@@ -262,20 +262,20 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
        judgment's fold keeps token classes (``SourceParagraphs``), include
        every paragraph that contains the passage fully. The search
        compares one candidate with its counter.
-    2. Index (``SourceParagraphs.index``): any passage the search does not
-       settle. The screen answers ``None`` for a passage none of whose
-       tokens is a token of the judgment, which scores 0 everywhere and is
-       unresolved; otherwise the paragraphs ``TokenIndex.overlapping``
-       lists at the threshold are ranked by their shared counts. A
-       paragraph's containment of the passage never exceeds their overlap
-       coefficient, so every paragraph at or above the threshold is listed,
-       and with it every tie for the top score: the answer is the one a
-       score of every paragraph gives.
+    2. Paragraph query (``SourceParagraphs.reaching``): any passage the
+       search does not settle. The paragraphs whose overlap coefficient
+       with the passage reaches the threshold are ranked by their shared
+       counts; the screen lists none for a passage none of whose tokens is
+       a token of the judgment, which scores 0 everywhere and is
+       unresolved. A paragraph's containment of the passage never exceeds
+       their overlap coefficient, so every paragraph at or above the
+       threshold is listed, and with it every tie for the top score: the
+       answer is the one a score of every paragraph gives.
 
     Work is linear in the passages: one counter comparison per passage,
-    plus the index, which is built at most once per judgment, from the
-    counters already made, and then answers every later passage. No
-    paragraph is tokenized twice.
+    plus the index behind ``reaching``, which is built at most once per
+    judgment, from the counters already made, and then answers every later
+    passage. No paragraph is tokenized twice.
     """
     passage_counts = raw_token_counts(passage)
     if not passage_counts:
@@ -283,12 +283,9 @@ def resolve_paragraph(passage: str, source: SourceParagraphs, threshold: float =
     position = source.first_containing(passage_counts)
     if position >= 0:
         return position if threshold <= 1.0 else -1
-    index = source.index(passage_counts)
-    if index is None:
-        return -1
     total = sum(passage_counts.values())
     best_index, best_score = -1, 0.0
-    for position, shared in index.overlapping(passage_counts, threshold).items():
+    for position, shared in source.reaching(passage_counts, threshold).items():
         score = shared / total
         if score > best_score or (score == best_score and position < best_index):
             best_index, best_score = position, score

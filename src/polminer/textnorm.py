@@ -83,7 +83,8 @@ class SourceParagraphs:
     by ``"\\n"``, which is no token character, so no token spans two
     paragraphs; the fold is made when the search or the screen first needs
     it, never on construction. The ``TokenIndex`` over every paragraph's
-    counter is built once, when a question first needs it.
+    counter, which ``reaching`` asks for FP triage and passage resolution,
+    is built once, when a probe first passes the screen.
 
     The search (``first_containing``) and the screen (``may_share``) read
     one scan of the fold per token (``_hits_of``). It rests on
@@ -198,18 +199,18 @@ class SourceParagraphs:
             self._fold()
         return any(self._hits_of(token) for token in tokens)
 
-    def index(self, probe: Counter[str]) -> TokenIndex | None:
-        """The index over every paragraph's counter, or ``None`` when the
-        screen finds that no paragraph shares a token with ``probe``.
-
-        The index is built the first time a probe passes the screen, from
-        the counters already made, and kept for every later probe.
-        """
+    def reaching(self, probe: Counter[str], threshold: float) -> dict[int, int]:
+        """``{position: |probe & counter(position)|}`` of the paragraphs
+        whose ``overlap_coefficient`` with ``probe`` reaches ``threshold``
+        (above 0), or ``{}`` when the screen finds that no paragraph shares
+        a token with ``probe``. The index answering the others is built the
+        first time a probe passes the screen, from the counters already
+        made, and kept for every later probe."""
         if not self.may_share(probe):
-            return None
+            return {}
         if self._index is None:
             self._index = TokenIndex([self.counter(i) for i in range(len(self.texts))])
-        return self._index
+        return self._index.overlapping(probe, threshold)
 
     def in_source(self, text: str, own: int, threshold: float) -> bool:
         """Whether some paragraph's ``overlap_coefficient`` with ``text``, as
@@ -219,17 +220,15 @@ class SourceParagraphs:
         ``own`` is tried first. A copy of it needs no counter: it overlaps
         that paragraph fully when the text holds a token, and nothing
         otherwise. Any other text is scored against the own paragraph's
-        counter. A miss is settled when the text holds no token, and goes
-        to ``index`` otherwise: the screen settles a text sharing no token
-        with the judgment, and the index any other.
+        counter. A miss is settled when the text holds no token, and by
+        ``reaching`` otherwise.
         """
         if 0 <= own < len(self.texts) and text == self.texts[own]:
             return _TOKEN_RE.search(text) is not None
         probe = raw_token_counts(text)
         if 0 <= own < len(self.texts) and overlap_coefficient(probe, self.counter(own)) >= threshold:
             return True
-        index = self.index(probe) if probe else None
-        return index is not None and bool(index.overlapping(probe, threshold))
+        return bool(probe) and bool(self.reaching(probe, threshold))
 
 
 def _positions(mask: int) -> Iterator[int]:
