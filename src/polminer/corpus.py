@@ -20,8 +20,7 @@ try:
     from lzma import LZMAError
 except ImportError:  # zipfile then reads no LZMA member: it raises RuntimeError
     LZMAError = RuntimeError
-# a bad header or CRC, a corrupt deflate or LZMA stream, an encrypted member
-# (RuntimeError) or an unsupported compression method (NotImplementedError)
+# a bad header or CRC, a corrupt deflate or LZMA stream, encryption, an unknown method
 _UNREADABLE = (zipfile.BadZipFile, OSError, zlib.error, LZMAError, RuntimeError, NotImplementedError)
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"

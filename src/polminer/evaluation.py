@@ -242,6 +242,8 @@ class _Judgment:
     ``compare`` repeat most of each other's texts.
     """
 
+    _UNSCORED = (None, ())  # shared by every text reaching no gold span, whose normalized form no match reads
+
     def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
                  overlap_threshold: float, hallucination_threshold: float):
         self.source = SourceParagraphs(document.paragraphs)
@@ -250,26 +252,25 @@ class _Judgment:
         self.overlap_threshold = overlap_threshold
         self.hallucination_threshold = hallucination_threshold
         # text -> (its normalized form, what ``score`` returns for it)
-        self.texts: dict[str, tuple[_Normalized, list[tuple[int, float]]]] = {}
+        self.texts: dict[str, tuple[_Normalized | None, Sequence[tuple[int, float]]]] = {}
         self.classes: dict[tuple[int, str], tuple[Completeness, SimilarityClass]] = {}
         self.in_source: dict[tuple[str, int], bool] = {}
 
-    def score(self, text: str) -> list[tuple[int, float]]:
-        """(gold position, score) of every gold span ``text`` reaches
-        ``overlap_threshold`` with, found through the gold index the first
-        time any set holds the text. Without gold spans no text can match,
-        so none is normalized or scored."""
+    def score(self, text: str) -> Sequence[tuple[int, float]]:
+        """(gold position, score) of each gold span ``text`` reaches
+        ``overlap_threshold`` with, found through the gold index when a set
+        first holds the text; without gold spans no text is even normalized."""
         if not self.gold_texts:
-            return []
+            return ()
         record = self.texts.get(text)
         if record is None:
             normalized = _normalized(text)
-            counts = normalized.counts
-            record = self.texts[text] = (normalized, [
+            scores = [
                 # kept though overlapping returned the count: the traced evaluation.match_yield counts these calls
-                (gi, overlap_coefficient(self.gold_texts[gi].counts, counts))
-                for gi in self.gold_index.overlapping(counts, self.overlap_threshold)
-            ])
+                (gi, overlap_coefficient(self.gold_texts[gi].counts, normalized.counts))
+                for gi in self.gold_index.overlapping(normalized.counts, self.overlap_threshold)
+            ]
+            record = self.texts[text] = (normalized, scores) if scores else self._UNSCORED
         return record[1]
 
     def classify(self, gi: int, text: str) -> tuple[Completeness, SimilarityClass]:

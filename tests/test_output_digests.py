@@ -7,8 +7,9 @@ through ``polminer.cli.main`` on the seed-1 inputs of each benchmark
 workload (``bench/generate.py``) and on the fixture corpus; evaluate of each
 candidate set and compare of all three run on the repro fixture; and evaluate
 of two LLM candidates, and compare of them with the annotators' set, run on
-the ``thresholds`` group, one judgment built here whose every verdict the
-second threshold pair moves, one of them settled by the paragraph index.
+the ``thresholds`` group, one judgment built here: the second threshold pair
+moves the verdict of each LLM candidate, one of them settled by the
+paragraph index.
 evaluate and compare run at the default thresholds and again at ``--overlap
 0.7 --hallucination-threshold 0.5 --format md``. Each output file, and each
 command's stdout, stderr and exit code, is keyed by its path; the work
