@@ -16,12 +16,16 @@ from xml.etree import ElementTree as ET
 
 from .errors import DirectoryNotFound, EncodingError, MalformedArchive
 
-try:
-    from lzma import LZMAError
-except ImportError:  # zipfile then reads no LZMA member: it raises RuntimeError
-    LZMAError = RuntimeError
-# a bad header or CRC, a corrupt deflate or LZMA stream, encryption, an unknown method
-_UNREADABLE = (zipfile.BadZipFile, OSError, zlib.error, LZMAError, RuntimeError, NotImplementedError)
+# a bad header or CRC, a corrupt deflate stream, encryption, a method other
+# than stored or deflated, a member inflating past MAX_DOCX_PART_BYTES
+_UNREADABLE = (zipfile.BadZipFile, OSError, zlib.error, RuntimeError, NotImplementedError)
+# The most a .docx member may inflate to, about 10,000 pages of
+# WordprocessingML. A member is read a chunk at a time, whatever size its
+# header declares, so a small archive inflates at most this and one chunk.
+# Only stored and deflated members are read (Word writes no other), since
+# zipfile inflates a read of LZMA or bzip2 data with no bound.
+MAX_DOCX_PART_BYTES = 64 << 20
+_DOCX_CHUNK_BYTES = 1 << 20
 
 W_NS = "http://schemas.openxmlformats.org/wordprocessingml/2006/main"
 W = "{%s}" % W_NS
@@ -104,12 +108,22 @@ def open_docx(path: Path) -> zipfile.ZipFile:
 
 
 def _docx_part(archive: zipfile.ZipFile, part: str) -> bytes | None:
+    chunks, size = [], 0
     try:
-        return archive.read(part)
+        with archive.open(part) as member:
+            method = archive.getinfo(part).compress_type
+            if method not in (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED):
+                raise NotImplementedError(f"{part} uses compression method {method}, not stored or deflated")
+            while chunk := member.read(_DOCX_CHUNK_BYTES):
+                size += len(chunk)
+                if size > MAX_DOCX_PART_BYTES:
+                    raise zipfile.BadZipFile(f"{part} inflates past {MAX_DOCX_PART_BYTES:,} bytes")
+                chunks.append(chunk)
     except KeyError:
         return None
     except _UNREADABLE as exc:
         raise MalformedArchive(archive.filename, f"not a readable .docx archive ({exc})") from exc
+    return b"".join(chunks)
 
 
 def docx_paragraph_elements(archive: zipfile.ZipFile) -> list[ET.Element]:

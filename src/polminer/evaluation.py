@@ -233,70 +233,54 @@ def _classify_match(
     return completeness, similarity
 
 
+# (gold position, score, completeness, similarity) of a text and a gold span it reaches
+_Pair = tuple[int, float, Completeness, SimilarityClass]
+
+
 class _Judgment:
     """The alignment work that the candidate sets of one judgment share.
 
-    The gold spans are indexed once; a text is scored against them the
-    first time any set holds it, and a match classified, and an unmatched
-    text under its own paragraph triaged, once. The candidate sets of a
-    ``compare`` repeat most of each other's texts.
+    The gold spans are indexed once. The first time any set holds a text,
+    it is scored against the gold spans it reaches and each such pair
+    classified; its normalized form is then dropped. The candidate sets of
+    a ``compare`` repeat most of each other's texts.
     """
 
-    _UNSCORED = (None, ())  # shared by every text reaching no gold span, whose normalized form no match reads
-
-    def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...],
-                 overlap_threshold: float, hallucination_threshold: float):
+    def __init__(self, document: Document, gold: tuple[GoldAnnotation, ...], overlap_threshold: float):
         self.source = SourceParagraphs(document.paragraphs)
         self.gold_texts = [_normalized(a.span_text) for a in gold]
         self.gold_index = TokenIndex([g.counts for g in self.gold_texts])
         self.overlap_threshold = overlap_threshold
-        self.hallucination_threshold = hallucination_threshold
-        # text -> (its normalized form, what ``score`` returns for it)
-        self.texts: dict[str, tuple[_Normalized | None, Sequence[tuple[int, float]]]] = {}
-        self.classes: dict[tuple[int, str], tuple[Completeness, SimilarityClass]] = {}
-        self.in_source: dict[tuple[str, int], bool] = {}
+        # text -> its pair with each gold span it reaches; one reaching none
+        # maps to the shared empty tuple, which the collector does not track
+        self.pairs: dict[str, tuple[_Pair, ...]] = {}
 
-    def score(self, text: str) -> Sequence[tuple[int, float]]:
-        """(gold position, score) of each gold span ``text`` reaches
-        ``overlap_threshold`` with, found through the gold index when a set
-        first holds the text; without gold spans no text is even normalized."""
+    def reached(self, text: str) -> tuple[_Pair, ...]:
+        """The scored and classified pairs of ``text`` with each gold span
+        it reaches ``overlap_threshold`` with, found through the gold index
+        when a set first holds the text; without gold spans no text is even
+        normalized."""
         if not self.gold_texts:
             return ()
-        record = self.texts.get(text)
-        if record is None:
+        pairs = self.pairs.get(text)
+        if pairs is None:
             normalized = _normalized(text)
-            scores = [
+            pairs = self.pairs[text] = tuple(
                 # kept though overlapping returned the count: the traced evaluation.match_yield counts these calls
-                (gi, overlap_coefficient(self.gold_texts[gi].counts, normalized.counts))
+                (gi, overlap_coefficient(self.gold_texts[gi].counts, normalized.counts),
+                 *_classify_match(self.gold_texts[gi], text, normalized, self.overlap_threshold))
                 for gi in self.gold_index.overlapping(normalized.counts, self.overlap_threshold)
-            ]
-            record = self.texts[text] = (normalized, scores) if scores else self._UNSCORED
-        return record[1]
-
-    def classify(self, gi: int, text: str) -> tuple[Completeness, SimilarityClass]:
-        classes = self.classes.get((gi, text))
-        if classes is None:
-            classes = self.classes[gi, text] = _classify_match(
-                self.gold_texts[gi], text, self.texts[text][0], self.overlap_threshold
             )
-        return classes
-
-    def triage(self, text: str, own: int) -> FpKind:
-        in_source = self.in_source.get((text, own))
-        if in_source is None:
-            in_source = self.in_source[text, own] = self.source.in_source(
-                text, own, self.hallucination_threshold
-            )
-        return FpKind.NOT_POL if in_source else FpKind.HALLUCINATION
+        return pairs
 
 
 @functools.lru_cache(maxsize=1)
-def _judgment(document: Document, gold: tuple[GoldAnnotation, ...],
-              overlap_threshold: float, hallucination_threshold: float) -> _Judgment:
+def _judgment(document: Document, gold: tuple[GoldAnnotation, ...], overlap_threshold: float) -> _Judgment:
     """One entry: every candidate set of a judgment is aligned with the same
-    gold before the next judgment, so each set reuses the work of the sets
-    before it and each paragraph is tokenized at most once."""
-    return _Judgment(document, gold, overlap_threshold, hallucination_threshold)
+    gold before the next judgment, so each set reuses the pairs of the sets
+    before it, at any hallucination threshold, and each paragraph is
+    tokenized at most once."""
+    return _Judgment(document, gold, overlap_threshold)
 
 
 def align(
@@ -320,10 +304,11 @@ def align(
     paragraph first. If that falls short, a text sharing no token with the
     judgment's case-folded text is a Hallucination, and only one that does
     is scored against the paragraphs it shares a token with
-    (``SourceParagraphs.reaching``). Scores,
-    classes and verdicts are kept for the next call with the same judgment,
-    gold and thresholds, so the candidate sets of one judgment aligned in
-    turn compute each only once.
+    (``SourceParagraphs.reaching``). Each text's scored and classified
+    pairs with the gold spans it reaches are kept for the next call with
+    the same judgment, gold and overlap threshold, at any hallucination
+    threshold, so the candidate sets of one judgment aligned in turn
+    compute each pair only once; each unmatched candidate is triaged anew.
     """
     for value, name in ((overlap_threshold, "overlap_threshold"),
                         (hallucination_threshold, "hallucination_threshold")):
@@ -333,32 +318,32 @@ def align(
     if len(doc_ids) > 1:
         raise DocMismatch(f"mixed doc_ids in one alignment: {sorted(doc_ids)}")
 
-    judgment = _judgment(document, tuple(gold), overlap_threshold, hallucination_threshold)
+    judgment = _judgment(document, tuple(gold), overlap_threshold)
     scored = [
-        (score, gold[gi].paragraph_index, cand.paragraph_index, gi, ci)
+        (score, gold[gi].paragraph_index, cand.paragraph_index, gi, ci, completeness, similarity)
         for ci, cand in enumerate(candidates)
-        for gi, score in judgment.score(cand.text)
+        for gi, score, completeness, similarity in judgment.reached(cand.text)
     ]
     scored.sort(key=lambda item: (-item[0], item[1], item[2], item[3], item[4]))
 
     matched_gold: set[int] = set()
     matched_cand: set[int] = set()
     matches: list[tuple[int, MatchRecord]] = []
-    for score, _, _, gi, ci in scored:
+    for score, _, _, gi, ci, completeness, similarity in scored:
         if gi in matched_gold or ci in matched_cand:
             continue
         matched_gold.add(gi)
         matched_cand.add(ci)
-        cand = candidates[ci]
-        completeness, similarity = judgment.classify(gi, cand.text)
-        matches.append((gi, MatchRecord(gold=gold[gi], candidate=cand, completeness=completeness,
+        matches.append((gi, MatchRecord(gold=gold[gi], candidate=candidates[ci], completeness=completeness,
                                         similarity=similarity, score=score)))
     matches.sort(key=lambda item: item[0])
 
     # triage compares text as written: a candidate that is nothing but a
     # citation tail still exists in the source and must not read as fabricated
+    in_source = judgment.source.in_source
     false_positives = [
-        (cand, judgment.triage(cand.text, cand.paragraph_index))
+        (cand, FpKind.NOT_POL if in_source(cand.text, cand.paragraph_index, hallucination_threshold)
+         else FpKind.HALLUCINATION)
         for ci, cand in enumerate(candidates)
         if ci not in matched_cand
     ]

@@ -88,6 +88,7 @@ DAMAGE_COMPRESSION = {
     "lzma": zipfile.ZIP_LZMA,
     "encrypted": zipfile.ZIP_STORED,
     "method": zipfile.ZIP_STORED,
+    "size": zipfile.ZIP_DEFLATED,
 }
 
 
@@ -100,10 +101,14 @@ def damage_member(path: str | Path, part: str, kind: str) -> Path:
     - ``deflate``: its deflate stream opens with a reserved block type
       (``zlib.error``);
     - ``lzma``: its LZMA stream's first byte, always 0, becomes 0xFF
-      (``lzma.LZMAError``);
+      (``lzma.LZMAError``; ``corpus`` refuses an LZMA member before
+      reading it);
     - ``encrypted``: its encryption flag is set (``RuntimeError``);
     - ``method``: its compression method becomes 99, which no ``zipfile``
-      reads (``NotImplementedError``).
+      reads (``NotImplementedError``);
+    - ``size``: its declared size becomes 1 byte in both headers, so
+      ``zipfile`` stops after one byte and fails the CRC
+      (``zipfile.BadZipFile``), however far the stream inflates.
     """
     p = Path(path)
     with zipfile.ZipFile(p) as zf:
@@ -126,7 +131,10 @@ def damage_member(path: str | Path, part: str, kind: str) -> Path:
     elif kind == "encrypted":
         data[local + 6] |= 1
         data[central + 8] |= 1
-    else:
+    elif kind == "method":
         data[local + 8] = data[central + 10] = 99
+    else:
+        size = (1).to_bytes(4, "little")
+        data[local + 22:local + 26] = data[central + 24:central + 28] = size
     p.write_bytes(bytes(data))
     return p

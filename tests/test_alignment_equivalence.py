@@ -7,8 +7,10 @@ tails and quotation marks make the normalized and the as-written token
 counts differ. Some candidates copy a paragraph word for word, as every
 rules candidate does, and name that paragraph, another one or none, so FP
 triage is settled by the own paragraph, by the index, or by neither.
-Candidate sets aligned in turn against one judgment share its scores,
-classes and triage verdicts, and must each still equal the reference.
+Candidate sets aligned in turn against one judgment share each text's
+scored and classified pairs with the gold spans it reaches, at any
+hallucination threshold, and must each still equal the reference; each
+unmatched candidate is triaged anew.
 
 Words that differ as written but fold alike (``straße`` and ``STRASSE``,
 ``ŉ`` and ``ʼn``, the ligature ``ﬁne`` and ``fine``), words that start or
@@ -45,7 +47,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_alignment as ref
-from polminer import evaluation, textnorm
+from polminer import evaluation
 from polminer.corpus import Document
 from polminer.evaluation import FpKind, align
 from polminer.extractor import PoLCandidate, PoLType, Source
@@ -54,7 +56,6 @@ from polminer.llm import SourceParagraphs, resolve_paragraph
 from polminer.textnorm import (
     _FOLD_CLASS_CHANGERS,
     TokenIndex,
-    overlap_coefficient,
     raw_token_counts,
     token_edit_ratio,
 )
@@ -142,48 +143,39 @@ def _passes_screen(candidate: PoLCandidate, paragraphs: list[str]) -> bool:
     return changes_class and any(token in joined.casefold() for token in probe)
 
 
-class _CountingIndex(TokenIndex):
-    """A ``TokenIndex`` that records which instance each probe went to."""
-
-    probed: list[TokenIndex] = []
-
-    def overlapping(self, probe, threshold):
-        self.probed.append(self)
-        return super().overlapping(probe, threshold)
-
-
 def _align_counting(candidates, gold, document, overlap, hallucination):
     """``align``'s result, the gold-candidate scores it computed and the
-    probes of the judgment's paragraph index it made."""
-    scores = []
+    probes it made of the judgment's paragraph index, whether that was
+    built during the call or before it."""
+    scores, probed = [], []
+    real_overlap, real_overlapping = evaluation.overlap_coefficient, TokenIndex.overlapping
 
     def counting_overlap(a, b):
         scores.append((a, b))
-        return overlap_coefficient(a, b)
+        return real_overlap(a, b)
 
-    _CountingIndex.probed = []
-    real = evaluation.TokenIndex, evaluation.overlap_coefficient
-    # the gold index is built through evaluation, the paragraph index through textnorm
-    evaluation.TokenIndex, evaluation.overlap_coefficient = _CountingIndex, counting_overlap
-    textnorm.TokenIndex = _CountingIndex
+    def counting_overlapping(index, probe, threshold):
+        probed.append(index)
+        return real_overlapping(index, probe, threshold)
+
+    # the gold index and the paragraph index are both TokenIndex instances
+    evaluation.overlap_coefficient, TokenIndex.overlapping = counting_overlap, counting_overlapping
     try:
         result = align(candidates, gold, document, overlap, hallucination)
     finally:
-        evaluation.TokenIndex, evaluation.overlap_coefficient = real
-        textnorm.TokenIndex = real[0]
-    paragraph_index = evaluation._judgment(document, tuple(gold), overlap, hallucination).source._index
-    probes = sum(index is paragraph_index for index in _CountingIndex.probed)
+        evaluation.overlap_coefficient, TokenIndex.overlapping = real_overlap, real_overlapping
+    paragraph_index = evaluation._judgment(document, tuple(gold), overlap).source._index
+    probes = sum(index is paragraph_index for index in probed)
     return result, len(scores), probes
 
 
-def _unsettled(false_positives, paragraphs: list[str], threshold: float) -> set[tuple[str, int]]:
-    """The distinct (text, own paragraph) of FPs whose own paragraph leaves
-    triage open and that pass the screen."""
-    return {
-        (cand.text, cand.paragraph_index)
+def _unsettled(false_positives, paragraphs: list[str], threshold: float) -> list[PoLCandidate]:
+    """The FPs whose own paragraph leaves triage open and that pass the screen."""
+    return [
+        cand
         for cand, _ in false_positives
         if not _own_paragraph_settles(cand, paragraphs, threshold) and _passes_screen(cand, paragraphs)
-    }
+    ]
 
 
 @settings(max_examples=500, deadline=None)
@@ -194,9 +186,8 @@ def test_indexed_align_equals_reference(case):
     evaluation._judgment.cache_clear()
     result, _, probes = _align_counting(candidates, gold, document, overlap, hallucination)
     assert result == ref.align(candidates, gold, document, overlap, hallucination)
-    # the paragraph index is probed once for each distinct unmatched text and
-    # own paragraph that the own paragraph leaves open and the screen
-    # passes, and for no other
+    # the paragraph index is probed once for each unmatched candidate that
+    # its own paragraph leaves open and the screen passes, and for no other
     assert probes == len(_unsettled(result.false_positives, paragraphs, hallucination))
 
 
@@ -237,7 +228,6 @@ def test_candidate_sets_aligned_in_turn_equal_reference(case):
     evaluation._judgment.cache_clear()
     gold_counts = [ref.token_counts(a.span_text) for a in gold]
     scored_texts: set[str] = set()
-    triaged: set[tuple[str, int]] = set()
     for candidates, evict in zip(sets, evictions):
         if evict == "document":
             align(other_candidates, [], other, overlap, hallucination)
@@ -247,8 +237,12 @@ def test_candidate_sets_aligned_in_turn_equal_reference(case):
             align(candidates, gold, document, other_overlap, hallucination)
         elif evict == "hallucination":
             align(candidates, gold, document, overlap, other_hallucination)
-        if evict:
-            scored_texts, triaged = set(), set()
+        if evict == "hallucination":
+            # the pairs do not depend on the hallucination threshold: that
+            # alignment scored this set's texts for the judgment
+            scored_texts |= {cand.text for cand in candidates}
+        elif evict:
+            scored_texts = set()
         result, scores, probes = _align_counting(candidates, gold, document, overlap, hallucination)
         assert result == ref.align(candidates, gold, document, overlap, hallucination)
         # a gold span and a text are scored once per judgment, by the first
@@ -260,10 +254,8 @@ def test_candidate_sets_aligned_in_turn_equal_reference(case):
             for g in gold_counts
         )
         scored_texts |= new_texts
-        # an unmatched text under its own paragraph is triaged once per judgment
-        unsettled = _unsettled(result.false_positives, paragraphs, hallucination)
-        assert probes == len(unsettled - triaged)
-        triaged |= {(cand.text, cand.paragraph_index) for cand, _ in result.false_positives}
+        # each unmatched candidate is triaged anew
+        assert probes == len(_unsettled(result.false_positives, paragraphs, hallucination))
 
 
 @st.composite
@@ -330,7 +322,37 @@ def test_exact_threshold_hits_match():
     assert len(result.matches) == 1 and result.matches[0].score == 0.8
     assert [kind for _, kind in result.false_positives] == [FpKind.NOT_POL]
     # the FP's own paragraph reaches 0.6 exactly, which settles its triage
-    assert evaluation._judgment(document, tuple(gold), 0.8, 0.6).source._index is None
+    assert evaluation._judgment(document, tuple(gold), 0.8).source._index is None
+
+
+def test_a_second_hallucination_threshold_reuses_the_pairs():
+    # the unmatched candidate shares 2 of its 4 tokens with paragraph 1 and
+    # 1 with paragraph 0: a Hallucination at 0.6, a Not-PoL at 0.5
+    document = _document(["corte legge diritto", "violazione della legge oggi"])
+    gold = [GoldAnnotation(doc_id=DOC_ID, paragraph_index=0, span_text="corte legge diritto",
+                           pol_type=PoLType.IMPLICIT)]
+    candidates = [_candidate(0, "corte legge diritto"), _candidate(-1, "violazione legge mai fine")]
+    normalized = []
+    real = evaluation.normalize_text
+
+    def counting_normalize(text):
+        normalized.append(text)
+        return real(text)
+
+    evaluation._judgment.cache_clear()
+    evaluation.normalize_text = counting_normalize
+    try:
+        first = align(candidates, gold, document, 0.8, 0.6)
+        made = len(normalized)
+        second = align(candidates, gold, document, 0.8, 0.5)
+    finally:
+        evaluation.normalize_text = real
+    assert first == ref.align(candidates, gold, document, 0.8, 0.6)
+    assert second == ref.align(candidates, gold, document, 0.8, 0.5)
+    assert [kind for _, kind in first.false_positives] == [FpKind.HALLUCINATION]
+    assert [kind for _, kind in second.false_positives] == [FpKind.NOT_POL]
+    # the second threshold reuses the judgment's pairs: no text is normalized again
+    assert made == 3 and len(normalized) == made
 
 
 def test_resolve_paragraph_tie_keeps_the_first_paragraph():

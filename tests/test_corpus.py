@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
 import zipfile
 
 import pytest
 
 from docxbuild import DAMAGE_COMPRESSION, damage_member, make_docx, truncate_file
+from polminer import corpus
 from polminer.corpus import W_NS, docx_paragraphs, list_judgments, load_document, open_docx
 from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
+from polminer.goldstore import import_docx_highlights
 
 
 def test_docx_drops_empty_paragraphs(tmp_path):
@@ -199,14 +202,18 @@ _NOT_READABLE = "not a readable .docx archive ("
         ({"docProps/app.xml": _APP}, ("docProps/app.xml", "crc"), "missing word/document.xml"),
         # a corrupt stream, encryption or an unknown method, in either part
         ({"word/document.xml": _BODY}, ("word/document.xml", "deflate"), _NOT_READABLE + "Error -3"),
-        ({"word/document.xml": _BODY}, ("word/document.xml", "lzma"), _NOT_READABLE + "Corrupt input data"),
+        # an LZMA member is refused before its stream is read
+        ({"word/document.xml": _BODY}, ("word/document.xml", "lzma"),
+         _NOT_READABLE + "word/document.xml uses compression method 14, not stored or deflated)"),
         ({"word/document.xml": _BODY}, ("word/document.xml", "encrypted"),
          _NOT_READABLE + "File 'word/document.xml' is encrypted"),
         ({"word/document.xml": _BODY, "docProps/app.xml": _APP}, ("docProps/app.xml", "method"),
          _NOT_READABLE + "That compression method is not supported"),
+        # a member declaring less than it holds fails the CRC
+        ({"word/document.xml": _BODY}, ("word/document.xml", "size"), _NOT_READABLE + "Bad CRC-32"),
     ],
     ids=["no_document", "bad_xml", "no_body", "bad_document_crc", "bad_app_crc", "no_document_bad_app",
-         "bad_deflate", "bad_lzma", "encrypted", "unknown_method"],
+         "bad_deflate", "bad_lzma", "encrypted", "unknown_method", "understated_size"],
 )
 def test_malformed_docx_reasons_in_order(tmp_path, parts, damaged, reason):
     path = _zip(tmp_path / "m.docx", parts, damaged)
@@ -214,6 +221,48 @@ def test_malformed_docx_reasons_in_order(tmp_path, parts, damaged, reason):
         load_document(path)
     assert exc.value.path == str(path)
     assert str(exc.value).startswith(f"{path}: {reason}")
+
+
+def _blank_docx(path, mib: int):
+    """A .docx whose deflated word/document.xml holds ``mib`` MiB of
+    blanks in its body, a few KiB on disk; written 1 MiB at a time."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as zf, zf.open("word/document.xml", "w") as part:
+        part.write(f'<w:document xmlns:w="{W_NS}"><w:body>'.encode())
+        for _ in range(mib):
+            part.write(b" " * (1 << 20))
+        part.write(b"</w:body></w:document>")
+    return path
+
+
+def _peak_and_reason(read, path) -> tuple[int, str]:
+    """The peak traced memory of ``read(path)``, which must raise
+    MalformedArchive, and its message."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MalformedArchive) as exc:
+            read(path)
+        return tracemalloc.get_traced_memory()[1], str(exc.value)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("read", [load_document, import_docx_highlights])
+def test_docx_member_inflating_past_the_bound_is_refused(tmp_path, monkeypatch, read):
+    path = _blank_docx(tmp_path / "b.docx", 16)
+    monkeypatch.setattr(corpus, "MAX_DOCX_PART_BYTES", 4 << 20)
+    peak, reason = _peak_and_reason(read, path)
+    assert reason == f"{path}: {_NOT_READABLE}word/document.xml inflates past 4,194,304 bytes)"
+    # the bound and one chunk of 1 MiB, not the 16 MiB the member holds
+    assert peak < 8 << 20
+
+
+def test_docx_member_declaring_less_than_it_inflates_to_inflates_one_chunk(tmp_path):
+    path = damage_member(_blank_docx(tmp_path / "b.docx", 16), "word/document.xml", "size")
+    peak, reason = _peak_and_reason(load_document, path)
+    assert reason.startswith(f"{path}: {_NOT_READABLE}Bad CRC-32")
+    # zipfile stops at the declared size only after inflating the chunk
+    # it reads, 1 MiB here, not the whole 16 MiB stream
+    assert peak < 4 << 20
 
 
 def test_document_text_joins_paragraphs(tmp_path):

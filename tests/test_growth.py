@@ -1,8 +1,9 @@
 """Each detector and the citation locator take linear time on adversarial
-lines, alignment takes linear time on a judgment of disjoint paragraphs,
-FP triage and LLM passage resolution take linear time in the paragraph
-count for a fixed number of unresolved candidates or passages, and the
-token edit distance takes linear time on paragraph-length texts.
+lines, alignment takes linear time on a judgment of disjoint paragraphs
+and in the number of gold spans one candidate text reaches, FP triage
+and LLM passage resolution take linear time in the paragraph count for a
+fixed number of unresolved candidates or passages, and the token edit
+distance takes linear time on paragraph-length texts.
 
 Every detector test times one line at n and at 4n characters, n about 2,000
 (the length of a long plaintext paragraph) unless the test says otherwise. A
@@ -145,7 +146,7 @@ def _judgment(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Documen
 
 
 def _align_afresh(args) -> None:
-    # a fresh judgment each time: align keeps the last one's scores and verdicts
+    # a fresh judgment each time: align keeps the last one's scored and classified pairs
     evaluation._judgment.cache_clear()
     align(*args)
 
@@ -181,6 +182,29 @@ def test_align_linear_when_every_text_shares_common_words():
     # candidate holding a common word would make n = 400 take 16 times
     # n = 100
     assert _ratio(_align_afresh, _common_words(100), _common_words(400)) < MAX_RATIO
+
+
+def _one_text_reaching(k: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:
+    """k paragraphs of nine common words and one their own, each a gold
+    span; one candidate of the common words and a word of no paragraph,
+    which reaches every span at 9 of 10."""
+    common = "la corte di cassazione ritiene che il principio sia"
+    texts = [f"{common} parola{p}" for p in range(k)]
+    document = Document("d.txt", tuple(texts), None)
+    gold = [
+        GoldAnnotation(doc_id="d.txt", paragraph_index=p, span_text=t, pol_type=PoLType.IMPLICIT)
+        for p, t in enumerate(texts)
+    ]
+    candidates = [PoLCandidate(doc_id="d.txt", paragraph_index=0, text=f"{common} assente", quote="",
+                               trigger=None, pol_type=PoLType.IMPLICIT, source=Source.LLM)]
+    return candidates, gold, document
+
+
+def test_align_linear_in_the_gold_spans_one_text_reaches():
+    # the text is scored and classified against each of the k spans it
+    # reaches, not only against the one it matches: k short edit
+    # distances, so k = 200 takes about 4 times k = 50
+    assert _ratio(_align_afresh, _one_text_reaching(50), _one_text_reaching(200)) < MAX_RATIO
 
 
 def _unresolved(n: int) -> tuple[list[PoLCandidate], list[GoldAnnotation], Document]:

@@ -145,7 +145,7 @@ def test_copies_are_triaged_without_tokenizing():
 def test_the_judgment_is_folded_on_demand():
     # copies of their own paragraphs settle triage: nothing is folded or tokenized
     _align_counting([_candidate(i, t) for i, t in enumerate(TEXTS)], [])
-    source = evaluation._judgment(_document(), (), 0.8, 0.6).source
+    source = evaluation._judgment(_document(), (), 0.8).source
     assert source._folded is None and source._counters == [None] * len(TEXTS)
     # the search reads the fold
     assert llm.resolve_paragraph("la corte", source) == 0
@@ -157,7 +157,7 @@ def test_a_text_sharing_no_token_is_a_hallucination_before_any_paragraph_is_toke
     result, tokenized, _ = _align_counting([_candidate(-1, "viola statuto")], [])
     assert [kind for _, kind in result.false_positives] == [FpKind.HALLUCINATION]
     assert tokenized == ["viola statuto"]
-    assert evaluation._judgment(_document(), (), 0.8, 0.6).source._index is None
+    assert evaluation._judgment(_document(), (), 0.8).source._index is None
 
 
 def test_a_text_passing_the_screen_probes_the_index():
