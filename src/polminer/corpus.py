@@ -167,23 +167,6 @@ def run_text(run: ET.Element) -> str:
     return "".join(parts)
 
 
-def docx_paragraphs(archive: zipfile.ZipFile) -> list[list[tuple[ET.Element, str]]]:
-    """The body paragraphs of an open .docx that hold more than whitespace,
-    in order, each as its runs (nested ones included) with their run text.
-
-    A paragraph's index is its position in the list, and its text joins its
-    runs' text. Gold import reads paragraphs here, and ``load_document``
-    joins the same runs and keeps the same paragraphs, so highlight spans
-    line up with the loaded text.
-    """
-    paragraphs = []
-    for p_elem in docx_paragraph_elements(archive):
-        runs = [(r, run_text(r)) for r in p_elem.iter(_W_R)]
-        if any(text.strip() for _, text in runs):
-            paragraphs.append(runs)
-    return paragraphs
-
-
 def _docx_page_count(archive: zipfile.ZipFile) -> int | None:
     data = _docx_part(archive, "docProps/app.xml")
     if data is None:
@@ -236,7 +219,7 @@ def load_document(path: str | Path) -> Document:
     if is_docx(p):
         # both parts come from one open of the archive
         with open_docx(p) as archive:
-            # each paragraph's text as docx_paragraphs joins it, kept under the same test
+            # each paragraph's runs joined; import_docx_highlights keeps the same paragraphs
             joined = ("".join(map(run_text, p_elem.iter(_W_R))) for p_elem in docx_paragraph_elements(archive))
             texts = [text for text in joined if text.strip()]
             pages = _docx_page_count(archive)

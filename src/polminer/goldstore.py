@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import json
 import warnings
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple, Sequence
-from xml.etree import ElementTree as ET
 
-from .corpus import W, docx_paragraphs, open_docx
+from .corpus import W, docx_paragraph_elements, open_docx, run_text
 from .errors import DuplicateHighlightWarning, SchemaError, UnknownColorWarning
 from .extractor import _POL_TYPES, PoLType
 from .outfile import atomic_write
@@ -29,6 +29,7 @@ HIGHLIGHT_TYPE_MAP = {
     "darkGray": PoLType.IMPLICIT,
 }
 # WordprocessingML tags, built once rather than for every run
+_W_R = W + "r"
 _W_RPR = W + "rPr"
 _W_HIGHLIGHT = W + "highlight"
 _W_VAL = W + "val"
@@ -46,6 +47,7 @@ class GoldAnnotation(NamedTuple):
         return (self.doc_id, self.paragraph_index, normalize_text(self.span_text))
 
     def to_dict(self) -> dict:
+        """The annotation as gold.json holds it; ``save_gold`` writes these fields by template."""
         return {
             "doc_id": self.doc_id,
             "paragraph_index": self.paragraph_index,
@@ -82,43 +84,44 @@ class GoldAnnotation(NamedTuple):
         return cls(doc_id, index, span_text, pol_type, annotator_id, origin)
 
 
-def _run_highlight(run: ET.Element) -> str | None:
-    rpr = run.find(_W_RPR)
-    if rpr is None:
-        return None
-    hl = rpr.find(_W_HIGHLIGHT)
-    if hl is None:
-        return None
-    return hl.get(_W_VAL)
-
-
 def import_docx_highlights(path: str | Path, annotator_id: str | None = None) -> list[GoldAnnotation]:
     """Extract highlight-run annotations from a .docx file.
 
     Adjacent runs with the same highlight color merge into one annotation;
     colors outside the scheme raise an UnknownColorWarning and are skipped.
     A span with the normalized text of an earlier span in its paragraph is
-    imported once, with a DuplicateHighlightWarning. The paragraphs, their
-    indices and their text are those ``corpus.load_document`` reads.
+    imported once, with a DuplicateHighlightWarning. Each run of
+    ``corpus.docx_paragraph_elements`` is read once, for its ``run_text``
+    and its highlight, and a paragraph counts by ``load_document``'s rule
+    (some run text is more than whitespace), so the paragraphs, their
+    indices and their text are those ``load_document`` reads.
     """
     p = Path(path)
     annotations: list[GoldAnnotation] = []
     seen: set[tuple[str, int, str]] = set()
     with open_docx(p) as archive:
-        paragraphs = docx_paragraphs(archive)
-    for index, runs in enumerate(paragraphs):
-        spans: list[tuple[str, str]] = []  # (color, text)
+        elements = docx_paragraph_elements(archive)
+    index = 0
+    for p_elem in elements:
+        spans: list[tuple[str, list[str]]] = []  # (color, run texts), joined once
         current_color: str | None = None
-        for run, text in runs:
-            color = _run_highlight(run)
-            if color in (None, "none"):
+        kept = False
+        for run in p_elem.iter(_W_R):
+            text = run_text(run)
+            kept = kept or text.strip() != ""
+            rpr = run.find(_W_RPR)
+            highlight = None if rpr is None else rpr.find(_W_HIGHLIGHT)
+            color = None if highlight is None else highlight.get(_W_VAL)
+            if color is None or color == "none":
                 current_color = None
             elif color == current_color:
-                spans[-1] = (color, spans[-1][1] + text)
+                spans[-1][1].append(text)
             else:
-                spans.append((color, text))
+                spans.append((color, [text]))
                 current_color = color
-        for color, text in spans:
+        if not kept:
+            continue
+        for color, texts in spans:
             if color not in HIGHLIGHT_TYPE_MAP:
                 warnings.warn(
                     f"paragraph {index}: ignoring highlight color {color!r}",
@@ -126,6 +129,7 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
                     stacklevel=2,
                 )
                 continue
+            text = "".join(texts)
             if not text.strip():
                 continue
             ann = GoldAnnotation(
@@ -146,14 +150,46 @@ def import_docx_highlights(path: str | Path, annotator_id: str | None = None) ->
                 continue
             seen.add(key)
             annotations.append(ann)
+        index += 1
     return annotations
 
 
+# One annotation of gold.json as json.dumps(..., ensure_ascii=False,
+# indent=2, sort_keys=True) writes it inside the annotations list: keys in
+# sorted order, each string through the same C encoder json.dumps uses.
+_GOLD_ENTRY = """    {
+      "annotator_id": %s,
+      "doc_id": %s,
+      "origin": %s,
+      "paragraph_index": %d,
+      "pol_type": %s,
+      "span_text": %s
+    }"""
+
+
 def save_gold(gold: Sequence[GoldAnnotation], path: str | Path) -> Path:
+    """Write ``gold`` as ``json.dumps({"annotations": [a.to_dict() ...]},
+    ensure_ascii=False, indent=2, sort_keys=True)`` plus a newline would.
+
+    CPython runs its pure-Python encoder whenever ``indent`` is set, so the
+    fixed layout of an annotation is filled in here instead, several times
+    faster; ``tests/test_gold_format_equivalence.py`` pins every byte to
+    ``json.dumps``.
+    """
     p = Path(path)
-    payload = {"annotations": [a.to_dict() for a in gold]}
+    entries = ",\n".join([
+        _GOLD_ENTRY % (
+            "null" if a.annotator_id is None else encode_basestring(a.annotator_id),
+            encode_basestring(a.doc_id),
+            encode_basestring(a.origin),
+            a.paragraph_index,
+            encode_basestring(a.pol_type.value),
+            encode_basestring(a.span_text),
+        )
+        for a in gold
+    ])
     with atomic_write(p) as fh:
-        fh.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+        fh.write(f'{{\n  "annotations": [\n{entries}\n  ]\n}}\n' if entries else '{\n  "annotations": []\n}\n')
     return p
 
 

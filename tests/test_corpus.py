@@ -7,7 +7,7 @@ import pytest
 
 from docxbuild import DAMAGE_COMPRESSION, damage_member, make_docx, truncate_file
 from polminer import corpus
-from polminer.corpus import W_NS, docx_paragraphs, list_judgments, load_document, open_docx
+from polminer.corpus import W_NS, list_judgments, load_document
 from polminer.errors import DirectoryNotFound, EncodingError, MalformedArchive
 from polminer.goldstore import import_docx_highlights
 
@@ -76,11 +76,14 @@ def test_docx_tab_stops_are_not_text(tmp_path):
 
 
 def test_loaded_paragraphs_are_the_joined_runs_that_gold_import_reads(tmp_path):
-    # load_document joins the runs itself, while gold import reads
-    # docx_paragraphs: a highlight lines up only where the two agree
-    box = "<w:txbxContent><w:p><w:r><w:t>riquadro</w:t></w:r></w:p></w:txbxContent>"
+    # load_document joins the runs itself, while import_docx_highlights
+    # walks them for their highlights: a highlight lines up only where the
+    # two agree. Every run is highlighted in one colour, so each paragraph
+    # the import keeps is one span of its whole text.
+    hl = '<w:rPr><w:highlight w:val="yellow"/></w:rPr>'
+    box = f"<w:txbxContent><w:p><w:r>{hl}<w:t>riquadro</w:t></w:r></w:p></w:txbxContent>"
     text_box = (
-        '<w:r><mc:AlternateContent xmlns:mc="http://schemas.openxmlformats.org/markup-compatibility/2006">'
+        f'<w:r>{hl}<mc:AlternateContent xmlns:mc="http://schemas.openxmlformats.org/markup-compatibility/2006">'
         f'<mc:Choice Requires="wps"><w:drawing>{box}</w:drawing></mc:Choice>'
         f'<mc:Fallback><w:pict><v:shape xmlns:v="urn:schemas-microsoft-com:vml"><v:textbox>{box}'
         "</v:textbox></v:shape></w:pict></mc:Fallback></mc:AlternateContent></w:r>"
@@ -88,22 +91,22 @@ def test_loaded_paragraphs_are_the_joined_runs_that_gold_import_reads(tmp_path):
     tab_stops = '<w:pPr><w:tabs><w:tab w:val="left" w:pos="720"/></w:tabs></w:pPr>'
     body = (
         # tabs and breaks inside runs, then two empty runs
-        "<w:p><w:r><w:t>uno</w:t><w:tab/><w:t>due</w:t><w:br/><w:t>tre</w:t><w:cr/></w:r>"
-        "<w:r/><w:r><w:t/></w:r></w:p>"
+        f"<w:p><w:r>{hl}<w:t>uno</w:t><w:tab/><w:t>due</w:t><w:br/><w:t>tre</w:t><w:cr/></w:r>"
+        f"<w:r>{hl}</w:r><w:r>{hl}<w:t/></w:r></w:p>"
         # blank: a run of spaces and a tab, a run holding only a break, and an empty paragraph
-        '<w:p><w:r><w:t xml:space="preserve">  </w:t><w:tab/></w:r><w:r><w:br/></w:r></w:p><w:p/>'
-        f"<w:p>{tab_stops}<w:r><w:t>Rubrica</w:t><w:tab/><w:t>pagina</w:t></w:r></w:p>"
+        f'<w:p><w:r>{hl}<w:t xml:space="preserve">  </w:t><w:tab/></w:r><w:r>{hl}<w:br/></w:r></w:p><w:p/>'
+        f"<w:p>{tab_stops}<w:r>{hl}<w:t>Rubrica</w:t><w:tab/><w:t>pagina</w:t></w:r></w:p>"
         # tab stops alone are no text
         f"<w:p>{tab_stops}</w:p>"
-        f'<w:p><w:r><w:t xml:space="preserve">Prima </w:t></w:r>{text_box}'
-        '<w:r><w:t xml:space="preserve"> dopo</w:t></w:r></w:p>'
+        f'<w:p><w:r>{hl}<w:t xml:space="preserve">Prima </w:t></w:r>{text_box}'
+        f'<w:r>{hl}<w:t xml:space="preserve"> dopo</w:t></w:r></w:p>'
         f"<w:p>{text_box}</w:p>"
     )
-    path = make_docx(tmp_path / "r.docx", ["Primo.", "", "  "], body_extra_xml=body)
-    with open_docx(path) as archive:
-        imported = ["".join(text for _, text in runs) for runs in docx_paragraphs(archive)]
-    assert imported == ["Primo.", "uno\tdue\ntre\n", "Rubrica\tpagina", "Prima riquadro dopo", "riquadro"]
-    assert load_document(path).paragraphs == tuple(imported)
+    paragraphs = [[(text, "yellow")] for text in ("Primo.", "", "  ")]
+    path = make_docx(tmp_path / "r.docx", paragraphs, body_extra_xml=body)
+    expected = ("Primo.", "uno\tdue\ntre\n", "Rubrica\tpagina", "Prima riquadro dopo", "riquadro")
+    assert load_document(path).paragraphs == expected
+    assert {a.paragraph_index: a.span_text for a in import_docx_highlights(path)} == dict(enumerate(expected))
 
 
 def test_plaintext_blank_line_blocks(tmp_path):

@@ -2,8 +2,9 @@
 lines, alignment takes linear time on a judgment of disjoint paragraphs
 and in the number of gold spans one candidate text reaches, FP triage
 and LLM passage resolution take linear time in the paragraph count for a
-fixed number of unresolved candidates or passages, and the token edit
-distance takes linear time on paragraph-length texts.
+fixed number of unresolved candidates or passages, the token edit
+distance takes linear time on paragraph-length texts, and gold import takes
+linear time in the same-colour runs of one highlight span.
 
 Every detector test times one line at n and at 4n characters, n about 2,000
 (the length of a long plaintext paragraph) unless the test says otherwise. A
@@ -22,11 +23,12 @@ import time
 
 import pytest
 
+from docxbuild import make_docx
 from polminer import evaluation
 from polminer.corpus import Document
 from polminer.evaluation import align
 from polminer.extractor import PoLCandidate, PoLType, Source
-from polminer.goldstore import GoldAnnotation
+from polminer.goldstore import GoldAnnotation, import_docx_highlights
 from polminer.llm import SourceParagraphs, resolve_paragraph
 from polminer.patterns import PROFILES, citation_at_end, find_citations, find_quotes, match_keywords
 from polminer.textnorm import token_edit_ratio
@@ -265,3 +267,13 @@ def test_token_edit_ratio_linear_up_to_paragraph_length():
     # other text, so its column fits a handful of words at both lengths;
     # the dynamic program over the whole table takes 16 times as long at 4n
     assert _ratio(lambda pair: token_edit_ratio(*pair), _near_copies(75), _near_copies(300)) < MAX_RATIO
+
+
+def test_import_linear_in_same_colour_runs(tmp_path):
+    # one paragraph of yellow runs of 200 characters each, merged into one
+    # span: appending each run to the span's text copies the text so far,
+    # which takes 16 times as long at 4n
+    run = ("a" * 199 + " ", "yellow")
+    small = make_docx(tmp_path / "small.docx", [[run] * 1_500])
+    large = make_docx(tmp_path / "large.docx", [[run] * 6_000])
+    assert _ratio(import_docx_highlights, small, large) < MAX_RATIO
