@@ -30,7 +30,6 @@ from .goldstore import GoldAnnotation
 from .textnorm import (
     SourceParagraphs,
     TokenIndex,
-    _shared,
     normalize_text,
     overlap_coefficient,
     token_counts,
@@ -195,17 +194,19 @@ def _classify_match(
     gold_text: _Normalized,
     candidate: str,
     cand_text: _Normalized,
+    shared: int,
     overlap_threshold: float,
 ) -> tuple[Completeness, SimilarityClass]:
     """Completeness and similarity of a match between a gold span and the
-    candidate text ``candidate``, both normalized and tokenized.
+    candidate text ``candidate``, both normalized and tokenized, that share
+    ``shared`` token occurrences.
 
     Coverage, the gold span's containment in the candidate, and the
-    candidate's containment in the gold span both divide the one count of
-    the tokens they share; a match shares a token, so neither side is empty.
+    candidate's containment in the gold span both divide ``shared``, the
+    count ``TokenIndex.overlapping`` verified the pair with; a match shares
+    a token, so neither side is empty.
     """
     gold_tokens, cand_tokens = gold_text.tokens, cand_text.tokens
-    shared = _shared(gold_text.counts, cand_text.counts)
     if shared / len(gold_tokens) >= FULL_COVERAGE:
         completeness = Completeness.FULL
     elif _ends_with_ellipsis(candidate):
@@ -266,10 +267,10 @@ class _Judgment:
         if pairs is None:
             normalized = _normalized(text)
             pairs = self.pairs[text] = tuple(
-                # kept though overlapping returned the count: the traced evaluation.match_yield counts these calls
+                # the score recounts shared: the traced evaluation.match_yield counts these calls
                 (gi, overlap_coefficient(self.gold_texts[gi].counts, normalized.counts),
-                 *_classify_match(self.gold_texts[gi], text, normalized, self.overlap_threshold))
-                for gi in self.gold_index.overlapping(normalized.counts, self.overlap_threshold)
+                 *_classify_match(self.gold_texts[gi], text, normalized, shared, self.overlap_threshold))
+                for gi, shared in self.gold_index.overlapping(normalized.counts, self.overlap_threshold).items()
             )
         return pairs
 

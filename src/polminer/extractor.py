@@ -125,6 +125,16 @@ def classify(quote: str, citations: tuple[CitationRef, ...] | list[CitationRef])
     return PoLType.IMPLICIT
 
 
+def typed_candidate(
+    doc_id: str, paragraph_index: int, text: str, quote: str, trigger: Trigger | None, source: Source
+) -> PoLCandidate:
+    """The candidate for ``text``, with the citations found in it and the
+    type ``classify`` gives its quote and those citations: rules and LLM
+    candidates are typed by this one rule."""
+    citations = tuple(find_citations(text))
+    return PoLCandidate(doc_id, paragraph_index, text, quote, trigger, classify(quote, citations), citations, source)
+
+
 def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCandidate]:
     """Run the profile over every paragraph and return typed candidates,
     at most one per paragraph."""
@@ -147,19 +157,7 @@ def extract_candidates(document: Document, profile: RuleProfile) -> list[PoLCand
             quote, trigger = "", Trigger.KEYWORD_ONLY
         else:
             continue
-        citations = tuple(find_citations(text))
-        candidates.append(
-            PoLCandidate(
-                doc_id=document.doc_id,
-                paragraph_index=index,
-                text=text,
-                quote=quote,
-                trigger=trigger,
-                pol_type=classify(quote, citations),
-                citations=citations,
-                source=Source.RULES,
-            )
-        )
+        candidates.append(typed_candidate(document.doc_id, index, text, quote, trigger, Source.RULES))
     return candidates
 
 

@@ -23,8 +23,8 @@ from typing import Protocol
 
 from .corpus import Document, find_lone_surrogate
 from .errors import BudgetExceeded, EmptyResponse, TransportError
-from .extractor import PoLCandidate, Source, classify
-from .patterns import find_citations, find_quotes
+from .extractor import PoLCandidate, Source, typed_candidate
+from .patterns import find_quotes
 from .patterns.rules import V2_REFINED
 from .textnorm import SourceParagraphs, raw_token_counts
 
@@ -328,20 +328,9 @@ def run_extraction(
     candidates: list[PoLCandidate] = []
     for passage in split_passages(response):
         quotes = find_quotes(passage, V2_REFINED)
-        citations = tuple(find_citations(passage))
         quote = quotes[0].text if quotes else ""
-        candidates.append(
-            PoLCandidate(
-                doc_id=document.doc_id,
-                paragraph_index=resolve_paragraph(passage, source),
-                text=passage,
-                quote=quote,
-                trigger=None,
-                pol_type=classify(quote, citations),
-                citations=citations,
-                source=Source.LLM,
-            )
-        )
+        candidates.append(typed_candidate(
+            document.doc_id, resolve_paragraph(passage, source), passage, quote, None, Source.LLM))
     return candidates
 
 

@@ -86,6 +86,32 @@ def test_a_heading_paragraph_does_not_save_a_fabricated_passage():
     assert [kind for _, kind in result.false_positives] == [FpKind.HALLUCINATION]
 
 
+# The two verdicts below hold today and must survive a change of the triage
+# rule (ROADMAP item 2): they are what a rule of containment in one paragraph
+# would lose.
+
+def test_a_copy_of_two_adjacent_paragraphs_is_not_pol():
+    first = "Il ricorrente lamenta che il giudice del merito abbia omesso ogni motivazione."
+    second = "La doglianza è fondata, poiché la sentenza impugnata tace sulle prove decisive raccolte."
+    copy = f"{first} {second}"
+    probe = textnorm.raw_token_counts(copy)
+    # neither paragraph alone holds 0.6 of the copy's tokens: only a window of both does
+    shares = [sum((textnorm.raw_token_counts(p) & probe).values()) / sum(probe.values()) for p in (first, second)]
+    assert shares == [0.48, 0.52]
+    doc = _doc(["FATTO", first, second, "P.Q.M. rigetta il ricorso."])
+    result = align([_cand(copy, index=-1)], [], doc)
+    assert [kind for _, kind in result.false_positives] == [FpKind.NOT_POL]
+
+
+def test_the_citation_tail_of_a_longer_paragraph_is_not_pol():
+    tail = "(Cass. n. 12962/2016)"
+    # normalized, the tail holds no token: triage reads it as written
+    assert textnorm.word_tokens(textnorm.normalize_text(tail)) == []
+    doc = _doc([SPAN, f"Il principio è consolidato nella giurisprudenza di legittimità {tail}."])
+    result = align([_cand(tail, index=-1)], [_gold(SPAN)], doc)
+    assert [kind for _, kind in result.false_positives] == [FpKind.NOT_POL]
+
+
 def test_real_but_unannotated_candidate_is_not_pol():
     filler = "le parti hanno dedotto circostanze di puro fatto"
     doc = _doc([SPAN, filler])

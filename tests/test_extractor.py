@@ -9,7 +9,7 @@ import pytest
 import oracles
 import synth
 from fixture_corpus import FIXTURE_PARAGRAPHS, build_fixture_corpus
-from polminer import extractor
+from polminer import extractor, llm
 from polminer.corpus import Document, load_document
 from polminer.errors import SchemaError
 from polminer.extractor import (
@@ -22,6 +22,7 @@ from polminer.extractor import (
     extract_candidates,
     load_candidates_jsonl,
     save_candidates_jsonl,
+    typed_candidate,
 )
 from polminer.patterns import PROFILES, find_citations, match_keywords
 
@@ -89,6 +90,23 @@ def test_classification_is_stable_under_citation_reordering():
         source=cand.source,
     )
     assert classify(reordered.quote, reordered.citations) == classify(cand.quote, cand.citations)
+
+
+def test_rules_and_llm_candidates_of_one_text_are_typed_alike():
+    texts = [
+        'La Corte ha affermato “x” (Cass. 217/2019)',
+        "…carico dell'Erario (Corte Cost. 217/2019)",
+        "la giurisprudenza ha sostenuto che nulla rileva",
+    ]
+    doc = _doc(texts)
+    rules = extract_candidates(doc, V1)
+    transport = llm.ScriptedTransport({doc.doc_id: "\n\n".join(texts)})
+    passages = llm.run_extraction(doc, llm.LlmSession(), transport)
+    assert [c.pol_type for c in rules] == [PoLType.EXPLICIT_DIRECT, PoLType.EXPLICIT_INDIRECT, PoLType.IMPLICIT]
+    assert [(c.pol_type, c.citations) for c in passages] == [(c.pol_type, c.citations) for c in rules]
+    assert passages == [
+        typed_candidate(doc.doc_id, c.paragraph_index, c.text, c.quote, None, Source.LLM) for c in rules
+    ]
 
 
 def test_extraction_is_deterministic():
